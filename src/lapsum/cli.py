@@ -18,7 +18,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import harness
-from .bounds import BOUND_TAGS
+from .bounds import BOUND_TAGS, CONJECTURE_TAGS, THEOREM_TAGS
 from .decomposition import (
     AssignmentExhausted,
     arboricity_value,
@@ -295,8 +295,12 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+_BOUND_GROUPS = {"theorem": THEOREM_TAGS, "conjecture": CONJECTURE_TAGS, "all": BOUND_TAGS}
+
+
 def _cmd_scan(args) -> int:
-    bounds = [b.strip() for b in args.bound.split(",") if b.strip()]
+    ids = [b.strip() for b in args.bound.split(",") if b.strip()]
+    bounds = list(dict.fromkeys(t for b in ids for t in _BOUND_GROUPS.get(b, (b,))))
     ks = harness.parse_krange(args.k)
     report = harness.scan(_source(args), bounds, ks, jobs=args.jobs)
     text = report.to_json() if args.format == "json" else report.to_csv()
@@ -366,7 +370,8 @@ def build_parser() -> _Parser:
     )
     p = cmd("scan", _cmd_scan, "bound scan over a graph source", sources=True)
     p.add_argument("--bound", required=True, metavar="ID[,ID...]",
-                   help=f"bound ids from: {', '.join(BOUND_TAGS)}")
+                   help=f"bound ids from: {', '.join(BOUND_TAGS)}; "
+                   f"or a group: {', '.join(_BOUND_GROUPS)}")
     p.add_argument("--k", default="all", help="'all', 'nminus2', or a list like 1,2,3")
     p.add_argument("--jobs", type=int, default=1)
     p = sub.add_parser("probe", help="tightness probe over named families")

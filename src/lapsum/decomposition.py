@@ -1,11 +1,11 @@
 """Arboricity, star arboricity, structure decomposition, and color-list
 assignments of orientations.
 
-Forest decompositions are built by matroid-union augmentation; star
-arboricity is exact backtracking at desk scale; the upper-bound pipeline
-follows the two constructive routes (doubling a forest decomposition for
-small k, randomized color-list assignment of an auxiliary apex graph for
-large k).
+Arboricity, its witness and forest decompositions come from one
+matroid-partition pass; star arboricity is exact backtracking at desk
+scale; the upper-bound pipeline follows the two constructive routes
+(doubling a forest decomposition for small k, randomized color-list
+assignment of an auxiliary apex graph for large k).
 """
 
 from __future__ import annotations
@@ -14,19 +14,18 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .density import (
     Orientation,
     OrientationInfeasible,
     SizeCapError,
-    _excess_test,
+    _edges_inside,
     k_orientation,
     partition_density,
     partition_density_bracket,
 )
-from .graphs import Graph, GraphError, graph_from_edges, induced_subgraph
-from .matching import AlgorithmError, greedy_cover_2approx, hall_violator
+from .graphs import AlgorithmError, Graph, GraphError, graph_from_edges, induced_subgraph
+from .matching import greedy_cover_2approx, hall_violator
 
 STAR_ARB_EDGE_CAP = 30
 
@@ -101,53 +100,48 @@ def is_star_forest(n: int, edges) -> bool:
 # Arboricity
 
 def arboricity_value(g: Graph) -> tuple[int, frozenset[int] | None]:
-    """Exact Nash-Williams arboricity with a ratio-maximizing subset.
-
-    Uses the density excess network with one endpoint rooted per test (the
-    root pays no size charge, shifting the objective from |U| to |U|-1).
-    """
-    if g.m == 0:
-        return 0, None
-    # the t=0 level always holds with a single edge as witness
-    witness: frozenset[int] | None = frozenset(g.edges[0])
-    t = 1
-    while True:
-        found = _dense_forest_violator(g, t)
-        if found is None:
-            break
-        witness = found
-        t += 1
-    assert witness is not None
-    inside = sum(1 for u, v in g.edges if u in witness and v in witness)
-    assert -(-inside // (len(witness) - 1)) == t
+    """Exact Nash-Williams arboricity a(G) with a witness set U,
+    ceil(e(U) / (|U|-1)) = a(G); the witness is None for an edgeless graph."""
+    t, witness, _ = _forest_partition(g)
     return t, witness
 
 
-def _dense_forest_violator(g: Graph, t: int) -> frozenset[int] | None:
-    """A subset U with e(U) > t(|U|-1), or None."""
-    m = g.m
-    for root in range(g.n):
-        if g.degree(root) == 0:
-            continue
-        value, cut_verts = _excess_test(g, Fraction(t), forced=root)
-        if value < m:
-            u = frozenset(cut_verts | {root})
-            inside = sum(1 for a, b in g.edges if a in u and b in u)
-            assert inside > t * (len(u) - 1)
-            return u
-    return None
-
-
 def forest_decomposition(g: Graph) -> ForestDecomposition:
-    """Partition E into exactly a(G) forests via matroid-union augmentation.
+    """Partition E into exactly a(G) forests."""
+    t, _, classes = _forest_partition(g)
+    fd = ForestDecomposition(g.n, classes)
+    fd.validate(g)
+    if len(fd.classes) != t:
+        raise AlgorithmError(
+            f"decomposed into {len(fd.classes)} forests, arboricity says {t}"
+        )
+    return fd
 
-    Edges are inserted in lexicographic order; when every class would close
-    a cycle, a BFS over cycle-edge exchanges relocates edges across classes
-    until the new edge fits.
+
+def _forest_partition(g: Graph):
+    """Edmonds' matroid partition of E into forests: (a(G), witness, classes).
+
+    Edges are inserted in lexicographic order into t = 1, 2, ... classes,
+    restarting at each t; the first t that takes every edge is a(G). When
+    every class would close a cycle, a BFS over cycle-edge exchanges
+    relocates edges across classes until the new edge fits. When that BFS
+    runs out, the reached edges form one connected set S that every class
+    spans as a tree, so |S| = t(|V(S)|-1) + 1 and V(S) witnesses a(G) > t.
     """
-    t, _ = arboricity_value(g)
-    if t == 0:
-        return ForestDecomposition(g.n, ())
+    if g.m == 0:
+        return 0, None, ()
+    witness = frozenset(g.edges[0])  # a single edge witnesses a(G) >= 1
+    t = 1
+    while not isinstance(result := _insert_edges(g, t), tuple):
+        witness, t = result, t + 1
+    if -(-_edges_inside(g, witness) // (len(witness) - 1)) != t:
+        raise AlgorithmError(f"witness {sorted(witness)} does not attain arboricity {t}")
+    return t, witness, result
+
+
+def _insert_edges(g: Graph, t: int):
+    """The edges of g partitioned into t forest classes, or, when some edge
+    does not fit, the vertex set of its exhausted exchange search."""
     class_adj: list[dict[int, set[int]]] = [
         {v: set() for v in range(g.n)} for _ in range(t)
     ]
@@ -155,25 +149,24 @@ def forest_decomposition(g: Graph) -> ForestDecomposition:
 
     def tree_path(c: int, src: int, dst: int):
         """Edges on the src-dst path in forest c, or None if disconnected."""
-        prev: dict[int, tuple[int, int]] = {src: (-1, -1)}
+        prev: dict[int, int] = {src: -1}
         q = deque([src])
         while q:
             x = q.popleft()
             if x == dst:
                 path = []
                 while x != src:
-                    px, _ = prev[x]
-                    e = (px, x) if px < x else (x, px)
-                    path.append(e)
+                    px = prev[x]
+                    path.append((px, x) if px < x else (x, px))
                     x = px
                 return path
             for y in class_adj[c][x]:
                 if y not in prev:
-                    prev[y] = (x, 0)
+                    prev[y] = x
                     q.append(y)
         return None
 
-    def insert(e0: tuple[int, int]):
+    def insert(e0: tuple[int, int]) -> frozenset[int] | None:
         pred: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {e0: None}
         q = deque([e0])
         while q:
@@ -194,30 +187,25 @@ def forest_decomposition(g: Graph) -> ForestDecomposition:
                         edge_class[x] = target
                         link = pred[x]
                         if link is None:
-                            return
+                            return None
                         x, target = link
-                    # unreachable
                 for h in path:
                     if h not in pred:
                         pred[h] = (f, c)
                         q.append(h)
-        raise AlgorithmError(
-            f"no augmenting exchange for edge {e0} with {t} forest classes"
-        )
+        reached = frozenset(v for e in pred for v in e)
+        if len(pred) != t * (len(reached) - 1) + 1:
+            raise AlgorithmError(f"exchange search for {e0} is no witness for {t} forests")
+        return reached
 
     for e in g.edges:
-        insert(e)
+        reached = insert(e)
+        if reached is not None:
+            return reached
     classes = tuple(
         tuple(sorted(e for e, c in edge_class.items() if c == i)) for i in range(t)
     )
-    classes = tuple(cls for cls in classes if cls)
-    fd = ForestDecomposition(g.n, classes)
-    fd.validate(g)
-    if len(fd.classes) != t:
-        raise AlgorithmError(
-            f"decomposed into {len(fd.classes)} forests, arboricity says {t}"
-        )
-    return fd
+    return tuple(cls for cls in classes if cls)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +435,8 @@ def structure_decomposition(
         raise AlgorithmError(
             "S-saturating k-star forest exists although nu_k should be below |S|"
         )
-    assert res.violator is not None and res.neighborhood is not None
+    if res.violator is None or res.neighborhood is None:
+        raise AlgorithmError("unsaturated Hall flow returned no violator")
     u = frozenset(res.violator) | frozenset(res.neighborhood)
     c = frozenset(s_cover) - res.violator
     i = frozenset(range(g.n)) - u - c

@@ -12,7 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flow import FlowNetwork, max_flow
-from .graphs import Graph, GraphError, components_info, edge_subgraph, remove_edges
+from .graphs import (
+    AlgorithmError,
+    Graph,
+    GraphError,
+    components_info,
+    edge_subgraph,
+    induced_subgraph,
+    remove_edges,
+)
 
 PARTITION_EXACT_CAP = 20
 
@@ -83,12 +91,11 @@ class OrientationInfeasible:
 # ---------------------------------------------------------------------------
 # Density
 
-def _excess_test(g: Graph, lam: Fraction, forced: int | None = None):
-    """Max-flow test for a subset U with e(U) > lam |U| (forced vertex optional).
+def _excess_test(g: Graph, lam: Fraction):
+    """Max-flow test for a subset U with e(U) > lam |U|.
 
     Returns (deficiency, U): deficiency = max_U (e(U) - lam|U|) scaled test,
-    U = vertex side of the canonical min cut. With ``forced`` set, U ranges
-    over subsets containing that vertex, which pays no lam charge.
+    U = vertex side of the canonical min cut.
     """
     m, n = g.m, g.n
     q = lam.denominator
@@ -101,8 +108,7 @@ def _excess_test(g: Graph, lam: Fraction, forced: int | None = None):
         net.add_arc(1 + i, m + 1 + u, scale)
         net.add_arc(1 + i, m + 1 + v, scale)
     for v in range(n):
-        if v != forced:
-            net.add_arc(m + 1 + v, m + n + 1, p)
+        net.add_arc(m + 1 + v, m + n + 1, p)
     res = max_flow(net)
     subset = frozenset(v for v in range(n) if (m + 1 + v) in res.cut)
     return res.value, subset
@@ -140,7 +146,8 @@ def density(g: Graph) -> DensityWitness:
     lam = rho - Fraction(1, 2 * n * n)
     _, subset = _excess_test(g, lam)
     inside = _edges_inside(g, subset)
-    assert subset and Fraction(inside, len(subset)) == rho
+    if not subset or Fraction(inside, len(subset)) != rho:
+        raise AlgorithmError(f"density witness does not attain {rho}")
     return DensityWitness(rho, subset)
 
 
@@ -233,11 +240,10 @@ def partition_density(g: Graph) -> PartitionWitness:
             best_value = val
             best_s = s
             best_choice = choice
-    if best_value == 0:
+    if best_choice is None:
         return PartitionWitness(
             Fraction(0), tuple(frozenset({v}) for v in range(n)), 1
         )
-    assert best_choice is not None
     parts = []
     mask = full
     while mask:
@@ -247,7 +253,8 @@ def partition_density(g: Graph) -> PartitionWitness:
     parts.sort(key=min)
     attained = max(len(p) for p in parts)
     total_inside = sum(e[_mask_of(p)] for p in parts)
-    assert Fraction(total_inside, attained) == best_value
+    if Fraction(total_inside, attained) != best_value:
+        raise AlgorithmError(f"partition density witness does not attain {best_value}")
     return PartitionWitness(best_value, tuple(parts), attained)
 
 
@@ -278,7 +285,8 @@ def partition_density_bracket(g: Graph) -> tuple[Fraction, Fraction]:
         parts = -(-n // s)
         ub = min(m, _floor_frac(rho * n), s * (s - 1) // 2 * parts)
         upper = max(upper, Fraction(ub, s))
-    assert lower <= upper
+    if lower > upper:
+        raise AlgorithmError(f"partition density bracket [{lower},{upper}] is empty")
     return lower, upper
 
 
@@ -317,11 +325,13 @@ def k_orientation(g: Graph, k: int) -> Orientation | OrientationInfeasible:
             a_u, a_v = edge_arcs[i]
             heads.append(u if res.flow.get(a_u, 0) > 0 else v)
         ori = Orientation(g, tuple(heads))
-        assert ori.max_indegree() <= k
+        if ori.max_indegree() > k:
+            raise AlgorithmError(f"orientation exceeds in-degree {k}")
         return ori
     subset = frozenset(v for v in range(n) if (m + 1 + v) in res.cut)
     inside = _edges_inside(g, subset)
-    assert subset and inside > k * len(subset)
+    if not subset or inside <= k * len(subset):
+        raise AlgorithmError(f"min-cut subset {sorted(subset)} is not denser than {k}")
     return OrientationInfeasible(k, subset, inside)
 
 
@@ -384,14 +394,13 @@ def peel_to_low_partition_density(g: Graph, k: int) -> tuple[Graph, list[PeelSte
             h_edges.extend((u, v) for u, v in cur.edges if u in s and v in s)
         h = edge_subgraph(cur, h_edges)
         _, h_nprime = components_info(_strip_isolated(h))
-        assert len(h_edges) >= k * h_nprime
+        if len(h_edges) < k * h_nprime:
+            raise AlgorithmError(f"peel step of {len(h_edges)} edges is below {k} * n'")
         log.append(PeelStep(tuple(sorted(h_edges)), h_nprime, wit.value))
         cur = remove_edges(cur, h_edges)
 
 
 def _strip_isolated(g: Graph) -> Graph:
     keep = [v for v in range(g.n) if g.degree(v) > 0]
-    from .graphs import induced_subgraph
-
     sub, _ = induced_subgraph(g, keep) if keep else (Graph(0, ()), [])
     return sub

@@ -1,4 +1,6 @@
-"""Exact max-flow engine (Dinic, BFS level phases) with min-cut extraction.
+"""Exact max flow with min-cut extraction: pure-Python Dinic (BFS level
+phases) for small or rational networks, scipy's compiled solver for large
+integer ones.
 
 Capacities may be ints or fractions.Fraction; arithmetic is exact either way,
 so min cuts serve as correctness certificates for density and orientation
@@ -12,6 +14,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
+
+#: integer networks with fewer nodes run on Dinic, so callers that only
+#: build small networks never import scipy. Median per call on the networks
+#: density and k_orientation build, Dinic vs scipy: 0.03/0.17 ms at 10-19
+#: nodes, 0.20/0.21 at 40-49, 0.32/0.22 at 50-59, 0.87/0.29 at 100-109.
+SCIPY_MIN_NODES = 48
 
 
 @dataclass
@@ -59,15 +67,15 @@ class MaxFlowResult:
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
     """Exact max flow with the canonical (minimal) min cut and per-arc flows.
 
-    Integer networks without antiparallel arc pairs run on scipy's compiled
-    solver; everything else (rational capacities) uses the pure-Python Dinic
-    below. The reported cut is the residual-reachable source side, which is
-    the same for every maximum flow, so results do not depend on the backend.
+    Integer networks of at least SCIPY_MIN_NODES nodes without antiparallel
+    arc pairs run on scipy's compiled solver; everything else (small
+    networks, rational capacities) uses the pure-Python Dinic below. The
+    reported cut is the residual-reachable source side, which is the same
+    for every maximum flow, so the value and the cut do not depend on the
+    backend.
     """
-    if _scipy_eligible(net):
-        result = _max_flow_scipy(net)
-        if result is not None:
-            return result
+    if net.n >= SCIPY_MIN_NODES and _scipy_eligible(net):
+        return _max_flow_scipy(net)
     return _max_flow_dinic(net)
 
 
@@ -85,13 +93,11 @@ def _scipy_eligible(net: FlowNetwork) -> bool:
     return True
 
 
-def _max_flow_scipy(net: FlowNetwork) -> MaxFlowResult | None:
-    try:
-        import numpy as np
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import maximum_flow
-    except ImportError:  # pragma: no cover
-        return None
+def _max_flow_scipy(net: FlowNetwork) -> MaxFlowResult:
+    import numpy as np
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
     n = net.n
     rows, cols, data = [], [], []
     arcs = []

@@ -18,6 +18,10 @@ class GraphError(ValueError):
     """Invalid graph construction or vertex out of range."""
 
 
+class AlgorithmError(RuntimeError):
+    """A verified certificate failed its own invariants."""
+
+
 class Graph6Error(ValueError):
     """Malformed graph6 input; carries the byte offset of the problem."""
 
@@ -221,21 +225,7 @@ def disjoint_union(*graphs: Graph) -> Graph:
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
+    return bipartition(g) is not None
 
 
 def bipartition(g: Graph) -> tuple[list[int], list[int]] | None:

@@ -14,14 +14,10 @@ from itertools import combinations
 
 from .density import SizeCapError
 from .flow import FlowNetwork, max_flow
-from .graphs import Graph, GraphError, induced_subgraph
+from .graphs import AlgorithmError, Graph, GraphError, induced_subgraph
 
 VERTEX_COVER_NU_CAP = 15
 NU_ELL_VERTEX_CAP = 16
-
-
-class AlgorithmError(RuntimeError):
-    """A verified certificate failed its own invariants."""
 
 
 @dataclass(frozen=True)

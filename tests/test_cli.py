@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lapsum.bounds import THEOREM_TAGS
 from lapsum.cli import main
 
 
@@ -138,6 +139,16 @@ class TestScanCommand:
         )
         doc = json.loads(out)
         assert code == 0 and doc["totals"]["graphs"] == 5
+
+    def test_scan_bound_group(self, capsys):
+        code, out, _ = run(
+            capsys, "scan", "--all-labeled", "3", "--bound", "theorem,brouwer",
+            "--k", "1", "--format", "json",
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["bounds"] == list(THEOREM_TAGS) + ["brouwer"]
+        assert doc["totals"]["checks"] == 8 * (len(THEOREM_TAGS) + 1)
 
     def test_scan_bad_bound(self, capsys):
         code, _, err = run(

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from lapsum.density import (
     peel_to_low_partition_density,
     random_k_orientation,
 )
+from lapsum.flow import MaxFlowResult
 from lapsum.graphs import (
+    AlgorithmError,
     Graph,
     GraphError,
     disjoint_union,
@@ -110,6 +113,16 @@ class TestOrientation:
                 else:
                     assert isinstance(res, OrientationInfeasible)
                     assert res.edges_inside > k * len(res.subset)
+
+    def test_bogus_cut_raises_algorithm_error(self, monkeypatch):
+        # an unsaturated flow whose cut holds no vertex certifies nothing;
+        # the check must raise even under python -O
+        density_module = importlib.import_module("lapsum.density")
+        monkeypatch.setattr(
+            density_module, "max_flow", lambda net: MaxFlowResult(0, frozenset({0}), {})
+        )
+        with pytest.raises(AlgorithmError):
+            k_orientation(make_family("complete:4"), 1)
 
     def test_orientation_validates_heads(self):
         g = graph_from_edges(3, [(0, 1), (1, 2)])

@@ -1,9 +1,22 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lapsum.flow import FlowNetwork, _max_flow_dinic, _scipy_eligible, max_flow
+import lapsum
+from lapsum.flow import (
+    SCIPY_MIN_NODES,
+    FlowNetwork,
+    _max_flow_dinic,
+    _max_flow_scipy,
+    _scipy_eligible,
+    max_flow,
+)
+from lapsum.graphs import gnp_graphs
 
 
 def build(n, s, t, arcs):
@@ -59,9 +72,20 @@ class TestBasics:
         assert all(balance[i] == 0 for i in (1, 2, 3))
 
 
+def excess_network_arcs(g, p, q):
+    """Arcs of the density excess network of g at lambda = p/q."""
+    m, n = g.m, g.n
+    arcs = []
+    for i, (u, v) in enumerate(g.edges):
+        arcs += [(0, 1 + i, q), (1 + i, m + 1 + u, q), (1 + i, m + 1 + v, q)]
+    arcs += [(m + 1 + v, m + n + 1, p) for v in range(n)]
+    return m + n + 2, arcs
+
+
 class TestBackendsAgree:
     def test_random_networks(self):
         rng = random.Random(7)
+        cases = []
         for _ in range(200):
             n = rng.randint(2, 9)
             arcs = []
@@ -72,12 +96,35 @@ class TestBackendsAgree:
                     continue
                 pairs.add((u, v))
                 arcs.append((u, v, rng.randint(0, 10)))
+            cases.append((n, arcs))
+        # excess networks above the cutoff, where max_flow picks scipy
+        for p_edge in (0.1, 0.3, 0.6):
+            for g in gnp_graphs(40, p_edge, 2, 5):
+                for lam_num, lam_den in ((1, 1), (3, 2), (5, 1)):
+                    n, arcs = excess_network_arcs(g, lam_num, lam_den)
+                    assert n >= SCIPY_MIN_NODES
+                    cases.append((n, arcs))
+        for n, arcs in cases:
             net1, _ = build(n, 0, n - 1, arcs)
             net2, _ = build(n, 0, n - 1, arcs)
-            fast = max_flow(net1)
+            fast = _max_flow_scipy(net1)
             slow = _max_flow_dinic(net2)
             assert fast.value == slow.value
             assert fast.cut == slow.cut  # minimal min cut is flow-independent
+
+    def test_small_networks_leave_scipy_unloaded(self):
+        code = (
+            "import sys, lapsum\n"
+            "lapsum.k_orientation(lapsum.make_family('complete:4'), 2)\n"
+            "lapsum.arboricity_value(lapsum.make_family('complete:6'))\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        src = str(Path(lapsum.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_eligibility(self):
         net, _ = build(3, 0, 2, [(0, 1, 1), (1, 2, 1)])
