@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graphs import Graph
 from .spectral import EpsProfile, eps_profile
 
 #: a "violation" requires lhs - rhs > this threshold
 VIOLATION_TOL = 1e-6
+#: |slack| at or below this counts as an equality case
+EQUALITY_TOL = 1e-6
 
 
 class MissingAuxError(KeyError):
@@ -28,12 +30,25 @@ class MissingAuxError(KeyError):
         self.key = key
 
 
+class GraphSize(NamedTuple):
+    """All a bound's formulas read of the graph itself."""
+
+    n: int
+    m: int
+
+
 @dataclass(frozen=True)
 class BoundSpec:
+    """A bound eps_k(G) <= rhs(size, k, aux) where ``applicable(size, k, aux)``.
+
+    Both formulas read only ``size`` (n and |E|), k and the aux quantities
+    named in ``needs``.
+    """
+
     tag: str
     needs: tuple[str, ...]
-    rhs: Callable[[Graph, int, dict], float]
-    applicable: Callable[[Graph, int, dict], bool]
+    rhs: Callable[[GraphSize, int, dict], float]
+    applicable: Callable[[GraphSize, int, dict], bool]
     conjecture: bool = False
 
 
@@ -135,6 +150,22 @@ def aux_requirements(tags) -> set[str]:
     return out
 
 
+def bound_rhs(spec: BoundSpec, size: GraphSize, k: int, aux: dict) -> float:
+    """The right-hand side at k, or NaN where the bound's side condition fails."""
+    if not spec.applicable(size, k, aux):
+        return math.nan
+    return float(spec.rhs(size, k, aux))
+
+
+def verdict(slack):
+    """(holds, equality) of an applicable check with slack = rhs - lhs.
+
+    Works elementwise on numpy arrays as well as on floats.
+    """
+    holds = slack >= -VIOLATION_TOL
+    return holds, holds & (abs(slack) <= EQUALITY_TOL)
+
+
 def evaluate_bound(tag: str, g: Graph, k: int, aux: dict) -> BoundResult:
     """Evaluate one bound at one k.
 
@@ -156,8 +187,8 @@ def evaluate_bound(tag: str, g: Graph, k: int, aux: dict) -> BoundResult:
     elif not isinstance(prof, EpsProfile):
         raise TypeError("aux['eps'] must be an EpsProfile")
     lhs = prof.value(k)
-    if not spec.applicable(g, k, aux):
-        return BoundResult(tag, k, lhs, float("nan"), False, True, float("nan"))
-    rhs = float(spec.rhs(g, k, aux))
+    rhs = bound_rhs(spec, GraphSize(g.n, g.m), k, aux)
+    if math.isnan(rhs):
+        return BoundResult(tag, k, lhs, math.nan, False, True, math.nan)
     slack = rhs - lhs
-    return BoundResult(tag, k, lhs, rhs, True, slack >= -VIOLATION_TOL, slack)
+    return BoundResult(tag, k, lhs, rhs, True, verdict(slack)[0], slack)

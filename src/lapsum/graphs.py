@@ -8,10 +8,13 @@ edge iteration, ``Graph.neighbors`` for per-vertex sorted neighbor lists).
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -93,8 +96,11 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
 _G6_MIN, _G6_MAX = 63, 126
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode a one-line graph6 string (header-free short form)."""
+def check_graph6(text: str) -> str:
+    """Validate a one-line graph6 string (header-free short form); return it stripped.
+
+    Checks the byte range, the length the first byte implies, and zero padding.
+    """
     text = text.strip()
     if not text:
         raise Graph6Error("empty graph6 string", 0)
@@ -111,14 +117,21 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"expected {nbytes} data bytes for n={n}, got {len(data) - 1}", 0
         )
+    pad = 6 * nbytes - nbits
+    if pad and (data[-1] - 63) & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", nbytes)
+    return text
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode a one-line graph6 string (header-free short form)."""
+    data = check_graph6(text).encode("ascii")
+    n = data[0] - 63
     bits = []
-    for i, b in enumerate(data[1:]):
+    for b in data[1:]:
         val = b - 63
         for shift in range(5, -1, -1):
             bits.append((val >> shift) & 1)
-    for j in range(nbits, len(bits)):
-        if bits[j]:
-            raise Graph6Error("nonzero padding bits", 1 + j // 6)
     edges = []
     idx = 0
     for v in range(1, n):
@@ -127,6 +140,30 @@ def parse_graph6(text: str) -> Graph:
                 edges.append((u, v))
             idx += 1
     return graph_from_edges(n, edges)
+
+
+@cache
+def graph6_pairs(n: int) -> np.ndarray:
+    """The (u, v) pair of each graph6 bit position on n vertices, as a
+    read-only (C(n,2), 2) array."""
+    pairs = np.array([(u, v) for v in range(1, n) for u in range(v)], dtype=np.intp)
+    pairs = pairs.reshape(-1, 2)
+    pairs.setflags(write=False)
+    return pairs
+
+
+def graph6_bits(strings: Sequence[str]) -> np.ndarray:
+    """Edge bits of validated graph6 strings that share one n, decoded together.
+
+    Row i holds string i's C(n,2) bits in graph6 order, the pairs of
+    ``graph6_pairs(n)``.
+    """
+    n = ord(strings[0][0]) - 63
+    nbits = n * (n - 1) // 2
+    raw = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8)
+    data = raw.reshape(len(strings), -1)[:, 1:] - 63
+    bits = np.unpackbits(data[:, :, None], axis=2)[:, :, 2:]
+    return bits.reshape(len(strings), -1)[:, :nbits]
 
 
 def encode_graph6(g: Graph) -> str:
@@ -364,17 +401,55 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return _PAIRS_CACHE[n]
 
 
-def all_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs on n vertices, in edge-mask order (n <= 7)."""
+def _check_all_labeled(n: int):
+    if n < 0:
+        raise GraphError(f"negative vertex count {n}")
     if n > ALL_LABELED_CAP:
         raise GraphError(
             f"all-labeled enumeration capped at n={ALL_LABELED_CAP}; "
             "use a graph6 file for larger exhaustive runs"
         )
+
+
+def all_labeled_graphs(n: int) -> Iterator[Graph]:
+    """All 2^C(n,2) labeled graphs on n vertices, in edge-mask order (n <= 7).
+
+    Bit i of the mask is the pair ``_pairs(n)[i]``.
+    """
+    _check_all_labeled(n)
     pairs = _pairs(n)
     for mask in range(1 << len(pairs)):
         edges = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
         yield Graph(n, edges)
+
+
+#: edge masks turned into graph6 strings per numpy block
+_MASK_BLOCK = 4096
+
+
+def all_labeled_graph6(n: int) -> Iterator[str]:
+    """graph6 strings of ``all_labeled_graphs(n)``, in the same order.
+
+    The strings come straight from the edge masks, a block of masks at a time.
+    """
+    _check_all_labeled(n)
+    pairs = _pairs(n)
+    nbits = len(pairs)
+    nbytes = (nbits + 5) // 6
+    g6_pos = np.array([v * (v - 1) // 2 + u for u, v in pairs], dtype=np.intp)
+    shifts = np.arange(nbits, dtype=np.int64)
+    weights = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
+    total = 1 << nbits
+    for start in range(0, total, _MASK_BLOCK):
+        masks = np.arange(start, min(start + _MASK_BLOCK, total), dtype=np.int64)
+        bits = np.zeros((len(masks), 6 * nbytes), dtype=np.uint8)
+        bits[:, g6_pos] = masks[:, None] >> shifts & 1
+        data = np.empty((len(masks), 1 + nbytes), dtype=np.uint8)
+        data[:, 0] = n + 63
+        data[:, 1:] = (bits.reshape(len(masks), nbytes, 6) * weights).sum(axis=2) + 63
+        text = data.tobytes().decode("ascii")
+        width = 1 + nbytes
+        yield from (text[i : i + width] for i in range(0, len(text), width))
 
 
 def gnp_graphs(n: int, p: float, count: int, seed: int) -> Iterator[Graph]:
@@ -388,24 +463,31 @@ def gnp_graphs(n: int, p: float, count: int, seed: int) -> Iterator[Graph]:
         yield Graph(n, edges)
 
 
-def read_graph6_file(path: str, strict: bool = True) -> Iterator[Graph]:
-    """Graphs from a file with one graph6 string per line.
+def read_graph6_lines(path: str, strict: bool = True) -> Iterator[str]:
+    """The validated graph6 lines of a file, stripped, without decoding them.
 
-    Malformed lines raise (strict) or are reported to stderr and skipped.
+    Blank lines and ``#`` comments are skipped. Malformed lines raise (strict)
+    or are reported to stderr and skipped.
     """
-    import sys
-
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                yield parse_graph6(line)
+                line = check_graph6(line)
             except Graph6Error as exc:
                 if strict:
                     raise Graph6Error(f"{path}:{lineno}: {exc}", exc.offset) from exc
                 print(f"error: {path}:{lineno}: {exc}", file=sys.stderr)
+                continue
+            yield line
+
+
+def read_graph6_file(path: str, strict: bool = True) -> Iterator[Graph]:
+    """Graphs from a file with one graph6 string per line (see ``read_graph6_lines``)."""
+    for line in read_graph6_lines(path, strict):
+        yield parse_graph6(line)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -470,3 +552,15 @@ def graph_stream(src: GraphSource, strict: bool = True) -> Iterator[Graph]:
             raise GraphError("single source without a graph")
         return iter([src.graph])
     raise GraphError(f"unknown source kind {src.kind!r}")
+
+
+def graph6_stream(src: GraphSource, strict: bool = True) -> Iterator[str]:
+    """The graphs of ``graph_stream(src)`` as graph6 strings.
+
+    All-labeled and graph6-file sources build no ``Graph`` on the way.
+    """
+    if src.kind == "all-labeled":
+        return all_labeled_graph6(src.n)
+    if src.kind == "graph6-file":
+        return read_graph6_lines(src.path, strict=strict)
+    return map(encode_graph6, graph_stream(src, strict=strict))

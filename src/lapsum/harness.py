@@ -14,18 +14,29 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .bounds import VIOLATION_TOL, aux_requirements, bound_spec, evaluate_bound
+import numpy as np
+
+from .bounds import (
+    GraphSize,
+    aux_requirements,
+    bound_rhs,
+    bound_spec,
+    evaluate_bound,
+    verdict,
+)
 from .decomposition import STAR_ARB_EDGE_CAP, star_arboricity_exact
 from .graphs import (
     FamilyId,
     GraphSource,
     components_info,
+    conjugate_degrees,
     encode_graph6,
-    graph_stream,
+    graph6_bits,
+    graph6_stream,
     is_bipartite,
     make_family,
     non_isolated_count,
-    conjugate_degrees,
+    parse_graph6,
 )
 from .matching import (
     SizeCapError,
@@ -33,10 +44,14 @@ from .matching import (
     matching_number,
     min_vertex_cover,
 )
-from .spectral import eps_profile, spectrum
+from .spectral import (
+    SpectralError,
+    eps_profile,
+    graph6_spectra,
+    spectrum_fault,
+    stack_size,
+)
 
-#: |slack| at or below this counts as an equality case in reports
-EQUALITY_TOL = 1e-6
 #: equality examples recorded per (bound, k); totals are always exact
 EQUALITY_EXAMPLE_CAP = 10
 #: graphs per parallel work unit
@@ -162,11 +177,11 @@ class ScanReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-graph evaluation
+# Chunk evaluation
 
 def _compute_aux(g, needs: set[str]) -> tuple[dict, dict[str, str]]:
     """Shared invariant memo for one graph, plus per-quantity skip reasons."""
-    aux: dict = {"eps": eps_profile(g)}
+    aux: dict = {}
     unavailable: dict[str, str] = {}
     if "conj_degrees" in needs:
         aux["conj_degrees"] = conjugate_degrees(g)
@@ -191,91 +206,170 @@ def _compute_aux(g, needs: set[str]) -> tuple[dict, dict[str, str]]:
     return aux, unavailable
 
 
-def _witness_record(g, aux, result) -> dict:
+def _rhs_rows(spec, n: int, sizes: list[int], auxes, rows, ks) -> np.ndarray:
+    """RHS of one bound for the given rows of a group at each k, NaN where
+    the side condition fails."""
+    if spec.needs:
+        table = [
+            [bound_rhs(spec, GraphSize(n, sizes[i]), k, auxes[i]) for k in ks] for i in rows
+        ]
+        return np.array(table).reshape(len(rows), len(ks))
+    # the formulas then read only |E| and k: one call per distinct |E|
+    distinct = sorted({sizes[i] for i in rows})
+    table = [[bound_rhs(spec, GraphSize(n, m), k, {}) for k in ks] for m in distinct]
+    at = {m: p for p, m in enumerate(distinct)}
+    return np.array(table).reshape(len(distinct), len(ks))[[at[sizes[i]] for i in rows]]
+
+
+def _witness_record(check: dict, n: int, m: int, spectrum_row, eps_row, aux) -> dict:
     """Full serialized witness: graph, spectrum, and every cached invariant."""
-    rec = {
-        "graph6": encode_graph6(g),
-        "n": g.n,
-        "m": g.m,
-        "bound": result.tag,
-        "k": result.k,
-        "lhs": result.lhs,
-        "rhs": result.rhs,
-        "slack": result.slack,
-        "spectrum": list(spectrum(g).values),
-    }
-    for key in sorted(aux):
+    rec = {"graph6": check["graph6"], "n": n, "m": m}
+    rec.update((key, check[key]) for key in ("bound", "k", "lhs", "rhs", "slack"))
+    rec["spectrum"] = spectrum_row
+    for key in sorted({"eps", *aux}):
         if key == "eps":
-            rec["eps_profile"] = list(aux[key].eps)
+            rec["eps_profile"] = eps_row
         else:
             rec[key] = aux[key]
     return rec
 
 
+def _group_spectra(n: int, g6s: list[str]):
+    """Edge counts, checked spectra (rows non-increasing) and eps rows of
+    graph6 strings that share one n."""
+    bits = graph6_bits(g6s)
+    ms = bits.sum(axis=1, dtype=np.int64)
+    vals = graph6_spectra(n, bits)
+    fault = spectrum_fault(vals, ms)
+    if fault is not None:
+        row, reason = fault
+        raise SpectralError(f"graph6 {g6s[row]}: {reason}")
+    return ms, vals, np.cumsum(vals, axis=1) - ms[:, None]
+
+
+def _scan_group(n, g6s, positions, bounds, krange, partial, found):
+    """Evaluate the bounds on graphs with one n; records go to ``found`` keyed
+    by (source position, bound index, k index)."""
+    ms, vals, eps = _group_spectra(n, g6s)
+    ks = krange.values(n)
+    k_arr = np.array(ks, dtype=np.int64)
+    lhs = np.repeat(ms[:, None].astype(float), len(ks), axis=1)  # |E| for k > n
+    lhs[:, k_arr <= n] = eps[:, k_arr[k_arr <= n] - 1]
+    needs = aux_requirements(bounds)
+    auxes: list[dict] = [{}] * len(g6s)
+    unavailable: list[dict] = [{}] * len(g6s)
+    live_rows = list(range(len(g6s)))  # graphs not size-capped
+    for i, g6 in enumerate(g6s if needs else ()):
+        try:
+            auxes[i], unavailable[i] = _compute_aux(parse_graph6(g6), needs)
+        except SizeCapError as exc:
+            live_rows.remove(i)
+            found["skipped"].extend(
+                ((positions[i], b, 0), {"graph6": g6, "bound": tag, "reason": str(exc)})
+                for b, tag in enumerate(bounds)
+            )
+    if ks and live_rows:
+        ratio = (lhs[live_rows] / (k_arr * k_arr)).max()
+        partial["max_ratio"] = max(partial["max_ratio"], float(ratio))
+    # one (bound, graph, k) table for the whole group; NaN = not applicable
+    sizes = ms.tolist()
+    rhs = np.full((len(bounds), len(g6s), len(ks)), math.nan)
+    checked = []
+    for b, tag in enumerate(bounds):
+        spec = bound_spec(tag)
+        rows = live_rows
+        if spec.needs:
+            rows = []
+            for i in live_rows:
+                missing = [q for q in spec.needs if q in unavailable[i]]
+                if not missing:
+                    rows.append(i)
+                    continue
+                reason = unavailable[i][missing[0]]
+                found["skipped"].append(
+                    ((positions[i], b, 0), {"graph6": g6s[i], "bound": tag, "reason": reason})
+                )
+        if rows:
+            rhs[b, rows] = _rhs_rows(spec, n, sizes, auxes, rows, ks)
+        checked.append(len(rows))
+    partial["checks"] += sum(checked) * len(ks)
+    slack = rhs - lhs
+    applicable = ~np.isnan(rhs)
+    holds, equal = verdict(np.where(applicable, slack, 0.0))
+    violated = applicable & ~holds
+    equal &= applicable
+    nviol = violated.sum(axis=1).tolist()
+    neq = equal.sum(axis=1).tolist()
+    least = np.where(applicable, slack, math.inf).min(axis=1).tolist()
+    for b, tag in enumerate(bounds):
+        if not checked[b]:
+            continue
+        for j, k in enumerate(ks):
+            agg = partial["agg"].setdefault((tag, k), [0, 0, 0, math.inf])
+            agg[0] += checked[b]
+            agg[1] += nviol[b][j]
+            agg[2] += neq[b][j]
+            agg[3] = min(agg[3], least[b][j])
+    for kind, hits in (("violations", violated), ("equalities", equal)):
+        for b, i, j in zip(*np.nonzero(hits)):
+            check = {
+                "graph6": g6s[i],
+                "bound": bounds[b],
+                "k": ks[j],
+                "lhs": float(lhs[i, j]),
+                "rhs": float(rhs[b, i, j]),
+                "slack": float(slack[b, i, j]),
+            }
+            if kind == "violations":
+                check = _witness_record(
+                    check, n, int(ms[i]), vals[i].tolist(), eps[i].tolist(), auxes[i]
+                )
+            found[kind].append(((positions[i], int(b), int(j)), check))
+
+
 def _scan_chunk(args):
+    """Evaluate the bounds over one chunk of graph6 strings.
+
+    Graphs are grouped by n; each group is decoded at once and its spectra
+    come from stacked eigvalsh calls. A Graph is built only where a bound
+    needs combinatorial invariants. Records come back in source order.
+    """
     (g6_list, bounds, krange) = args
     partial = {
-        "graphs": 0,
+        "graphs": len(g6_list),
         "checks": 0,
         "agg": {},  # (tag, k) -> [checked, violations, equalities, min_slack]
-        "violations": [],
-        "equalities": [],
-        "skipped": [],
         "max_ratio": -math.inf,
     }
-    from .graphs import parse_graph6
-
-    needs = aux_requirements(bounds)
-    for g6 in g6_list:
-        g = parse_graph6(g6)
-        partial["graphs"] += 1
-        try:
-            aux, unavailable = _compute_aux(g, needs)
-        except SizeCapError as exc:
-            for tag in bounds:
-                partial["skipped"].append(
-                    {"graph6": g6, "bound": tag, "reason": str(exc)}
-                )
-            continue
-        prof = aux["eps"]
-        for k in krange.values(g.n):
-            ratio = prof.value(k) / (k * k)
-            if ratio > partial["max_ratio"]:
-                partial["max_ratio"] = ratio
-        for tag in bounds:
-            missing = [q for q in bound_spec(tag).needs if q in unavailable]
-            if missing:
-                partial["skipped"].append(
-                    {"graph6": g6, "bound": tag, "reason": unavailable[missing[0]]}
-                )
-                continue
-            for k in krange.values(g.n):
-                res = evaluate_bound(tag, g, k, aux)
-                partial["checks"] += 1
-                agg = partial["agg"].setdefault(
-                    (tag, k), [0, 0, 0, math.inf]
-                )
-                agg[0] += 1
-                if not res.applicable:
-                    continue
-                if res.slack < agg[3]:
-                    agg[3] = res.slack
-                if not res.holds:
-                    agg[1] += 1
-                    partial["violations"].append(_witness_record(g, aux, res))
-                elif abs(res.slack) <= EQUALITY_TOL:
-                    agg[2] += 1
-                    partial["equalities"].append(
-                        {
-                            "graph6": g6,
-                            "bound": tag,
-                            "k": k,
-                            "lhs": res.lhs,
-                            "rhs": res.rhs,
-                            "slack": res.slack,
-                        }
-                    )
+    groups: dict[int, list[int]] = {}
+    for pos, g6 in enumerate(g6_list):
+        groups.setdefault(ord(g6[0]) - 63, []).append(pos)
+    found: dict[str, list] = {"violations": [], "equalities": [], "skipped": []}
+    for n, positions in groups.items():
+        # one eigvalsh stack per group also bounds the group's other arrays
+        step = stack_size(n)
+        for start in range(0, len(positions), step):
+            part = positions[start : start + step]
+            g6s = [g6_list[p] for p in part]
+            _scan_group(n, g6s, part, bounds, krange, partial, found)
+    for kind, records in found.items():
+        records.sort(key=lambda item: item[0])
+        partial[kind] = [rec for _, rec in records]
+    # the merge keeps only the first examples per (bound, k) in source order
+    partial["equalities"] = _first_examples(partial["equalities"], {})
     return partial
+
+
+def _first_examples(equalities, counts: dict) -> list[dict]:
+    """The equality examples within EQUALITY_EXAMPLE_CAP per (bound, k), given
+    the ``counts`` kept so far (updated in place)."""
+    kept = []
+    for eq in equalities:
+        key = (eq["bound"], eq["k"])
+        if counts.get(key, 0) < EQUALITY_EXAMPLE_CAP:
+            counts[key] = counts.get(key, 0) + 1
+            kept.append(eq)
+    return kept
 
 
 def _chunks(iterable, size):
@@ -310,7 +404,7 @@ def scan(
     krange = ks or KRange("all")
     start = time.monotonic()
     report = ScanReport(src.describe(), bounds, krange)
-    g6_stream = (encode_graph6(g) for g in graph_stream(src, strict=strict))
+    g6_stream = graph6_stream(src, strict=strict)
     tasks = ((chunk, bounds, krange) for chunk in _chunks(g6_stream, CHUNK_SIZE))
     if jobs > 1:
         import multiprocessing
@@ -331,11 +425,7 @@ def scan(
             if mslack < agg.min_slack:
                 agg.min_slack = mslack
         report.violations.extend(p["violations"])
-        for eq in p["equalities"]:
-            key = (eq["bound"], eq["k"])
-            if eq_counts.get(key, 0) < EQUALITY_EXAMPLE_CAP:
-                report.equality_examples.append(eq)
-                eq_counts[key] = eq_counts.get(key, 0) + 1
+        report.equality_examples.extend(_first_examples(p["equalities"], eq_counts))
         report.skipped.extend(p["skipped"])
         if p["max_ratio"] > report.max_eps_over_k2:
             report.max_eps_over_k2 = p["max_ratio"]
@@ -358,7 +448,7 @@ class ProbeRow:
 
     @property
     def equality(self) -> bool:
-        return self.applicable and abs(self.slack) <= EQUALITY_TOL
+        return self.applicable and bool(verdict(self.slack)[1])
 
 
 def tightness_probe(families, bound: str, ks: KRange | None = None) -> list[ProbeRow]:
@@ -370,6 +460,7 @@ def tightness_probe(families, bound: str, ks: KRange | None = None) -> list[Prob
         g = make_family(fam)
         label = str(fam) if isinstance(fam, FamilyId) else fam
         aux, unavailable = _compute_aux(g, needs)
+        aux["eps"] = eps_profile(g)
         if any(q in unavailable for q in needs):
             raise SizeCapError(
                 f"probe of {label}: {'; '.join(unavailable.values())}"

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, graph6_pairs
 
 #: absolute eigenvalue tolerance for computed spectra
 SPECTRUM_TOL = 1e-9
+#: matrix entries per stacked ``eigvalsh`` call; it bounds the working set of
+#: a scan worker (see CHANGES.md for the measurement behind the value)
+STACK_ENTRIES = 1 << 14
 
 
 class SpectralError(RuntimeError):
@@ -25,19 +27,40 @@ class Spectrum:
     tol: float = SPECTRUM_TOL
 
     def validate(self, g: Graph):
-        n, m = g.n, g.m
-        vals = self.values
-        if len(vals) != n:
-            raise SpectralError(f"expected {n} eigenvalues, got {len(vals)}")
-        if n == 0:
-            return
-        ntol = max(self.tol * n, 1e-7)
-        if abs(vals[-1]) > ntol:
-            raise SpectralError(f"smallest Laplacian eigenvalue {vals[-1]} != 0")
-        if abs(sum(vals) - 2 * m) > ntol:
-            raise SpectralError(f"eigenvalue sum {sum(vals)} != 2|E| = {2 * m}")
-        if vals[0] > n + ntol:
-            raise SpectralError(f"largest eigenvalue {vals[0]} exceeds n = {n}")
+        if len(self.values) != g.n:
+            raise SpectralError(f"expected {g.n} eigenvalues, got {len(self.values)}")
+        vals = np.array(self.values, dtype=float).reshape(1, g.n)
+        fault = spectrum_fault(vals, np.array([g.m]), self.tol)
+        if fault is not None:
+            raise SpectralError(fault[1])
+
+
+def spectrum_fault(
+    vals: np.ndarray, m: np.ndarray, tol: float = SPECTRUM_TOL
+) -> tuple[int, str] | None:
+    """The first spectrum of a stack that breaks a Laplacian invariant.
+
+    ``vals`` holds one spectrum per row, non-increasing; ``m`` the edge counts.
+    Each row must end in 0, sum to 2|E| and stay at most n. Returns the row
+    and the reason of the first failure, or None when every row passes.
+    """
+    n = vals.shape[1]
+    if n == 0:
+        return None
+    ntol = max(tol * n, 1e-7)
+    total = np.cumsum(vals, axis=1)[:, -1]
+    smallest = np.abs(vals[:, -1]) > ntol
+    wrong_sum = np.abs(total - 2 * m) > ntol
+    largest = vals[:, 0] > n + ntol
+    bad = np.flatnonzero(smallest | wrong_sum | largest)
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    if smallest[i]:
+        return i, f"smallest Laplacian eigenvalue {float(vals[i, -1])} != 0"
+    if wrong_sum[i]:
+        return i, f"eigenvalue sum {float(total[i])} != 2|E| = {2 * int(m[i])}"
+    return i, f"largest eigenvalue {float(vals[i, 0])} exceeds n = {n}"
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -61,6 +84,39 @@ def spectrum(g: Graph) -> Spectrum:
     spec = Spectrum(tuple(float(x) for x in vals[::-1]))
     spec.validate(g)
     return spec
+
+
+def stack_size(n: int) -> int:
+    """Matrices of order n per stacked ``eigvalsh`` call: ``STACK_ENTRIES`` entries."""
+    return max(1, STACK_ENTRIES // (n * n))
+
+
+def graph6_spectra(n: int, bits: np.ndarray) -> np.ndarray:
+    """Laplacian eigenvalues of graphs on n vertices given by their graph6 edge bits.
+
+    ``bits`` is a (B, C(n,2)) array from ``graphs.graph6_bits`` with B at most
+    ``stack_size(n)``; the B Laplacians go to one ``eigvalsh`` call. Row i of
+    the result is graph i's spectrum, non-increasing.
+
+    Every entry starts as +0.0, the diagonal of an isolated vertex included:
+    LAPACK's Householder reflector takes the sign of its pivot, so a -0.0
+    (as ``-A`` writes for each non-edge) moves the last bit of eigenvalues.
+    """
+    if n == 0:
+        return np.empty((len(bits), 0))
+    pairs = graph6_pairs(n)
+    u, v = pairs[:, 0], pairs[:, 1]
+    off = np.where(bits, -1.0, 0.0)
+    lap = np.zeros((len(bits), n, n))
+    lap[:, u, v] = off
+    lap[:, v, u] = off
+    diag = np.arange(n)
+    lap[:, diag, diag] = np.count_nonzero(lap, axis=2)
+    try:
+        vals = np.linalg.eigvalsh(lap)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError(f"eigensolver failed: {exc}") from exc
+    return vals[:, ::-1]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from lapsum.graphs import (
     Graph6Error,
     GraphError,
     GraphSource,
+    all_labeled_graph6,
     all_labeled_graphs,
     bipartition,
     components_info,
@@ -17,6 +18,9 @@ from lapsum.graphs import (
     edge_subgraph,
     encode_graph6,
     gnp_graphs,
+    graph6_bits,
+    graph6_pairs,
+    graph6_stream,
     graph_from_edges,
     graph_stream,
     induced_subgraph,
@@ -27,6 +31,7 @@ from lapsum.graphs import (
     parse_edge_list,
     parse_family,
     parse_graph6,
+    read_graph6_lines,
     remove_edges,
 )
 
@@ -80,6 +85,17 @@ class TestGraph6:
         assert exc.value.offset == 1
         with pytest.raises(Graph6Error):
             parse_graph6("~???")  # extended form unsupported
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6("Bx")  # C(3,2) = 3 bits, then nonzero padding
+        assert exc.value.offset == 1
+
+    def test_bits_decode_a_group_at_once(self):
+        graphs = list(gnp_graphs(9, 0.5, 20, seed=2)) + [make_family("empty:9")]
+        bits = graph6_bits([encode_graph6(g) for g in graphs])
+        pairs = graph6_pairs(9)
+        assert bits.shape == (len(graphs), 36)
+        for g, row in zip(graphs, bits):
+            assert sorted(map(tuple, pairs[row == 1].tolist())) == list(g.edges)
 
     @given(random_graph_strategy())
     @settings(max_examples=200, deadline=None)
@@ -175,6 +191,23 @@ class TestSources:
         assert sum(1 for _ in all_labeled_graphs(4)) == 2**6
         with pytest.raises(GraphError):
             next(all_labeled_graphs(ALL_LABELED_CAP + 1))
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_all_labeled_graph6_follows_all_labeled_graphs(self, n):
+        assert list(all_labeled_graph6(n)) == [
+            encode_graph6(g) for g in all_labeled_graphs(n)
+        ]
+
+    def test_all_labeled_graph6_cap(self):
+        with pytest.raises(GraphError):
+            next(all_labeled_graph6(ALL_LABELED_CAP + 1))
+
+    def test_graph6_file_lines_pass_through(self, tmp_path):
+        path = tmp_path / "graphs.g6"
+        path.write_text("A_\n# comment\n  Bw \n\nD~{\n")
+        assert list(read_graph6_lines(str(path))) == ["A_", "Bw", "D~{"]
+        src = GraphSource("graph6-file", path=str(path))
+        assert list(graph6_stream(src)) == [encode_graph6(g) for g in graph_stream(src)]
 
     def test_gnp_is_seeded(self):
         a = [g.edges for g in gnp_graphs(10, 0.4, 5, seed=3)]

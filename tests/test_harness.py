@@ -1,21 +1,108 @@
 import json
+import math
+import random
 
+import numpy as np
 import pytest
 
-from lapsum.graphs import GraphSource, encode_graph6, make_family
-from lapsum.harness import (
+from lapsum import bounds, harness
+from lapsum.bounds import (
+    BOUND_TAGS,
     EQUALITY_TOL,
+    BoundSpec,
+    aux_requirements,
+    evaluate_bound,
+)
+from lapsum.cli import main
+from lapsum.graphs import (
+    GraphSource,
+    all_labeled_graphs,
+    encode_graph6,
+    gnp_graphs,
+    graph_from_edges,
+    make_family,
+    parse_graph6,
+)
+from lapsum.harness import (
+    EQUALITY_EXAMPLE_CAP,
     KRange,
     ScanReport,
+    _compute_aux,
     parse_krange,
     probe_table_csv,
     scan,
     tightness_probe,
 )
+from lapsum.matching import SizeCapError
+from lapsum.spectral import STACK_ENTRIES, SpectralError, eps_profile, spectrum
 
 
 def single(g):
     return GraphSource("single", graph=g)
+
+
+def _mixed_graphs():
+    """Graphs with n in {1, 2, 5, 7, 12, 40}, interleaved: every labeled graph
+    on 5 vertices, edgeless graphs, and sparse graphs with isolated vertices."""
+    rng = random.Random(7)
+    others = [
+        make_family("empty:1"),
+        make_family("complete:2"),
+        make_family("empty:2"),
+        make_family("empty:7"),
+        graph_from_edges(7, [(0, 1), (1, 2), (4, 5)]),
+        make_family("complete:7"),
+        graph_from_edges(12, [(0, 11), (3, 4)]),
+        graph_from_edges(40, [(0, 1), (1, 2), (2, 0), (10, 39)]),
+        *gnp_graphs(7, 0.5, 3, rng.randrange(1 << 30)),
+        *gnp_graphs(12, 0.15, 4, rng.randrange(1 << 30)),
+        *gnp_graphs(40, 0.5, 2, rng.randrange(1 << 30)),
+    ]
+    five = list(all_labeled_graphs(5))
+    out = []
+    for i, g in enumerate(five):
+        out.append(g)
+        if i % 50 == 0 and others:
+            out.append(others.pop())
+    return out + others
+
+
+@pytest.fixture(scope="module")
+def mixed_g6_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mixed") / "mixed.g6"
+    path.write_text("".join(encode_graph6(g) + "\n" for g in _mixed_graphs()))
+    return str(path)
+
+
+def _oracle_report(graphs, tags, krange):
+    """Aggregates, equality examples and max eps/k^2 from the per-graph API."""
+    needs = aux_requirements(tags)
+    agg, equalities, skipped, kept, max_ratio = {}, [], [], {}, -math.inf
+    for g in graphs:
+        aux, unavailable = _compute_aux(g, needs)
+        aux["eps"] = eps_profile(g)
+        for k in krange.values(g.n):
+            max_ratio = max(max_ratio, aux["eps"].value(k) / (k * k))
+        for tag in tags:
+            missing = [q for q in bounds.bound_spec(tag).needs if q in unavailable]
+            if missing:
+                skipped.append((encode_graph6(g), tag, unavailable[missing[0]]))
+                continue
+            for k in krange.values(g.n):
+                res = evaluate_bound(tag, g, k, aux)
+                row = agg.setdefault((tag, k), [0, 0, 0, math.inf])
+                row[0] += 1
+                if not res.applicable:
+                    continue
+                row[3] = min(row[3], res.slack)
+                if not res.holds:
+                    row[1] += 1
+                elif abs(res.slack) <= EQUALITY_TOL:
+                    row[2] += 1
+                    if kept.get((tag, k), 0) < EQUALITY_EXAMPLE_CAP:
+                        kept[(tag, k)] = kept.get((tag, k), 0) + 1
+                        equalities.append((encode_graph6(g), tag, k, res.lhs, res.rhs))
+    return agg, equalities, skipped, max_ratio
 
 
 class TestKRange:
@@ -66,14 +153,114 @@ class TestScan:
             if agg.min_slack != float("inf"):
                 assert agg.min_slack >= -1e-6
 
-    def test_deterministic_across_worker_counts(self):
-        src = GraphSource("all-labeled", n=4)
-        bounds = ["brouwer", "bai", "matching-thm"]
-        a = scan(src, bounds, KRange("all"), jobs=1).to_json_dict()
-        b = scan(src, bounds, KRange("all"), jobs=3).to_json_dict()
-        a.pop("runtime_ms")
-        b.pop("runtime_ms")
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    def test_deterministic_across_worker_counts(self, mixed_g6_file):
+        for src, tags in (
+            (GraphSource("all-labeled", n=4), ["brouwer", "bai", "matching-thm"]),
+            (GraphSource("graph6-file", path=mixed_g6_file), list(BOUND_TAGS)),
+        ):
+            a = scan(src, tags, KRange("all"), jobs=1).to_json_dict()
+            b = scan(src, tags, KRange("all"), jobs=3).to_json_dict()
+            a.pop("runtime_ms")
+            b.pop("runtime_ms")
+            assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "krange", [KRange("all"), KRange("nminus2"), KRange("list", (1, 3, 9, 41))]
+    )
+    def test_mixed_n_file_matches_per_graph_api(self, krange, mixed_g6_file):
+        graphs = _mixed_graphs()
+        tags = list(BOUND_TAGS)
+        rep = scan(GraphSource("graph6-file", path=mixed_g6_file), tags, krange)
+        agg, equalities, skipped, max_ratio = _oracle_report(graphs, tags, krange)
+        assert rep.graphs == len(graphs)
+        assert [(s["graph6"], s["bound"], s["reason"]) for s in rep.skipped] == skipped
+        assert skipped  # the dense n = 40 graphs exceed the sa and tau caps
+        got = {
+            key: [a.checked, a.violations, a.equalities, a.min_slack]
+            for key, a in rep.aggregates.items()
+        }
+        assert got == agg
+        assert rep.max_eps_over_k2 == max_ratio
+        assert [
+            (e["graph6"], e["bound"], e["k"], e["lhs"], e["rhs"])
+            for e in rep.equality_examples
+        ] == equalities
+        for e in rep.equality_examples:
+            lhs = eps_profile(parse_graph6(e["graph6"])).value(e["k"])
+            assert e["lhs"].hex() == lhs.hex()
+
+    def test_violation_witness_records(self, monkeypatch, tmp_path):
+        spec = bounds.bound_spec("brouwer")
+        monkeypatch.setitem(
+            bounds._REGISTRY,
+            "brouwer",
+            BoundSpec("brouwer", (), lambda size, k, aux: -1, spec.applicable, True),
+        )
+        for family in ("complete:5", "star:6"):
+            g = make_family(family)
+            out = tmp_path / "report.json"
+            code = main(
+                ["scan", "--family", family, "--bound", "brouwer",
+                 "--format", "json", "--out", str(out)]
+            )
+            assert code == 1
+            violations = json.loads(out.read_text())["violations"]
+            prof = eps_profile(g)
+            expected = [k for k in range(1, g.n + 1) if prof.value(k) > -1 + 1e-6]
+            assert violations and [v["k"] for v in violations] == expected
+            for v in violations:
+                assert v["spectrum"] == list(spectrum(g).values)
+                assert v["eps_profile"] == list(eps_profile(g).eps)
+                assert parse_graph6(v["graph6"]) == g
+                assert (v["n"], v["m"], v["rhs"]) == (g.n, g.m, -1.0)
+
+    def test_size_cap_error_skips_every_bound_of_the_graph(self, monkeypatch):
+        real = harness._compute_aux
+
+        def capped(g, needs):
+            if g.m == 3:
+                raise SizeCapError("over the cap")
+            return real(g, needs)
+
+        monkeypatch.setattr(harness, "_compute_aux", capped)
+        rep = scan(GraphSource("all-labeled", n=3), ["bai", "brouwer"], KRange("all"))
+        k3 = encode_graph6(make_family("complete:3"))
+        assert rep.skipped == [
+            {"graph6": k3, "bound": tag, "reason": "over the cap"} for tag in ("bai", "brouwer")
+        ]
+        assert (rep.graphs, rep.checks) == (8, 7 * 3 * 2)
+
+    def test_failed_stacked_check_names_graph(self, monkeypatch):
+        graphs = list(all_labeled_graphs(4))
+        original = np.linalg.eigvalsh
+        calls = []
+
+        def perturbed(a, *args, **kwargs):
+            vals = original(a, *args, **kwargs)
+            calls.append(a.shape)
+            if a.ndim == 3:
+                vals[9, -1] += 1.0  # the largest eigenvalue: the sum check fails
+                vals[20, 0] += 1.0
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        with pytest.raises(SpectralError, match=f"graph6 {encode_graph6(graphs[9])}: "):
+            scan(GraphSource("all-labeled", n=4), ["brouwer"], KRange("all"))
+        assert calls == [(64, 4, 4)]
+
+    def test_stacks_stay_within_entry_budget(self, monkeypatch):
+        original = np.linalg.eigvalsh
+        shapes = []
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        rep = scan(GraphSource("gnp", n=40, p=0.3, count=25, seed=1), ["brouwer"])
+        assert rep.graphs == 25
+        assert sum(s[0] for s in shapes) == 25
+        assert all(s[0] * s[1] * s[2] <= STACK_ENTRIES for s in shapes)
 
     def test_sa_skip_record_for_large_graphs(self):
         g = make_family("complete:9")  # 36 edges, beyond the exact-sa cap

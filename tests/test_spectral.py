@@ -1,12 +1,25 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapsum.graphs import disjoint_union, graph_from_edges, make_family, remove_edges
-from lapsum.spectral import EpsProfile, SpectralError, Spectrum, eps, eps_profile, laplacian, spectrum
+from lapsum.graphs import encode_graph6, graph6_bits
+from lapsum.spectral import (
+    EpsProfile,
+    SpectralError,
+    Spectrum,
+    eps,
+    eps_profile,
+    graph6_spectra,
+    laplacian,
+    spectrum,
+    spectrum_fault,
+    stack_size,
+)
 
 from conftest import sampled_graphs
 from oracles import jacobi_laplacian_spectrum
@@ -48,6 +61,22 @@ class TestSpectrum:
             ours = spectrum(g).values
             ref = jacobi_laplacian_spectrum(g)
             assert max(abs(a - b) for a, b in zip(ours, ref)) < 1e-7
+
+    def test_stacked_spectra_equal_per_graph_spectra(self):
+        by_n = {}
+        for g in sampled_graphs(300, 12, seed=11):
+            by_n.setdefault(g.n, []).append(g)
+        for n, graphs in by_n.items():
+            graphs = graphs[: stack_size(n)]
+            vals = graph6_spectra(n, graph6_bits([encode_graph6(g) for g in graphs]))
+            assert [tuple(row) for row in vals.tolist()] == [spectrum(g).values for g in graphs]
+
+    def test_stacked_check_reports_first_bad_row(self):
+        good = (3.0, 3.0, 0.0)
+        vals = np.array([good, (3.0, 2.0, 0.0), (4.0, 3.0, 0.0), good])
+        row, reason = spectrum_fault(vals, np.array([3, 3, 3, 3]))
+        assert row == 1 and "sum" in reason
+        assert spectrum_fault(vals[[0, 3]], np.array([3, 3])) is None
 
     def test_laplacian_entries(self):
         L = laplacian(graph_from_edges(3, [(0, 1)]))
