@@ -17,7 +17,8 @@ from .spectral import EpsProfile, eps_profile
 
 #: a "violation" requires lhs - rhs > this threshold
 VIOLATION_TOL = 1e-6
-#: |slack| at or below this counts as an equality case
+#: |slack| at or below this counts as an equality case; it is at most
+#: VIOLATION_TOL, so an equality case is never a violation
 EQUALITY_TOL = 1e-6
 
 
@@ -158,12 +159,12 @@ def bound_rhs(spec: BoundSpec, size: GraphSize, k: int, aux: dict) -> float:
 
 
 def verdict(slack):
-    """(holds, equality) of an applicable check with slack = rhs - lhs.
+    """(violation, equality) of a check with slack = rhs - lhs.
 
-    Works elementwise on numpy arrays as well as on floats.
+    A NaN slack, a bound whose side condition fails, is neither. Works
+    elementwise on numpy arrays as well as on floats.
     """
-    holds = slack >= -VIOLATION_TOL
-    return holds, holds & (abs(slack) <= EQUALITY_TOL)
+    return slack < -VIOLATION_TOL, abs(slack) <= EQUALITY_TOL
 
 
 def evaluate_bound(tag: str, g: Graph, k: int, aux: dict) -> BoundResult:
@@ -191,4 +192,4 @@ def evaluate_bound(tag: str, g: Graph, k: int, aux: dict) -> BoundResult:
     if math.isnan(rhs):
         return BoundResult(tag, k, lhs, math.nan, False, True, math.nan)
     slack = rhs - lhs
-    return BoundResult(tag, k, lhs, rhs, True, verdict(slack)[0], slack)
+    return BoundResult(tag, k, lhs, rhs, True, not verdict(slack)[0], slack)

@@ -294,13 +294,10 @@ def _scan_group(n, g6s, positions, bounds, krange, partial, found):
         checked.append(len(rows))
     partial["checks"] += sum(checked) * len(ks)
     slack = rhs - lhs
-    applicable = ~np.isnan(rhs)
-    holds, equal = verdict(np.where(applicable, slack, 0.0))
-    violated = applicable & ~holds
-    equal &= applicable
+    violated, equal = verdict(slack)
     nviol = violated.sum(axis=1).tolist()
     neq = equal.sum(axis=1).tolist()
-    least = np.where(applicable, slack, math.inf).min(axis=1).tolist()
+    least = np.fmin.reduce(slack, axis=1).tolist()  # NaN: nothing applicable
     for b, tag in enumerate(bounds):
         if not checked[b]:
             continue
@@ -309,9 +306,13 @@ def _scan_group(n, g6s, positions, bounds, krange, partial, found):
             agg[0] += checked[b]
             agg[1] += nviol[b][j]
             agg[2] += neq[b][j]
-            agg[3] = min(agg[3], least[b][j])
+            if least[b][j] < agg[3]:
+                agg[3] = least[b][j]
+    per_bound = len(g6s) * len(ks)
     for kind, hits in (("violations", violated), ("equalities", equal)):
-        for b, i, j in zip(*np.nonzero(hits)):
+        for flat in np.flatnonzero(hits).tolist():
+            b, rest = divmod(flat, per_bound)
+            i, j = divmod(rest, len(ks))
             check = {
                 "graph6": g6s[i],
                 "bound": bounds[b],
@@ -324,7 +325,7 @@ def _scan_group(n, g6s, positions, bounds, krange, partial, found):
                 check = _witness_record(
                     check, n, int(ms[i]), vals[i].tolist(), eps[i].tolist(), auxes[i]
                 )
-            found[kind].append(((positions[i], int(b), int(j)), check))
+            found[kind].append(((positions[i], b, j), check))
 
 
 def _scan_chunk(args):
