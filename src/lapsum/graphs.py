@@ -104,7 +104,12 @@ def check_graph6(text: str) -> str:
     text = text.strip()
     if not text:
         raise Graph6Error("empty graph6 string", 0)
-    data = text.encode("ascii", errors="replace")
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error(
+            f"character {text[exc.start]!r} outside graph6 range 63..126", exc.start
+        ) from None
     for i, b in enumerate(data):
         if not (_G6_MIN <= b <= _G6_MAX):
             raise Graph6Error(f"character {chr(b)!r} outside graph6 range 63..126", i)
@@ -125,21 +130,10 @@ def check_graph6(text: str) -> str:
 
 def parse_graph6(text: str) -> Graph:
     """Decode a one-line graph6 string (header-free short form)."""
-    data = check_graph6(text).encode("ascii")
-    n = data[0] - 63
-    bits = []
-    for b in data[1:]:
-        val = b - 63
-        for shift in range(5, -1, -1):
-            bits.append((val >> shift) & 1)
-    edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
-    return graph_from_edges(n, edges)
+    text = check_graph6(text)
+    n = ord(text[0]) - 63
+    edges = graph6_pairs(n)[graph6_bits([text])[0].astype(bool)].tolist()
+    return Graph(n, tuple(sorted(map(tuple, edges))))
 
 
 @cache
@@ -392,13 +386,10 @@ def _check_positive(n: int):
 
 ALL_LABELED_CAP = 7
 
-_PAIRS_CACHE: dict[int, list[tuple[int, int]]] = {}
-
-
+@cache
 def _pairs(n: int) -> list[tuple[int, int]]:
-    if n not in _PAIRS_CACHE:
-        _PAIRS_CACHE[n] = list(combinations(range(n), 2))
-    return _PAIRS_CACHE[n]
+    """The vertex pairs of n vertices in lexicographic order: edge-mask bits."""
+    return list(combinations(range(n), 2))
 
 
 def _check_all_labeled(n: int):
@@ -412,15 +403,9 @@ def _check_all_labeled(n: int):
 
 
 def all_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs on n vertices, in edge-mask order (n <= 7).
-
-    Bit i of the mask is the pair ``_pairs(n)[i]``.
-    """
-    _check_all_labeled(n)
-    pairs = _pairs(n)
-    for mask in range(1 << len(pairs)):
-        edges = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-        yield Graph(n, edges)
+    """All 2^C(n,2) labeled graphs on n vertices (n <= 7), decoded from
+    ``all_labeled_graph6(n)`` in its edge-mask order."""
+    return map(parse_graph6, all_labeled_graph6(n))
 
 
 #: edge masks turned into graph6 strings per numpy block
@@ -428,7 +413,8 @@ _MASK_BLOCK = 4096
 
 
 def all_labeled_graph6(n: int) -> Iterator[str]:
-    """graph6 strings of ``all_labeled_graphs(n)``, in the same order.
+    """graph6 strings of all 2^C(n,2) labeled graphs on n vertices, in
+    edge-mask order (bit i of the mask is the pair ``_pairs(n)[i]``).
 
     The strings come straight from the edge masks, a block of masks at a time.
     """
@@ -469,7 +455,8 @@ def read_graph6_lines(path: str, strict: bool = True) -> Iterator[str]:
     Blank lines and ``#`` comments are skipped. Malformed lines raise (strict)
     or are reported to stderr and skipped.
     """
-    with open(path) as fh:
+    # a non-ASCII byte reads as U+FFFD, which check_graph6 rejects at its offset
+    with open(path, encoding="ascii", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -87,8 +87,11 @@ def spectrum(g: Graph) -> Spectrum:
 
 
 def stack_size(n: int) -> int:
-    """Matrices of order n per stacked ``eigvalsh`` call: ``STACK_ENTRIES`` entries."""
-    return max(1, STACK_ENTRIES // (n * n))
+    """Matrices of order n per stacked ``eigvalsh`` call: ``STACK_ENTRIES`` entries.
+
+    Graphs on no vertex have an empty spectrum and take no entries.
+    """
+    return max(1, STACK_ENTRIES // max(1, n * n))
 
 
 def graph6_spectra(n: int, bits: np.ndarray) -> np.ndarray:

@@ -83,6 +83,9 @@ class TestGraph6:
         with pytest.raises(Graph6Error) as exc:
             parse_graph6("B\x01")
         assert exc.value.offset == 1
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6("Bé")  # non-ASCII, not read as '?'
+        assert exc.value.offset == 1
         with pytest.raises(Graph6Error):
             parse_graph6("~???")  # extended form unsupported
         with pytest.raises(Graph6Error) as exc:
@@ -237,6 +240,16 @@ class TestSources:
         gs = list(graph_stream(src, strict=False))
         assert len(gs) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_graph6_file_rejects_non_ascii(self, tmp_path, capsys):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"A_\nB\xe9\nBw\n")  # one non-ASCII byte
+        src = GraphSource("graph6-file", path=str(path))
+        for stream in (graph_stream, graph6_stream):
+            with pytest.raises(Graph6Error, match=f"{path}:2: .*byte offset 1"):
+                list(stream(src))
+        assert list(graph6_stream(src, strict=False)) == ["A_", "Bw"]
+        assert f"error: {path}:2:" in capsys.readouterr().err
 
     def test_describe(self):
         assert GraphSource("all-labeled", n=5).describe() == "all-labeled:5"

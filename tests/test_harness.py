@@ -15,6 +15,7 @@ from lapsum.bounds import (
 )
 from lapsum.cli import main
 from lapsum.graphs import (
+    Graph6Error,
     GraphSource,
     all_labeled_graphs,
     encode_graph6,
@@ -42,10 +43,12 @@ def single(g):
 
 
 def _mixed_graphs():
-    """Graphs with n in {1, 2, 5, 7, 12, 40}, interleaved: every labeled graph
-    on 5 vertices, edgeless graphs, and sparse graphs with isolated vertices."""
+    """Graphs with n in {0, 1, 2, 5, 7, 12, 40}, interleaved: every labeled
+    graph on 5 vertices, edgeless graphs, and sparse graphs with isolated
+    vertices."""
     rng = random.Random(7)
     others = [
+        graph_from_edges(0, []),
         make_family("empty:1"),
         make_family("complete:2"),
         make_family("empty:2"),
@@ -188,6 +191,16 @@ class TestScan:
         for e in rep.equality_examples:
             lhs = eps_profile(parse_graph6(e["graph6"])).value(e["k"])
             assert e["lhs"].hex() == lhs.hex()
+
+    def test_lenient_scan_skips_non_ascii_line(self, tmp_path, capsys):
+        path = tmp_path / "mixed.g6"
+        path.write_bytes(b"A_\nB\xe9\nBw\n")  # one non-ASCII byte
+        src = GraphSource("graph6-file", path=str(path))
+        rep = scan(src, ["brouwer"], KRange("all"), strict=False)
+        assert rep.graphs == 2
+        assert f"error: {path}:2:" in capsys.readouterr().err
+        with pytest.raises(Graph6Error, match=f"{path}:2: "):
+            scan(src, ["brouwer"], KRange("all"))
 
     def test_violation_witness_records(self, monkeypatch, tmp_path):
         spec = bounds.bound_spec("brouwer")
