@@ -1,13 +1,15 @@
 """Exact graph density, partition density, k-orientations, and edge peeling.
 
-Density uses the classic excess-network flow test, binary-searched over the
-finite set of candidate rationals p/q with q <= n, so values and witnesses
-are exact. Partition density has no known polynomial algorithm; the exact
-mode runs a subset DP over part-size caps (3^n time, n <= 20).
+Density runs Newton (Dinkelbach) iteration on Goldberg's (1984) excess
+network: each min cut is the next, strictly denser witness, so the exact
+value and the largest densest subset come from at most n + 1 max-flows.
+Partition density has no known polynomial algorithm; the exact mode runs a
+subset DP over part-size caps (3^n time, n <= 20).
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,10 +94,12 @@ class OrientationInfeasible:
 # Density
 
 def _excess_test(g: Graph, lam: Fraction):
-    """Max-flow test for a subset U with e(U) > lam |U|.
+    """Goldberg's max-flow test for a subset U with e(U) > lam |U|.
 
-    Returns (deficiency, U): deficiency = max_U (e(U) - lam|U|) scaled test,
-    U = vertex side of the canonical min cut.
+    With lam = p/q, the min cut is q*m - max_U (q*e(U) - p*|U|), so a cut
+    below q*m means some U is denser than lam. Returns (cut value, U) where
+    U is the vertex side of the canonical (minimal) min cut: the smallest
+    maximizer of e(U) - lam*|U|, empty when no subset beats lam.
     """
     m, n = g.m, g.n
     q = lam.denominator
@@ -115,38 +119,32 @@ def _excess_test(g: Graph, lam: Fraction):
 
 
 def density(g: Graph) -> DensityWitness:
-    """Exact density max |E(G[U])| / |U| with an achieving subset."""
+    """Exact density max |E(G[U])| / |U| with its largest achieving subset.
+
+    Newton (Dinkelbach) iteration: from lam = m/n, each excess test whose
+    cut beats lam yields a strictly denser, strictly smaller U, and lam
+    becomes e(U)/|U|; the first test that finds nothing proves rho = lam.
+    The last improving U maximizes e(U) - lam'|U| for some lam' < rho, so
+    it is the union of all densest subsets (V if the first test fails).
+    """
     if g.n < 1:
         raise GraphError("density needs at least one vertex")
     m, n = g.m, g.n
     if m == 0:
         return DensityWitness(Fraction(0), frozenset({0}))
-    candidates = sorted(
-        {
-            Fraction(p, q)
-            for q in range(1, n + 1)
-            for p in range(0, min(m, q * (q - 1) // 2) + 1)
-        }
-    )
-    # rho = smallest candidate c with no subset denser than c
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lam = candidates[mid]
-        value, _ = _excess_test(g, lam)
-        # cut < m*q  <=>  exists U with e(U) > lam |U|
-        if value < m * lam.denominator:
-            lo = mid + 1
-        else:
-            hi = mid
-    rho = candidates[lo]
-    if rho == 0:
-        return DensityWitness(Fraction(0), frozenset({0}))
-    # witness: rerun just below rho; candidate spacing >= 1/n^2
-    lam = rho - Fraction(1, 2 * n * n)
-    _, subset = _excess_test(g, lam)
-    inside = _edges_inside(g, subset)
-    if not subset or Fraction(inside, len(subset)) != rho:
+    rho = Fraction(m, n)
+    subset = frozenset(range(n))
+    for _ in range(n + 1):
+        value, cut_side = _excess_test(g, rho)
+        if value >= m * rho.denominator:
+            break
+        inside = _edges_inside(g, cut_side)
+        if not cut_side or inside <= rho * len(cut_side):
+            raise AlgorithmError(f"min-cut subset {sorted(cut_side)} is not denser than {rho}")
+        rho, subset = Fraction(inside, len(cut_side)), cut_side
+    else:
+        raise AlgorithmError(f"density iteration did not settle in {n + 1} flows")
+    if Fraction(_edges_inside(g, subset), len(subset)) != rho:
         raise AlgorithmError(f"density witness does not attain {rho}")
     return DensityWitness(rho, subset)
 
@@ -341,9 +339,7 @@ def random_k_orientation(g: Graph, k: int, seed: int) -> Orientation:
     Different seeds explore different (still deterministic) orientations of
     the same graph; raises if the graph is not k-orientable.
     """
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     perm = list(range(g.n))
     rng.shuffle(perm)
     inv = [0] * g.n

@@ -10,6 +10,7 @@ matters.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -178,8 +179,6 @@ def _max_flow_dinic(net: FlowNetwork) -> MaxFlowResult:
                     return got
             it[u] += 1
         return 0
-
-    import sys
 
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, n + 100))

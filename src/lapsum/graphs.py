@@ -26,10 +26,14 @@ class AlgorithmError(RuntimeError):
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 input; carries the byte offset of the problem."""
+    """Malformed graph6 input; carries the byte offset of the problem.
 
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (byte offset {offset})")
+    ``reason`` is the message without the offset, for re-raising with context.
+    """
+
+    def __init__(self, reason: str, offset: int = 0):
+        super().__init__(f"{reason} (byte offset {offset})")
+        self.reason = reason
         self.offset = offset
 
 
@@ -465,7 +469,7 @@ def read_graph6_lines(path: str, strict: bool = True) -> Iterator[str]:
                 line = check_graph6(line)
             except Graph6Error as exc:
                 if strict:
-                    raise Graph6Error(f"{path}:{lineno}: {exc}", exc.offset) from exc
+                    raise Graph6Error(f"{path}:{lineno}: {exc.reason}", exc.offset) from exc
                 print(f"error: {path}:{lineno}: {exc}", file=sys.stderr)
                 continue
             yield line

@@ -29,6 +29,17 @@ def oracle_density(g: Graph) -> Fraction:
     return best
 
 
+def oracle_max_densest_set(g: Graph) -> frozenset[int]:
+    """Union of all non-empty vertex subsets attaining ``oracle_density``."""
+    rho = oracle_density(g)
+    union: set[int] = set()
+    for r in range(1, g.n + 1):
+        for sub in combinations(range(g.n), r):
+            if Fraction(edges_inside(g, sub), r) == rho:
+                union.update(sub)
+    return frozenset(union)
+
+
 def set_partitions(items):
     """All set partitions of a list (restricted growth strings)."""
     items = list(items)

@@ -114,6 +114,15 @@ class TestScanCommand:
         doc = json.loads(out)
         assert doc["schema"] == 1 and doc["totals"]["violations"] == 0
 
+    def test_scan_bad_file_names_offset_once(self, tmp_path, capsys):
+        path = tmp_path / "bad.g6"
+        path.write_text("A_\nB!\n")
+        code, _, err = run(capsys, "scan", "--file", str(path), "--bound", "brouwer")
+        assert code == 2
+        assert err == (
+            f"error: {path}:2: character '!' outside graph6 range 63..126 (byte offset 1)\n"
+        )
+
     def test_scan_csv_and_out_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.csv"
         code, out, _ = run(

@@ -1,8 +1,15 @@
 import importlib
+import itertools
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lapsum
 from lapsum.density import (
     Orientation,
     OrientationInfeasible,
@@ -14,18 +21,35 @@ from lapsum.density import (
     peel_to_low_partition_density,
     random_k_orientation,
 )
-from lapsum.flow import MaxFlowResult
+from lapsum.flow import MaxFlowResult, max_flow
 from lapsum.graphs import (
     AlgorithmError,
     Graph,
     GraphError,
     disjoint_union,
+    gnp_graphs,
     graph_from_edges,
     make_family,
 )
 
 from conftest import sampled_graphs, small_graphs
-from oracles import edges_inside, oracle_density, oracle_nu_ell, oracle_partition_density
+from oracles import (
+    edges_inside,
+    oracle_density,
+    oracle_max_densest_set,
+    oracle_nu_ell,
+    oracle_partition_density,
+)
+
+
+def _cut_keeping_every_vertex(net):
+    # an unsaturated flow whose min cut keeps every node but the sink
+    return MaxFlowResult(0, frozenset(range(net.n - 1)), {})
+
+
+def _expected_witness(g):
+    # edgeless graphs report the single vertex 0, not the union of all subsets
+    return oracle_max_densest_set(g) if g.m else frozenset({0})
 
 
 class TestDensity:
@@ -44,9 +68,84 @@ class TestDensity:
             if wit.value > 0:
                 assert Fraction(edges_inside(g, wit.subset), len(wit.subset)) == wit.value
 
-    def test_matches_oracle_exhaustively(self, exhaustive_n4):
-        for g in exhaustive_n4:
-            assert density(g).value == oracle_density(g)
+    def test_matches_oracle_exhaustively(self, exhaustive_n5):
+        for g in exhaustive_n5:
+            wit = density(g)
+            assert wit.value == oracle_density(g)
+            assert wit.subset == _expected_witness(g)
+
+    def test_witness_is_largest_densest_set(self):
+        for g in sampled_graphs(60, 12, seed=6):
+            wit = density(g)
+            assert wit.value == oracle_density(g)
+            assert wit.subset == _expected_witness(g)
+
+    def test_ceiling_is_least_orientable_k(self):
+        # Hakimi: G has a k-orientation iff every U has e(U) <= k|U|
+        for n in (16, 24, 32, 40):
+            for degree in (3, 6):
+                for g in gnp_graphs(n, degree / (n - 1), 3, seed=n + degree):
+                    k = 1
+                    while not isinstance(k_orientation(g, k), Orientation):
+                        k += 1
+                    assert math.ceil(density(g).value) == k
+
+    def test_at_most_n_plus_one_flows(self, monkeypatch):
+        density_module = importlib.import_module("lapsum.density")
+        calls = []
+
+        def counting(net):
+            calls.append(net.n)
+            return max_flow(net)
+
+        monkeypatch.setattr(density_module, "max_flow", counting)
+        for g in list(sampled_graphs(60, 12, seed=7)) + list(gnp_graphs(40, 0.15, 10, seed=8)):
+            calls.clear()
+            density(g)
+            assert len(calls) <= g.n + 1
+
+    def test_not_denser_cut_raises(self, monkeypatch):
+        # V is exactly as dense as the first Newton step m/n
+        density_module = importlib.import_module("lapsum.density")
+        monkeypatch.setattr(density_module, "max_flow", _cut_keeping_every_vertex)
+        with pytest.raises(AlgorithmError, match="not denser"):
+            density(make_family("path:5"))
+
+    def test_endless_improvement_raises(self, monkeypatch):
+        # every fake cut keeps V and every count of its edges grows, so each
+        # step looks denser; the iteration must stop after n + 1 flows
+        density_module = importlib.import_module("lapsum.density")
+        calls = []
+
+        def flow(net):
+            calls.append(net.n)
+            return _cut_keeping_every_vertex(net)
+
+        counts = itertools.count(5)
+        monkeypatch.setattr(density_module, "max_flow", flow)
+        monkeypatch.setattr(density_module, "_edges_inside", lambda g, subset: next(counts))
+        with pytest.raises(AlgorithmError, match="did not settle"):
+            density(make_family("path:5"))
+        assert len(calls) == 6
+
+    def test_not_denser_cut_raises_under_optimize(self):
+        code = (
+            "import importlib\n"
+            "from lapsum.flow import MaxFlowResult\n"
+            "from lapsum.graphs import AlgorithmError, make_family\n"
+            "mod = importlib.import_module('lapsum.density')\n"
+            "mod.max_flow = lambda net: MaxFlowResult(0, frozenset(range(net.n - 1)), {})\n"
+            "try:\n"
+            "    mod.density(make_family('path:5'))\n"
+            "except AlgorithmError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(lapsum.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert "not denser" in out.stdout
 
     def test_empty_graph(self):
         assert density(Graph(3, ())).value == 0

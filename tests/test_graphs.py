@@ -246,8 +246,10 @@ class TestSources:
         path.write_bytes(b"A_\nB\xe9\nBw\n")  # one non-ASCII byte
         src = GraphSource("graph6-file", path=str(path))
         for stream in (graph_stream, graph6_stream):
-            with pytest.raises(Graph6Error, match=f"{path}:2: .*byte offset 1"):
+            with pytest.raises(Graph6Error, match=f"{path}:2: .*byte offset 1") as exc:
                 list(stream(src))
+            assert str(exc.value).count("byte offset") == 1
+            assert exc.value.offset == 1
         assert list(graph6_stream(src, strict=False)) == ["A_", "Bw"]
         assert f"error: {path}:2:" in capsys.readouterr().err
 
