@@ -471,23 +471,43 @@ class AssignmentExhausted:
 
 
 def _has_transversal(sets, ncolors: int) -> bool:
-    """Hall check via augmenting-path bipartite matching (sets vs colors)."""
+    """Hall check: can the sets get pairwise distinct colors from their own?
+
+    Bipartite matching of sets to colors: a greedy pass first, then one
+    augmenting path per set it left unmatched, searched depth-first with an
+    explicit stack, so long alternating paths need no recursion.
+    """
     if len(sets) > ncolors:
         return False
     owner: dict[int, int] = {}
-
-    def augment(i, seen):
-        for color in sets[i]:
-            if color in seen:
+    unmatched = []
+    for i, options in enumerate(sets):
+        free = next((c for c in options if c not in owner), None)
+        if free is None:
+            unmatched.append(i)
+        else:
+            owner[free] = i
+    for root in unmatched:
+        seen: set[int] = set()
+        stack = [(root, iter(sets[root]))]
+        via: list[int] = []  # via[d]: the color stack[d] takes if the path closes
+        while stack:
+            i, options = stack[-1]
+            color = next((c for c in options if c not in seen), None)
+            if color is None:
+                stack.pop()
+                if via:
+                    via.pop()
                 continue
             seen.add(color)
-            if color not in owner or augment(owner[color], seen):
-                owner[color] = i
-                return True
-        return False
-
-    for i in range(len(sets)):
-        if not augment(i, set()):
+            via.append(color)
+            if color in owner:
+                stack.append((owner[color], iter(sets[owner[color]])))
+                continue
+            for (j, _), c in zip(stack, via):
+                owner[c] = j
+            break
+        else:
             return False
     return True
 

@@ -3,8 +3,9 @@
 Density runs Newton (Dinkelbach) iteration on Goldberg's (1984) excess
 network: each min cut is the next, strictly denser witness, so the exact
 value and the largest densest subset come from at most n + 1 max-flows.
-Partition density has no known polynomial algorithm; the exact mode runs a
-subset DP over part-size caps (3^n time, n <= 20).
+Partition density has no known polynomial algorithm; the exact mode runs
+one numpy subset DP over vertex masks, in popcount layers, for all part-size
+caps at once (3^n time, n <= 20), and checks its witness against the graph.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache
+
+import numpy as np
 
 from .flow import FlowNetwork, max_flow
 from .graphs import (
@@ -25,6 +29,14 @@ from .graphs import (
 )
 
 PARTITION_EXACT_CAP = 20
+#: entries in one gather of the partition-density DP (masks x candidate
+#: parts x caps); bounds its working arrays for every n up to the cap
+PARTITION_DP_ENTRIES = 1 << 16
+#: added to candidates whose part is larger than the cap (int16 table)
+_OVER_CAP = -1024
+#: DP row chunks whose candidate parts stay cached between calls; at the
+#: default entry budget one chunk takes at most 0.2 MB for any n <= 20
+_PLAN_CHUNKS = 64
 
 
 class SizeCapError(ValueError):
@@ -157,38 +169,144 @@ def _edges_inside(g: Graph, subset) -> int:
 # ---------------------------------------------------------------------------
 # Partition density
 
-def _popcounts(limit: int) -> list[int]:
-    pc = [0] * limit
-    for i in range(1, limit):
-        pc[i] = pc[i >> 1] + (i & 1)
+@cache
+def _popcounts(n: int) -> np.ndarray:
+    """pc[mask] = number of set bits, for every mask below 2^n (read-only)."""
+    pc = np.zeros(1 << n, dtype=np.int16)
+    for v in range(n):
+        pc[1 << v : 2 << v] = pc[: 1 << v] + 1
+    pc.flags.writeable = False
     return pc
 
 
-def _edge_counts(g: Graph) -> list[int]:
+def _edge_counts(g: Graph) -> np.ndarray:
     """e[mask] = edges of g inside the vertex subset ``mask``."""
     n = g.n
-    nbr = [0] * n
+    lower = [0] * n  # lower[v]: neighbours of v below v
     for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    e = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << low)
-        e[mask] = e[rest] + _popcount(nbr[low] & rest)
+        lower[max(u, v)] |= 1 << min(u, v)
+    pc = _popcounts(n)
+    e = np.zeros(1 << n, dtype=np.int16)
+    for v in range(n):
+        below = np.arange(1 << v)
+        e[1 << v : 2 << v] = e[: 1 << v] + pc[below & lower[v]]
     return e
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+@cache
+def _layers(n: int) -> tuple[np.ndarray, ...]:
+    """layers[p] = the masks below 2^n with p bits, ascending (read-only)."""
+    pc = _popcounts(n)
+    order = np.argsort(pc, kind="stable")
+    order.flags.writeable = False
+    return tuple(np.split(order, np.cumsum(np.bincount(pc, minlength=n + 1))[:-1]))
+
+
+def _floor_pow2(x: int) -> int:
+    return 1 << (max(1, x).bit_length() - 1)
+
+
+@lru_cache(maxsize=_PLAN_CHUNKS)
+def _chunk_plan(n: int, p: int, first: int, rows: int, width: int):
+    """Rows first..first+rows of the p-bit layer: their masks and, per block
+    of ``width`` (a power of two) candidate columns, (masks - parts, parts,
+    penalty of each cap on each column), all read-only.
+
+    A candidate part of a mask holds its lowest bit and any subset of its
+    other p - 1 bits. Column j (0 <= j < 2^(p-1)) takes the other bits that
+    the bits of j select, so ascending j is ascending part, and the part has
+    1 + popcount(j) vertices.
+    """
+    pc = _popcounts(n)
+    masks = _layers(n)[p][first : first + rows]
+    bits = np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1]
+    values = (1 << bits).reshape(masks.size, p)  # values[r, i]: i-th lowest bit of masks[r]
+    low = width.bit_length() - 1
+    # column j sums values[:, 0] and values[:, i + 1] for each set bit i of j
+    select = ((2 * np.arange(width) + 1) >> np.arange(low + 1)[:, None]) & 1
+    low_parts = values[:, : low + 1] @ select
+    over = np.where(np.arange(n + 1) > np.arange(2, p + 1)[:, None], _OVER_CAP, 0)
+    blocks = []
+    for start in range(0, 1 << (p - 1), width):
+        high = (start >> low >> np.arange(p - 1 - low)) & 1
+        parts = low_parts + (values[:, low + 1 :] @ high)[:, None]
+        penalty = over[:, 1 + pc[start : start + width]].astype(np.int16)
+        rests = (masks[:, None] - parts).astype(np.int32)
+        block = (rests, parts.astype(np.int32), penalty[:, None, :])
+        for array in block:
+            array.flags.writeable = False
+        blocks.append(block)
+    return masks, tuple(blocks)
+
+
+def _partition_table(e: np.ndarray, n: int) -> np.ndarray:
+    """f[s - 2, mask] = most edges inside the parts of a partition of mask
+    into parts of size <= s, for every cap s = 2..n at once.
+
+    Masks are taken in popcount layers. The part holding a mask's lowest bit
+    is one of 2^(p-1) fixed candidate columns (``_chunk_plan``), so a
+    layer is one gather of f[mask ^ part] and one max, with parts larger
+    than the cap pushed below zero. On p-bit masks every cap s >= p acts as
+    cap p, so only caps 2..p are computed and the rest copied. A gather
+    holds at most PARTITION_DP_ENTRIES entries.
+    """
+    f = np.zeros((n - 1, 1 << n), dtype=np.int16)
+    for p in range(2, n + 1):
+        live = p - 1
+        width = min(1 << (p - 1), _floor_pow2(PARTITION_DP_ENTRIES // live))
+        rows = max(1, PARTITION_DP_ENTRIES // (width * live))
+        for first in range(0, _layers(n)[p].size, rows):
+            masks, blocks = _chunk_plan(n, p, first, rows, width)
+            best = np.zeros((live, masks.size), dtype=np.int16)
+            for rests, parts, penalty in blocks:
+                cand = f[:live, rests]
+                cand += e[parts]
+                cand += penalty
+                np.maximum(best, cand.max(axis=2), out=best)
+            f[:live, masks] = best
+            f[live:, masks] = best[-1]
+    return f
+
+
+def _partition_parts(f: np.ndarray, e: np.ndarray, n: int, s: int) -> list[frozenset[int]]:
+    """The partition of V behind f[s - 2, V], rebuilt from the top down.
+
+    At each mask the part is the first candidate attaining the table, in the
+    order the DP's tie rule fixes: the lowest bit alone, then the lowest bit
+    with each submask of the other bits, in descending order.
+    """
+    best = f[s - 2].tolist()
+    inside = e.tolist()
+    parts = []
+    mask = (1 << n) - 1
+    while mask:
+        low = mask & -mask
+        rest = mask ^ low
+        pick = low
+        if best[rest] != best[mask]:
+            sub = rest
+            while True:
+                t = sub | low
+                if t.bit_count() <= s and best[mask ^ t] + inside[t] == best[mask]:
+                    pick = t
+                    break
+                if sub == 0:
+                    raise AlgorithmError(f"no part of {mask:#x} attains the partition table")
+                sub = (sub - 1) & rest
+        parts.append(frozenset(v for v in range(n) if pick >> v & 1))
+        mask ^= pick
+    return parts
 
 
 def partition_density(g: Graph) -> PartitionWitness:
     """Exact partition density with an optimal partition (n <= 20).
 
-    For each part-size cap s, a subset DP computes the maximum number of
-    edges coverable by a partition with all parts of size <= s; the answer
-    is the best ratio best(s)/s over all caps.
+    One subset DP (``_partition_table``) gives, for every part-size cap s,
+    the most edges a partition with parts of size <= s keeps inside its
+    parts; the answer is the best ratio best(s)/s, at the smallest s that
+    attains it. The parts are rebuilt from the table and checked against
+    the graph itself: they partition V, and their edges, recounted from
+    g.edges, over the largest part size give the value.
     """
     if g.n < 1:
         raise GraphError("partition density needs at least one vertex")
@@ -203,64 +321,22 @@ def partition_density(g: Graph) -> PartitionWitness:
             Fraction(0), tuple(frozenset({v}) for v in range(n)), 1
         )
     e = _edge_counts(g)
-    pc = _popcounts(1 << n)
+    f = _partition_table(e, n)
     full = (1 << n) - 1
-    best_value = Fraction(0)
-    best_s = 1
-    best_choice: list[int] | None = None
-    for s in range(2, n + 1):
-        # quick cap: even a perfect packing cannot beat the current best
-        if Fraction(g.m, s) <= best_value:
-            continue
-        f = [0] * (1 << n)
-        choice = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            lowbit = mask & -mask
-            rest = mask ^ lowbit
-            # canonical part containing the lowest vertex of mask
-            best_here = f[rest]
-            pick = lowbit
-            sub = rest
-            while True:
-                t = sub | lowbit
-                if pc[t] <= s:
-                    cand = f[mask ^ t] + e[t]
-                    if cand > best_here:
-                        best_here = cand
-                        pick = t
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
-            f[mask] = best_here
-            choice[mask] = pick
-        val = Fraction(f[full], s)
-        if val > best_value:
-            best_value = val
-            best_s = s
-            best_choice = choice
-    if best_choice is None:
-        return PartitionWitness(
-            Fraction(0), tuple(frozenset({v}) for v in range(n)), 1
-        )
-    parts = []
-    mask = full
-    while mask:
-        t = best_choice[mask]
-        parts.append(frozenset(v for v in range(n) if t >> v & 1))
-        mask ^= t
+    best_edges, best_s = 0, 1
+    for s, edges in enumerate(f[:, full].tolist(), start=2):
+        if edges * best_s > best_edges * s:
+            best_edges, best_s = edges, s
+    best_value = Fraction(best_edges, best_s)
+    parts = _partition_parts(f, e, n, best_s)
     parts.sort(key=min)
+    if sorted(v for part in parts for v in part) != list(range(n)):
+        raise AlgorithmError("partition density parts do not partition the vertices")
     attained = max(len(p) for p in parts)
-    total_inside = sum(e[_mask_of(p)] for p in parts)
+    total_inside = sum(_edges_inside(g, p) for p in parts)
     if Fraction(total_inside, attained) != best_value:
         raise AlgorithmError(f"partition density witness does not attain {best_value}")
     return PartitionWitness(best_value, tuple(parts), attained)
-
-
-def _mask_of(part) -> int:
-    mask = 0
-    for v in part:
-        mask |= 1 << v
-    return mask
 
 
 def partition_density_bracket(g: Graph) -> tuple[Fraction, Fraction]:

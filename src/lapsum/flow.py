@@ -1,6 +1,5 @@
 """Exact max flow with min-cut extraction: pure-Python Dinic (BFS level
-phases) for small or rational networks, scipy's compiled solver for large
-integer ones.
+phases, blocking flows by depth-first search).
 
 Capacities may be ints or fractions.Fraction; arithmetic is exact either way,
 so min cuts serve as correctness certificates for density and orientation
@@ -15,12 +14,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-
-#: integer networks with fewer nodes run on Dinic, so callers that only
-#: build small networks never import scipy. Median per call on the networks
-#: density and k_orientation build, Dinic vs scipy: 0.03/0.17 ms at 10-19
-#: nodes, 0.20/0.21 at 40-49, 0.32/0.22 at 50-59, 0.87/0.29 at 100-109.
-SCIPY_MIN_NODES = 48
 
 
 @dataclass
@@ -66,83 +59,12 @@ class MaxFlowResult:
 
 
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
-    """Exact max flow with the canonical (minimal) min cut and per-arc flows.
+    """Exact max flow by Dinic's algorithm, with the canonical (minimal) min
+    cut and per-arc flows.
 
-    Integer networks of at least SCIPY_MIN_NODES nodes without antiparallel
-    arc pairs run on scipy's compiled solver; everything else (small
-    networks, rational capacities) uses the pure-Python Dinic below. The
-    reported cut is the residual-reachable source side, which is the same
-    for every maximum flow, so the value and the cut do not depend on the
-    backend.
+    The reported cut is the residual-reachable source side, which is the
+    same for every maximum flow.
     """
-    if net.n >= SCIPY_MIN_NODES and _scipy_eligible(net):
-        return _max_flow_scipy(net)
-    return _max_flow_dinic(net)
-
-
-def _scipy_eligible(net: FlowNetwork) -> bool:
-    if any(not isinstance(c, int) for c in net.cap):
-        return False
-    if sum(net.cap) >= 2**31 - 1:
-        return False
-    pairs = set()
-    for a in range(0, len(net.to), 2):
-        u, v = net.to[a ^ 1], net.to[a]
-        if (u, v) in pairs or (v, u) in pairs:
-            return False  # merged entries would garble per-arc flows
-        pairs.add((u, v))
-    return True
-
-
-def _max_flow_scipy(net: FlowNetwork) -> MaxFlowResult:
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow
-
-    n = net.n
-    rows, cols, data = [], [], []
-    arcs = []
-    for a in range(0, len(net.to), 2):
-        u, v = net.to[a ^ 1], net.to[a]
-        arcs.append((a, u, v))
-        rows.append(u)
-        cols.append(v)
-        data.append(net.cap[a])
-    mat = csr_matrix(
-        (np.asarray(data, dtype=np.int32), (rows, cols)), shape=(n, n)
-    )
-    res = maximum_flow(mat, net.source, net.sink)
-    fmat = res.flow.tocoo()
-    fdict = {
-        (int(r), int(c)): int(v)
-        for r, c, v in zip(fmat.row, fmat.col, fmat.data)
-        if v > 0
-    }
-    flows = {}
-    residual: list[list[int]] = [[] for _ in range(n)]
-    for a, u, v in arcs:
-        f = fdict.get((u, v), 0)
-        if f > 0:
-            flows[a] = f
-            residual[v].append(u)
-        if f < net.cap[a]:
-            residual[u].append(v)
-    seen = [False] * n
-    seen[net.source] = True
-    q = deque([net.source])
-    while q:
-        u = q.popleft()
-        for v in residual[u]:
-            if not seen[v]:
-                seen[v] = True
-                q.append(v)
-    return MaxFlowResult(
-        int(res.flow_value), frozenset(i for i in range(n) if seen[i]), flows
-    )
-
-
-def _max_flow_dinic(net: FlowNetwork) -> MaxFlowResult:
-    """Dinic's algorithm; exact value, canonical min cut, per-arc flows."""
     n, s, t = net.n, net.source, net.sink
     to, cap, head = net.to, net.cap, net.head
     orig_cap = list(cap)
@@ -180,6 +102,7 @@ def _max_flow_dinic(net: FlowNetwork) -> MaxFlowResult:
             it[u] += 1
         return 0
 
+    unbounded = _infinity(cap)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, n + 100))
     try:
@@ -187,7 +110,7 @@ def _max_flow_dinic(net: FlowNetwork) -> MaxFlowResult:
             for i in range(n):
                 it[i] = 0
             while True:
-                pushed = dfs(s, _infinity(cap))
+                pushed = dfs(s, unbounded)
                 if pushed <= 0:
                     break
                 total += pushed

@@ -65,6 +65,44 @@ def oracle_partition_density(g: Graph) -> Fraction:
     return best
 
 
+def loop_partition_witness(g: Graph):
+    """Partition density by one pure-Python subset DP per part-size cap s,
+    each taking the first best part in the order: lowest vertex alone, then
+    with each submask of the others, descending; the smallest best s wins.
+
+    Returns (value, parts sorted by least vertex, largest part size), the
+    witness a table-based DP with the same tie order must reproduce.
+    """
+    n, full = g.n, (1 << g.n) - 1
+    inside = [edges_inside(g, [v for v in range(n) if t >> v & 1]) for t in range(1 << n)]
+    best, best_choice = Fraction(0), None
+    for s in range(2, n + 1):
+        f, choice = [0] * (1 << n), [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            rest = mask ^ low
+            f[mask], choice[mask] = f[rest], low
+            sub = rest
+            while True:
+                t = sub | low
+                if bin(t).count("1") <= s and f[mask ^ t] + inside[t] > f[mask]:
+                    f[mask], choice[mask] = f[mask ^ t] + inside[t], t
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+        if Fraction(f[full], s) > best:
+            best, best_choice = Fraction(f[full], s), choice
+    if best_choice is None:
+        return Fraction(0), tuple(frozenset({v}) for v in range(n)), 1
+    parts, mask = [], full
+    while mask:
+        t = best_choice[mask]
+        parts.append(frozenset(v for v in range(n) if t >> v & 1))
+        mask ^= t
+    parts.sort(key=min)
+    return best, tuple(parts), max(len(p) for p in parts)
+
+
 def oracle_nu(g: Graph) -> int:
     """Maximum matching size by recursion over the edge list."""
 

@@ -1,10 +1,13 @@
+import itertools
 import math
+import random
 
 import pytest
 
 from lapsum.decomposition import (
     AssignmentExhausted,
     KCAssignment,
+    _has_transversal,
     arboricity_value,
     build_assignment_aux,
     forest_decomposition,
@@ -163,6 +166,39 @@ class TestStructureDecomposition:
             structure_decomposition(g, 1, parden_mode="bogus")
         with pytest.raises(ValueError):
             structure_decomposition(g, 0)
+
+
+def hall_condition(sets, ncolors):
+    """Hall's theorem by brute force: every subfamily sees enough colors."""
+    if len(sets) > ncolors:
+        return False
+    return all(
+        len(frozenset().union(*sub)) >= r
+        for r in range(1, len(sets) + 1)
+        for sub in itertools.combinations(sets, r)
+    )
+
+
+class TestTransversal:
+    def test_matches_hall_oracle(self):
+        rng = random.Random(3)
+        for _ in range(2000):
+            ncolors = rng.randint(1, 7)
+            sets = [
+                frozenset(rng.sample(range(1, ncolors + 1), rng.randint(0, ncolors)))
+                for _ in range(rng.randint(0, 7))
+            ]
+            assert _has_transversal(sets, ncolors) == hall_condition(sets, ncolors)
+
+    def test_long_augmenting_path(self):
+        # with the colors in this order the greedy pass gives color i to
+        # (i, i+1), so (1,) needs an augmenting path through all 1999 others
+        chain = [(i, i + 1) for i in range(1, 2000)] + [(1,)]
+        assert _has_transversal(chain, 2001)
+        assert not _has_transversal(chain + [(2000,)], 2001)
+        sets = [frozenset(c) for c in chain]
+        assert _has_transversal(sets, 2001)
+        assert not _has_transversal(sets + [frozenset({2000})], 2001)
 
 
 class TestAssignments:

@@ -35,6 +35,7 @@ from lapsum.graphs import (
 from conftest import sampled_graphs, small_graphs
 from oracles import (
     edges_inside,
+    loop_partition_witness,
     oracle_density,
     oracle_max_densest_set,
     oracle_nu_ell,
@@ -45,6 +46,16 @@ from oracles import (
 def _cut_keeping_every_vertex(net):
     # an unsaturated flow whose min cut keeps every node but the sink
     return MaxFlowResult(0, frozenset(range(net.n - 1)), {})
+
+
+_true_edge_counts = importlib.import_module("lapsum.density")._edge_counts
+
+
+def _overstate_full_set(g):
+    # the true edge-count table, but one edge too many inside V
+    e = _true_edge_counts(g)
+    e[-1] += 1
+    return e
 
 
 def _expected_witness(g):
@@ -172,9 +183,65 @@ class TestPartitionDensity:
             seen = sorted(v for p in wit.parts for v in p)
             assert seen == list(range(g.n))
 
-    def test_matches_oracle_exhaustively(self, exhaustive_n4):
-        for g in exhaustive_n4:
-            assert partition_density(g).value == oracle_partition_density(g)
+    def test_matches_oracle_exhaustively(self, exhaustive_n5):
+        for g in exhaustive_n5:
+            wit = partition_density(g)
+            assert wit.value == oracle_partition_density(g)
+            assert sorted(v for p in wit.parts for v in p) == list(range(g.n))
+            assert wit.attained_part_size == max(len(p) for p in wit.parts)
+            covered = sum(edges_inside(g, p) for p in wit.parts)
+            assert Fraction(covered, wit.attained_part_size) == wit.value
+
+    def test_witness_matches_loop_reference(self):
+        # the same value, parts and part size as one loop DP per cap
+        for g in sampled_graphs(40, 9, seed=10):
+            wit = partition_density(g)
+            assert (wit.value, wit.parts, wit.attained_part_size) == loop_partition_witness(g)
+
+    def test_long_path_and_cycle(self):
+        # both do best with disjoint edges as parts of size 2: 7 of them in
+        # P14, 6 in C13
+        assert partition_density(make_family("path:14")).value == Fraction(7, 2)
+        assert partition_density(make_family("cycle:13")).value == Fraction(3)
+
+    def test_chunked_table_gives_same_witnesses(self, monkeypatch):
+        # a tiny entry budget splits every layer into many row and column
+        # blocks; the table, and so the witness, must not change
+        density_module = importlib.import_module("lapsum.density")
+        graphs = list(sampled_graphs(30, 9, seed=9))
+        expected = [partition_density(g) for g in graphs]
+        monkeypatch.setattr(density_module, "PARTITION_DP_ENTRIES", 8)
+        assert [partition_density(g) for g in graphs] == expected
+
+    def test_overstated_table_raises(self, monkeypatch):
+        # the witness is recounted from g.edges, not from the DP's own table
+        density_module = importlib.import_module("lapsum.density")
+        monkeypatch.setattr(density_module, "_edge_counts", _overstate_full_set)
+        with pytest.raises(AlgorithmError, match="does not attain"):
+            partition_density(make_family("path:3"))
+
+    def test_overstated_table_raises_under_optimize(self):
+        code = (
+            "import importlib\n"
+            "from lapsum.graphs import AlgorithmError, make_family\n"
+            "mod = importlib.import_module('lapsum.density')\n"
+            "true_counts = mod._edge_counts\n"
+            "def overstated(g):\n"
+            "    e = true_counts(g)\n"
+            "    e[-1] += 1\n"
+            "    return e\n"
+            "mod._edge_counts = overstated\n"
+            "try:\n"
+            "    mod.partition_density(make_family('path:3'))\n"
+            "except AlgorithmError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(lapsum.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert "does not attain" in out.stdout
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):

@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import os
 import random
 import subprocess
@@ -8,14 +10,7 @@ from pathlib import Path
 import pytest
 
 import lapsum
-from lapsum.flow import (
-    SCIPY_MIN_NODES,
-    FlowNetwork,
-    _max_flow_dinic,
-    _max_flow_scipy,
-    _scipy_eligible,
-    max_flow,
-)
+from lapsum.flow import FlowNetwork, max_flow
 from lapsum.graphs import gnp_graphs
 
 
@@ -82,73 +77,112 @@ def excess_network_arcs(g, p, q):
     return m + n + 2, arcs
 
 
-class TestBackendsAgree:
-    def test_random_networks(self):
+def random_arcs(rng, n, count, top):
+    """Random arcs among n nodes, parallel and antiparallel pairs included."""
+    arcs = []
+    for _ in range(count):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            arcs.append((u, v, rng.randint(0, top)))
+    return arcs
+
+
+def check_certificate(n, s, t, arcs, ids, res):
+    """Capacities, conservation, and value = capacity of the reported cut."""
+    balance = [0] * n
+    for (u, v, c), a in zip(arcs, ids):
+        f = res.flow.get(a, 0)
+        assert 0 <= f <= c
+        balance[u] -= f
+        balance[v] += f
+    assert balance[s] == -res.value and balance[t] == res.value
+    assert all(b == 0 for i, b in enumerate(balance) if i not in (s, t))
+    assert s in res.cut and t not in res.cut
+    assert sum(c for u, v, c in arcs if u in res.cut and v not in res.cut) == res.value
+
+
+class TestAgainstOracles:
+    def test_brute_force_min_cut(self):
+        # every source side of every network of at most 10 nodes: the value
+        # is the least cut capacity, and the reported cut is the minimal
+        # min cut (the intersection of all of them)
         rng = random.Random(7)
-        cases = []
-        for _ in range(200):
-            n = rng.randint(2, 9)
-            arcs = []
-            pairs = set()
-            for _ in range(rng.randint(0, 16)):
-                u, v = rng.randrange(n), rng.randrange(n)
-                if u == v or (u, v) in pairs or (v, u) in pairs:
-                    continue
-                pairs.add((u, v))
-                arcs.append((u, v, rng.randint(0, 10)))
-            cases.append((n, arcs))
-        # excess networks above the cutoff, where max_flow picks scipy
+        for trial in range(150):
+            n = rng.randint(2, 10)
+            arcs = random_arcs(rng, n, rng.randint(0, 3 * n), 10)
+            if trial % 5 == 0:
+                arcs = [(u, v, Fraction(c, rng.randint(1, 4))) for u, v, c in arcs]
+            net, ids = build(n, 0, n - 1, arcs)
+            res = max_flow(net)
+            sides = []
+            inner = range(1, n - 1)
+            for r in range(n - 1):
+                for extra in itertools.combinations(inner, r):
+                    side = frozenset((0,) + extra)
+                    cap = sum(c for u, v, c in arcs if u in side and v not in side)
+                    sides.append((cap, side))
+            least = min(cap for cap, _ in sides)
+            assert res.value == least
+            assert res.cut == frozenset.intersection(*(side for cap, side in sides if cap == least))
+            check_certificate(n, 0, n - 1, arcs, ids, res)
+
+    def test_excess_networks(self):
+        # 18 density excess networks: two G(40, p) at each p, three lambdas
         for p_edge in (0.1, 0.3, 0.6):
             for g in gnp_graphs(40, p_edge, 2, 5):
                 for lam_num, lam_den in ((1, 1), (3, 2), (5, 1)):
                     n, arcs = excess_network_arcs(g, lam_num, lam_den)
-                    assert n >= SCIPY_MIN_NODES
-                    cases.append((n, arcs))
-        for n, arcs in cases:
-            net1, _ = build(n, 0, n - 1, arcs)
-            net2, _ = build(n, 0, n - 1, arcs)
-            fast = _max_flow_scipy(net1)
-            slow = _max_flow_dinic(net2)
-            assert fast.value == slow.value
-            assert fast.cut == slow.cut  # minimal min cut is flow-independent
+                    net, ids = build(n, 0, n - 1, arcs)
+                    check_certificate(n, 0, n - 1, arcs, ids, max_flow(net))
 
-    def test_small_networks_leave_scipy_unloaded(self):
+    def test_cut_capacity_equals_value(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            n = rng.randint(2, 8)
+            arcs = random_arcs(rng, n, rng.randint(1, 14), 6)
+            net, ids = build(n, 0, n - 1, arcs)
+            check_certificate(n, 0, n - 1, arcs, ids, max_flow(net))
+
+    def test_infinity_once_per_call(self, monkeypatch):
+        # the push bound sums every capacity; it is taken once, not per path
+        flow_module = importlib.import_module("lapsum.flow")
+        calls = []
+        original = flow_module._infinity
+
+        def counting(caps):
+            calls.append(len(caps))
+            return original(caps)
+
+        monkeypatch.setattr(flow_module, "_infinity", counting)
+        g = next(gnp_graphs(20, 0.3, 1, 3))
+        n, arcs = excess_network_arcs(g, 1, 1)
+        net, _ = build(n, 0, n - 1, arcs)
+        assert max_flow(net).value > 1
+        assert len(calls) == 1
+
+    def test_flows_leave_scipy_unloaded(self):
+        # density, orientation and Hall flows on networks of 150+ nodes
         code = (
             "import sys, lapsum\n"
-            "lapsum.k_orientation(lapsum.make_family('complete:4'), 2)\n"
-            "lapsum.arboricity_value(lapsum.make_family('complete:6'))\n"
-            "print('scipy' in sys.modules)\n"
+            "from lapsum import flow\n"
+            "sizes = []\n"
+            "post = flow.FlowNetwork.__post_init__\n"
+            "def counting(net):\n"
+            "    sizes.append(net.n)\n"
+            "    post(net)\n"
+            "flow.FlowNetwork.__post_init__ = counting\n"
+            "g = next(lapsum.gnp_graphs(40, 0.3, 1, 5))\n"
+            "lapsum.density(g)\n"
+            "lapsum.k_orientation(g, 2)\n"
+            "kbip = lapsum.make_family('complete-bipartite:60,110')\n"
+            "lapsum.structure_decomposition(kbip, 60, 'assume')\n"
+            "print(min(sizes), 'scipy' in sys.modules)\n"
         )
         src = str(Path(lapsum.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
             capture_output=True, text=True, timeout=60, check=True,
         )
-        assert out.stdout.strip() == "False"
-
-    def test_eligibility(self):
-        net, _ = build(3, 0, 2, [(0, 1, 1), (1, 2, 1)])
-        assert _scipy_eligible(net)
-        net2, _ = build(3, 0, 2, [(0, 1, Fraction(1, 2))])
-        assert not _scipy_eligible(net2)
-        net3, _ = build(3, 0, 2, [(0, 1, 1), (1, 0, 1)])
-        assert not _scipy_eligible(net3)  # antiparallel pair
-
-    def test_cut_capacity_equals_value(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            n = rng.randint(2, 8)
-            arcs = []
-            pairs = set()
-            for _ in range(rng.randint(1, 14)):
-                u, v = rng.randrange(n), rng.randrange(n)
-                if u == v or (u, v) in pairs or (v, u) in pairs:
-                    continue
-                pairs.add((u, v))
-                arcs.append((u, v, rng.randint(0, 6)))
-            net, _ = build(n, 0, n - 1, arcs)
-            res = max_flow(net)
-            cut_cap = sum(
-                c for u, v, c in arcs if u in res.cut and v not in res.cut
-            )
-            assert cut_cap == res.value  # max-flow min-cut certificate
+        smallest, loaded = out.stdout.split()
+        assert int(smallest) >= 150
+        assert loaded == "False"
