@@ -24,7 +24,15 @@ from .density import (
     partition_density,
     partition_density_bracket,
 )
-from .graphs import AlgorithmError, Graph, GraphError, graph_from_edges, induced_subgraph
+from .flow import assign
+from .graphs import (
+    AlgorithmError,
+    Graph,
+    GraphError,
+    graph_from_edges,
+    induced_subgraph,
+    is_forest,
+)
 from .matching import greedy_cover_2approx, hall_violator
 
 STAR_ARB_EDGE_CAP = 30
@@ -41,7 +49,7 @@ class ForestDecomposition:
     def validate(self, g: Graph):
         _check_edge_partition(g, self.classes)
         for cls in self.classes:
-            if not _is_forest_edges(self.n, cls):
+            if not is_forest(Graph(self.n, cls)):
                 raise AlgorithmError("forest class contains a cycle")
 
 
@@ -68,23 +76,6 @@ def _check_edge_partition(g: Graph, classes):
             seen.add(e)
     if len(seen) != g.m:
         raise AlgorithmError("classes do not cover every edge")
-
-
-def _is_forest_edges(n: int, edges) -> bool:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
 
 
 def is_star_forest(n: int, edges) -> bool:
@@ -217,7 +208,8 @@ def forest_to_two_star_forests(n: int, forest_edges) -> tuple[tuple[tuple[int, i
     Each tree is rooted at its smallest vertex; an edge goes to class 0 or 1
     according to the depth parity of its parent endpoint.
     """
-    if not _is_forest_edges(n, forest_edges):
+    edges = tuple((min(u, v), max(u, v)) for u, v in forest_edges)
+    if not is_forest(Graph(n, edges)):
         raise GraphError("input edge set is not acyclic")
     adj: dict[int, list[int]] = {v: [] for v in range(n)}
     for u, v in forest_edges:
@@ -410,8 +402,8 @@ def structure_decomposition(
     N(I) <= C, for graphs with partition density below k.
 
     The cover S is the maximal-matching 2-approximation (|S| <= 2 nu is all
-    the argument needs); the Hall-violator branch is driven by the centered
-    star-forest flow with leaf count k.
+    the argument needs); the Hall-violator branch comes from assigning k
+    leaves to each vertex of S (``hall_violator``).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -436,7 +428,7 @@ def structure_decomposition(
             "S-saturating k-star forest exists although nu_k should be below |S|"
         )
     if res.violator is None or res.neighborhood is None:
-        raise AlgorithmError("unsaturated Hall flow returned no violator")
+        raise AlgorithmError("unsaturated Hall assignment returned no violator")
     u = frozenset(res.violator) | frozenset(res.neighborhood)
     c = frozenset(s_cover) - res.violator
     i = frozenset(range(g.n)) - u - c
@@ -459,9 +451,9 @@ class KCAssignment:
         for lst in self.lists:
             if len(lst) > self.c or not lst <= palette:
                 raise AlgorithmError("color list outside [k+c] or too large")
-        for v, ins in enumerate(ori.in_neighbors()):
-            if not _has_transversal([self.lists[u] for u in ins], self.k + self.c):
-                raise AlgorithmError(f"in-neighborhood of {v} has no transversal")
+        missing = _without_transversal(self.lists, ori.in_neighbors(), self.k + self.c)
+        if missing:
+            raise AlgorithmError(f"in-neighborhood of {missing[0]} has no transversal")
 
 
 @dataclass(frozen=True)
@@ -470,46 +462,17 @@ class AssignmentExhausted:
     failure_counts: dict[int, int] = field(hash=False)
 
 
-def _has_transversal(sets, ncolors: int) -> bool:
-    """Hall check: can the sets get pairwise distinct colors from their own?
-
-    Bipartite matching of sets to colors: a greedy pass first, then one
-    augmenting path per set it left unmatched, searched depth-first with an
-    explicit stack, so long alternating paths need no recursion.
-    """
-    if len(sets) > ncolors:
-        return False
-    owner: dict[int, int] = {}
-    unmatched = []
-    for i, options in enumerate(sets):
-        free = next((c for c in options if c not in owner), None)
-        if free is None:
-            unmatched.append(i)
-        else:
-            owner[free] = i
-    for root in unmatched:
-        seen: set[int] = set()
-        stack = [(root, iter(sets[root]))]
-        via: list[int] = []  # via[d]: the color stack[d] takes if the path closes
-        while stack:
-            i, options = stack[-1]
-            color = next((c for c in options if c not in seen), None)
-            if color is None:
-                stack.pop()
-                if via:
-                    via.pop()
-                continue
-            seen.add(color)
-            via.append(color)
-            if color in owner:
-                stack.append((owner[color], iter(sets[owner[color]])))
-                continue
-            for (j, _), c in zip(stack, via):
-                owner[c] = j
-            break
-        else:
-            return False
-    return True
+def _without_transversal(lists, ins, ncolors: int) -> list[int]:
+    """The vertices v whose in-neighbors u in ins[v] cannot take pairwise
+    distinct colors, each from its own lists[u]: each in-neighbor is assigned
+    one color, each of the colors 1..ncolors at most once (bin c is color c;
+    bin 0 has no room)."""
+    colors = [0] + [1] * ncolors
+    return [
+        v
+        for v, nbrs in enumerate(ins)
+        if assign([1] * len(nbrs), colors, [lists[u] for u in nbrs]).total < len(nbrs)
+    ]
 
 
 def random_kc_assignment(
@@ -545,9 +508,7 @@ def random_kc_assignment(
     ins = ori.in_neighbors()
     failure_counts: dict[int, int] = {}
     for attempt in range(1, max_tries + 1):
-        failed = [
-            v for v in range(n) if not _has_transversal([lists[u] for u in ins[v]], k + c)
-        ]
+        failed = _without_transversal(lists, ins, k + c)
         if not failed:
             assignment = KCAssignment(k, c, tuple(lists))
             assignment.validate(ori)
@@ -623,8 +584,9 @@ def build_assignment_aux(
     """The apex auxiliary graph over U and C with its k-orientation.
 
     Vertices of G[U v C] keep their induced labels; the apex takes the last
-    index and is joined to C. The induced part is k-oriented by flow; every
-    apex edge is oriented into the apex (its degree is |C| <= k).
+    index and is joined to C. The induced part is k-oriented by Hakimi's
+    assignment test (``k_orientation``); every apex edge is oriented into
+    the apex (its degree is |C| <= k).
     """
     core = sorted(sd.U | sd.C)
     sub, labels = induced_subgraph(g, core)

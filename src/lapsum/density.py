@@ -1,8 +1,9 @@
 """Exact graph density, partition density, k-orientations, and edge peeling.
 
 Density runs Newton (Dinkelbach) iteration on Goldberg's (1984) excess
-network: each min cut is the next, strictly denser witness, so the exact
-value and the largest densest subset come from at most n + 1 max-flows.
+test, solved as a bipartite assignment of edges to their endpoints: each
+deficiency certificate is the next, strictly denser witness, so the exact
+value and the largest densest subset come from at most n + 1 assignments.
 Partition density has no known polynomial algorithm; the exact mode runs
 one numpy subset DP over vertex masks, in popcount layers, for all part-size
 caps at once (3^n time, n <= 20), and checks its witness against the graph.
@@ -17,7 +18,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .flow import FlowNetwork, max_flow
+from .flow import assign
 from .graphs import (
     AlgorithmError,
     Graph,
@@ -106,35 +107,24 @@ class OrientationInfeasible:
 # Density
 
 def _excess_test(g: Graph, lam: Fraction):
-    """Goldberg's max-flow test for a subset U with e(U) > lam |U|.
+    """Goldberg's test for a subset U with e(U) > lam |U|.
 
-    With lam = p/q, the min cut is q*m - max_U (q*e(U) - p*|U|), so a cut
-    below q*m means some U is denser than lam. Returns (cut value, U) where
-    U is the vertex side of the canonical (minimal) min cut: the smallest
-    maximizer of e(U) - lam*|U|, empty when no subset beats lam.
+    With lam = p/q, each edge has q units for its two endpoints and each
+    vertex takes at most p. The most that can be placed is
+    q*m - max_U (q*e(U) - p*|U|), so a total below q*m means some U is denser
+    than lam. Returns (total, U) where U is the set of vertices reached by
+    alternating paths from the edges left short: the smallest maximizer of
+    e(U) - lam*|U|, empty when no subset beats lam.
     """
-    m, n = g.m, g.n
-    q = lam.denominator
-    p = lam.numerator
-    # node ids: 0 = source, 1..m = edge nodes, m+1..m+n = vertex nodes, m+n+1 = sink
-    net = FlowNetwork(m + n + 2, 0, m + n + 1)
-    scale = q
-    for i, (u, v) in enumerate(g.edges):
-        net.add_arc(0, 1 + i, scale)
-        net.add_arc(1 + i, m + 1 + u, scale)
-        net.add_arc(1 + i, m + 1 + v, scale)
-    for v in range(n):
-        net.add_arc(m + 1 + v, m + n + 1, p)
-    res = max_flow(net)
-    subset = frozenset(v for v in range(n) if (m + 1 + v) in res.cut)
-    return res.value, subset
+    res = assign([lam.denominator] * g.m, [lam.numerator] * g.n, g.edges)
+    return res.total, res.reached_bins
 
 
 def density(g: Graph) -> DensityWitness:
     """Exact density max |E(G[U])| / |U| with its largest achieving subset.
 
-    Newton (Dinkelbach) iteration: from lam = m/n, each excess test whose
-    cut beats lam yields a strictly denser, strictly smaller U, and lam
+    Newton (Dinkelbach) iteration: from lam = m/n, each excess test that
+    leaves edges short yields a strictly denser, strictly smaller U, and lam
     becomes e(U)/|U|; the first test that finds nothing proves rho = lam.
     The last improving U maximizes e(U) - lam'|U| for some lam' < rho, so
     it is the union of all densest subsets (V if the first test fails).
@@ -147,15 +137,15 @@ def density(g: Graph) -> DensityWitness:
     rho = Fraction(m, n)
     subset = frozenset(range(n))
     for _ in range(n + 1):
-        value, cut_side = _excess_test(g, rho)
+        value, reached = _excess_test(g, rho)
         if value >= m * rho.denominator:
             break
-        inside = _edges_inside(g, cut_side)
-        if not cut_side or inside <= rho * len(cut_side):
-            raise AlgorithmError(f"min-cut subset {sorted(cut_side)} is not denser than {rho}")
-        rho, subset = Fraction(inside, len(cut_side)), cut_side
+        inside = _edges_inside(g, reached)
+        if not reached or inside <= rho * len(reached):
+            raise AlgorithmError(f"deficient subset {sorted(reached)} is not denser than {rho}")
+        rho, subset = Fraction(inside, len(reached)), reached
     else:
-        raise AlgorithmError(f"density iteration did not settle in {n + 1} flows")
+        raise AlgorithmError(f"density iteration did not settle in {n + 1} excess tests")
     if Fraction(_edges_inside(g, subset), len(subset)) != rho:
         raise AlgorithmError(f"density witness does not attain {rho}")
     return DensityWitness(rho, subset)
@@ -374,38 +364,26 @@ def _floor_frac(x: Fraction) -> int:
 def k_orientation(g: Graph, k: int) -> Orientation | OrientationInfeasible:
     """A k-orientation (all in-degrees <= k), or a density-violating subset.
 
-    Flow network: source -> edge nodes (cap 1), edge node -> its endpoints
-    (cap 1), vertex node -> sink (cap k). Feasible iff the flow saturates
-    all edges; otherwise the min cut yields U with e(U) > k|U|.
+    Hakimi's test: each edge is assigned to one endpoint, each vertex takes
+    at most k edges. Feasible iff every edge is placed, the endpoint holding
+    it being its head; otherwise the vertices reached by alternating paths
+    from the edges left short form U with e(U) > k|U|.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     m, n = g.m, g.n
     if m == 0:
         return Orientation(g, ())
-    net = FlowNetwork(m + n + 2, 0, m + n + 1)
-    edge_arcs = []
-    for i, (u, v) in enumerate(g.edges):
-        net.add_arc(0, 1 + i, 1)
-        a_u = net.add_arc(1 + i, m + 1 + u, 1)
-        a_v = net.add_arc(1 + i, m + 1 + v, 1)
-        edge_arcs.append((a_u, a_v))
-    for v in range(n):
-        net.add_arc(m + 1 + v, m + n + 1, k)
-    res = max_flow(net)
-    if res.value == m:
-        heads = []
-        for i, (u, v) in enumerate(g.edges):
-            a_u, a_v = edge_arcs[i]
-            heads.append(u if res.flow.get(a_u, 0) > 0 else v)
-        ori = Orientation(g, tuple(heads))
+    res = assign([1] * m, [k] * n, g.edges)
+    if res.total == m:
+        ori = Orientation(g, tuple(h for load in res.load for h in load))
         if ori.max_indegree() > k:
             raise AlgorithmError(f"orientation exceeds in-degree {k}")
         return ori
-    subset = frozenset(v for v in range(n) if (m + 1 + v) in res.cut)
+    subset = res.reached_bins
     inside = _edges_inside(g, subset)
     if not subset or inside <= k * len(subset):
-        raise AlgorithmError(f"min-cut subset {sorted(subset)} is not denser than {k}")
+        raise AlgorithmError(f"deficient subset {sorted(subset)} is not denser than {k}")
     return OrientationInfeasible(k, subset, inside)
 
 

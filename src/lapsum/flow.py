@@ -1,141 +1,109 @@
-"""Exact max flow with min-cut extraction: pure-Python Dinic (BFS level
-phases, blocking flows by depth-first search).
+"""Exact bipartite assignment with its deficiency certificate.
 
-Capacities may be ints or fractions.Fraction; arithmetic is exact either way,
-so min cuts serve as correctness certificates for density and orientation
-arguments. Rational capacities are cleared to integers by callers where speed
-matters.
+Every network lapsum solves has one shape: items with integer demands, bins
+with integer capacities, and each item free to put any amount into any bin
+on its adjacency list. Goldberg's density test (each edge's q units into its
+endpoints, p per vertex), Hakimi's orientation test (each edge into one
+endpoint, k per vertex), the Hall check for centered star forests (ell
+leaves per center, each leaf used once) and the transversal check (one
+color per set, each color used once) are all of it.
+
+``assign`` fills the items greedily, then completes them one at a time
+along breadth-first alternating paths item -> bin -> an item holding load
+there -> ... -> a bin with room, pushing the bottleneck amount each time
+(Hopcroft-Karp's augmenting paths, for integer demands and capacities). An
+item whose search fails stays short for good: later paths never enter what
+that search reached, so it is skipped from then on. The failed searches
+together reach exactly the items and bins reachable by alternating paths
+from the items left short. In the source -> items -> bins -> sink network
+that is the source side of the minimal minimum cut, the same for every
+maximum assignment: its items X minimize d(I \\ X) + c(N(X)), lie in every
+minimizer, and its bins are N(X).
 """
 
 from __future__ import annotations
 
-import sys
 from collections import deque
-from dataclasses import dataclass, field
-from fractions import Fraction
-from numbers import Rational
+from dataclasses import dataclass
 
 
-@dataclass
-class FlowNetwork:
-    """Directed network; arcs are added with paired residual arcs."""
+@dataclass(frozen=True)
+class Assignment:
+    """A maximum assignment and the items and bins that certify it."""
 
-    n: int
-    source: int
-    sink: int
-    # arc i: to[i], cap[i]; arc i^1 is its residual partner
-    to: list[int] = field(default_factory=list)
-    cap: list = field(default_factory=list)
-    head: list[list[int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.head:
-            self.head = [[] for _ in range(self.n)]
-        if not (0 <= self.source < self.n and 0 <= self.sink < self.n):
-            raise ValueError("source/sink out of range")
-
-    def add_arc(self, u: int, v: int, capacity) -> int:
-        if capacity < 0:
-            raise ValueError(f"negative capacity {capacity} on arc {u}->{v}")
-        if not isinstance(capacity, Rational):
-            raise TypeError("capacities must be int or Fraction")
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.head[u].append(idx)
-        self.to.append(u)
-        self.cap.append(0 * capacity)
-        self.head[v].append(idx + 1)
-        return idx
+    total: int
+    #: load[i][b]: the units item i puts in bin b (positive entries only)
+    load: tuple[dict[int, int], ...]
+    #: items and bins reached by alternating paths from the items left short
+    reached_items: frozenset[int]
+    reached_bins: frozenset[int]
 
 
-@dataclass
-class MaxFlowResult:
-    value: Fraction
-    #: source side of a minimum cut (vertices reachable in the residual graph)
-    cut: frozenset[int]
-    #: flow on each added arc, indexed by the id add_arc returned
-    flow: dict[int, Fraction]
+def assign(demand, capacity, adj) -> Assignment:
+    """Place as many units as possible: item i has demand[i] units for the
+    bins in adj[i], and bin b holds at most capacity[b] units in all."""
+    held: list[dict[int, int]] = [{} for _ in capacity]  # held[b][i] = load[i][b]
+    room = list(capacity)
+    short = list(demand)
+    for i, bins in enumerate(adj):
+        for b in bins:
+            if not short[i]:
+                break
+            if room[b]:
+                amount = min(short[i], room[b])
+                held[b][i] = held[b].get(i, 0) + amount
+                room[b] -= amount
+                short[i] -= amount
 
-
-def max_flow(net: FlowNetwork) -> MaxFlowResult:
-    """Exact max flow by Dinic's algorithm, with the canonical (minimal) min
-    cut and per-arc flows.
-
-    The reported cut is the residual-reachable source side, which is the
-    same for every maximum flow.
-    """
-    n, s, t = net.n, net.source, net.sink
-    to, cap, head = net.to, net.cap, net.head
-    orig_cap = list(cap)
-    total = 0
-
-    level = [0] * n
-    it = [0] * n
-
-    def bfs() -> bool:
-        for i in range(n):
-            level[i] = -1
-        level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for a in head[u]:
-                v = to[a]
-                if cap[a] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    q.append(v)
-        return level[t] >= 0
-
-    def dfs(u, pushed):
-        if u == t:
-            return pushed
-        while it[u] < len(head[u]):
-            a = head[u][it[u]]
-            v = to[a]
-            if cap[a] > 0 and level[v] == level[u] + 1:
-                got = dfs(v, min(pushed, cap[a]))
-                if got > 0:
-                    cap[a] -= got
-                    cap[a ^ 1] += got
-                    return got
-            it[u] += 1
-        return 0
-
-    unbounded = _infinity(cap)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, n + 100))
-    try:
-        while bfs():
-            for i in range(n):
-                it[i] = 0
+    dead_items: set[int] = set()
+    dead_bins: set[int] = set()
+    for root in range(len(short)):
+        while short[root] and root not in dead_items:
+            via_bin = {root: -1}  # item -> the bin it was reached through
+            via_item: dict[int, int] = {}  # bin -> the item it was reached from
+            queue = deque([root])
+            end = -1
+            while queue and end < 0:
+                i = queue.popleft()
+                for b in adj[i]:
+                    if b in via_item or b in dead_bins:
+                        continue
+                    via_item[b] = i
+                    if room[b]:
+                        end = b
+                        break
+                    for j in held[b]:
+                        if j not in via_bin and j not in dead_items:
+                            via_bin[j] = b
+                            queue.append(j)
+            if end < 0:
+                dead_items.update(via_bin)
+                dead_bins.update(via_item)
+                break
+            amount = min(short[root], room[end])
+            i = via_item[end]
+            while i != root:
+                b = via_bin[i]
+                amount = min(amount, held[b][i])
+                i = via_item[b]
+            b = end
             while True:
-                pushed = dfs(s, unbounded)
-                if pushed <= 0:
+                i = via_item[b]
+                held[b][i] = held[b].get(i, 0) + amount
+                if i == root:
                     break
-                total += pushed
-    finally:
-        sys.setrecursionlimit(old_limit)
+                b = via_bin[i]
+                if held[b][i] == amount:
+                    del held[b][i]
+                else:
+                    held[b][i] -= amount
+            room[end] -= amount
+            short[root] -= amount
 
-    # canonical min cut: residual reachability from the source
-    seen = [False] * n
-    seen[s] = True
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        for a in head[u]:
-            v = to[a]
-            if cap[a] > 0 and not seen[v]:
-                seen[v] = True
-                q.append(v)
-    flows = {
-        a: orig_cap[a] - cap[a]
-        for a in range(0, len(to), 2)
-        if orig_cap[a] - cap[a] > 0
-    }
-    return MaxFlowResult(total, frozenset(i for i in range(n) if seen[i]), flows)
-
-
-def _infinity(caps):
-    big = sum(c for c in caps if c > 0)
-    return big + 1
+    load: list[dict[int, int]] = [{} for _ in short]
+    for b, items in enumerate(held):
+        for i, amount in items.items():
+            load[i][b] = amount
+    return Assignment(
+        sum(demand) - sum(short), tuple(load), frozenset(dead_items), frozenset(dead_bins)
+    )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .density import SizeCapError
-from .flow import FlowNetwork, max_flow
+from .flow import assign
 from .graphs import AlgorithmError, Graph, GraphError, induced_subgraph
 
 VERTEX_COVER_NU_CAP = 15
@@ -444,7 +444,13 @@ class HallResult:
 
 
 def hall_violator(g: Graph, side_a, side_b, ell: int) -> HallResult:
-    """Flow-based Halmos-Vaughan check for an A-saturating ell-star forest."""
+    """Halmos-Vaughan check for an A-saturating ell-star forest.
+
+    Each A-vertex is assigned ell leaves among its neighbours, each B-vertex
+    at most once. The A-vertices reached by alternating paths from the ones
+    left short form the violator, the smallest A' that maximizes
+    ell |A'| - |N(A')|; it is empty exactly when A is saturated.
+    """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     a_list = sorted(set(side_a))
@@ -456,41 +462,28 @@ def hall_violator(g: Graph, side_a, side_b, ell: int) -> HallResult:
         if (u in a_set) == (v in a_set):
             raise GraphError(f"edge ({u},{v}) does not cross the bipartition")
 
-    na, nb = len(a_list), len(b_list)
-    a_pos = {v: i for i, v in enumerate(a_list)}
-    b_pos = {v: i for i, v in enumerate(b_list)}
-    net = FlowNetwork(na + nb + 2, 0, na + nb + 1)
-    for i in range(na):
-        net.add_arc(0, 1 + i, ell)
-    edge_arcs = {}
-    for u, v in g.edges:
-        a, b = (u, v) if u in a_set else (v, u)
-        edge_arcs[(a, b)] = net.add_arc(1 + a_pos[a], 1 + na + b_pos[b], 1)
-    for j in range(nb):
-        net.add_arc(1 + na + j, na + nb + 1, 1)
-    res = max_flow(net)
-
-    leaves_of: dict[int, list[int]] = {a: [] for a in a_list}
-    for (a, b), arc in edge_arcs.items():
-        if res.flow.get(arc, 0) > 0:
-            leaves_of[a].append(b)
-
-    if res.value == ell * na:
-        packing = StarPacking(
-            ell, tuple((a, tuple(sorted(leaves_of[a]))) for a in a_list)
-        )
-        packing.validate(g)
-        return HallResult(ell, packing)
-
-    a_prime = frozenset(a for a in a_list if (1 + a_pos[a]) in res.cut)
-    saturated = [a for a in a_list if a not in a_prime]
+    b_pos = {v: j for j, v in enumerate(b_list)}
+    res = assign(
+        [ell] * len(a_list),
+        [1] * len(b_list),
+        [[b_pos[w] for w in g.neighbors(a)] for a in a_list],
+    )
+    a_prime = frozenset(a_list[i] for i in res.reached_items)
     packing = StarPacking(
-        ell, tuple((a, tuple(sorted(leaves_of[a]))) for a in sorted(saturated))
+        ell,
+        tuple(
+            (a, tuple(b_list[j] for j in sorted(load)))
+            for a, load in zip(a_list, res.load)
+            if a not in a_prime
+        ),
     )
     packing.validate(g)
+    if res.total == ell * len(a_list):
+        return HallResult(ell, packing)
+
     nbhd = frozenset(w for a in a_prime for w in g.neighbors(a))
     if not a_prime:
-        raise AlgorithmError("empty Hall violator despite unsaturated flow")
+        raise AlgorithmError("empty Hall violator despite an unsaturated assignment")
     if len(nbhd) > ell * len(a_prime) - 1:
         raise AlgorithmError("Hall violator neighborhood too large")
     return HallResult(ell, packing, a_prime, nbhd)

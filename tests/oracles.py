@@ -40,6 +40,16 @@ def oracle_max_densest_set(g: Graph) -> frozenset[int]:
     return frozenset(union)
 
 
+def oracle_min_maximizer(ground, score) -> frozenset[int]:
+    """Intersection of all subsets of ``ground`` that maximize ``score``."""
+    ground = list(ground)
+    subsets = [
+        frozenset(sub) for r in range(len(ground) + 1) for sub in combinations(ground, r)
+    ]
+    best = max(score(sub) for sub in subsets)
+    return frozenset(ground).intersection(*(sub for sub in subsets if score(sub) == best))
+
+
 def set_partitions(items):
     """All set partitions of a list (restricted growth strings)."""
     items = list(items)

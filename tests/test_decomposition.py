@@ -7,7 +7,7 @@ import pytest
 from lapsum.decomposition import (
     AssignmentExhausted,
     KCAssignment,
-    _has_transversal,
+    _without_transversal,
     arboricity_value,
     build_assignment_aux,
     forest_decomposition,
@@ -179,6 +179,11 @@ def hall_condition(sets, ncolors):
     )
 
 
+def has_transversal(sets, ncolors):
+    """The (k,c)-assignment check on one vertex whose in-neighbors hold ``sets``."""
+    return _without_transversal(sets, [range(len(sets))], ncolors) == []
+
+
 class TestTransversal:
     def test_matches_hall_oracle(self):
         rng = random.Random(3)
@@ -188,17 +193,17 @@ class TestTransversal:
                 frozenset(rng.sample(range(1, ncolors + 1), rng.randint(0, ncolors)))
                 for _ in range(rng.randint(0, 7))
             ]
-            assert _has_transversal(sets, ncolors) == hall_condition(sets, ncolors)
+            assert has_transversal(sets, ncolors) == hall_condition(sets, ncolors)
 
     def test_long_augmenting_path(self):
         # with the colors in this order the greedy pass gives color i to
         # (i, i+1), so (1,) needs an augmenting path through all 1999 others
         chain = [(i, i + 1) for i in range(1, 2000)] + [(1,)]
-        assert _has_transversal(chain, 2001)
-        assert not _has_transversal(chain + [(2000,)], 2001)
+        assert has_transversal(chain, 2001)
+        assert not has_transversal(chain + [(2000,)], 2001)
         sets = [frozenset(c) for c in chain]
-        assert _has_transversal(sets, 2001)
-        assert not _has_transversal(sets + [frozenset({2000})], 2001)
+        assert has_transversal(sets, 2001)
+        assert not has_transversal(sets + [frozenset({2000})], 2001)
 
 
 class TestAssignments:

@@ -21,7 +21,7 @@ from lapsum.density import (
     peel_to_low_partition_density,
     random_k_orientation,
 )
-from lapsum.flow import MaxFlowResult, max_flow
+from lapsum.flow import Assignment, assign
 from lapsum.graphs import (
     AlgorithmError,
     Graph,
@@ -38,14 +38,18 @@ from oracles import (
     loop_partition_witness,
     oracle_density,
     oracle_max_densest_set,
+    oracle_min_maximizer,
     oracle_nu_ell,
     oracle_partition_density,
 )
 
 
-def _cut_keeping_every_vertex(net):
-    # an unsaturated flow whose min cut keeps every node but the sink
-    return MaxFlowResult(0, frozenset(range(net.n - 1)), {})
+def _short_reaching_every_bin(demand, capacity, adj):
+    # an assignment that places nothing and reaches every item and bin
+    return Assignment(
+        0, tuple({} for _ in demand), frozenset(range(len(demand))),
+        frozenset(range(len(capacity))),
+    )
 
 
 _true_edge_counts = importlib.import_module("lapsum.density")._edge_counts
@@ -105,11 +109,11 @@ class TestDensity:
         density_module = importlib.import_module("lapsum.density")
         calls = []
 
-        def counting(net):
-            calls.append(net.n)
-            return max_flow(net)
+        def counting(demand, capacity, adj):
+            calls.append(len(capacity))
+            return assign(demand, capacity, adj)
 
-        monkeypatch.setattr(density_module, "max_flow", counting)
+        monkeypatch.setattr(density_module, "assign", counting)
         for g in list(sampled_graphs(60, 12, seed=7)) + list(gnp_graphs(40, 0.15, 10, seed=8)):
             calls.clear()
             density(g)
@@ -118,22 +122,22 @@ class TestDensity:
     def test_not_denser_cut_raises(self, monkeypatch):
         # V is exactly as dense as the first Newton step m/n
         density_module = importlib.import_module("lapsum.density")
-        monkeypatch.setattr(density_module, "max_flow", _cut_keeping_every_vertex)
+        monkeypatch.setattr(density_module, "assign", _short_reaching_every_bin)
         with pytest.raises(AlgorithmError, match="not denser"):
             density(make_family("path:5"))
 
     def test_endless_improvement_raises(self, monkeypatch):
-        # every fake cut keeps V and every count of its edges grows, so each
-        # step looks denser; the iteration must stop after n + 1 flows
+        # every fake assignment reaches V and every count of its edges grows,
+        # so each step looks denser; the iteration must stop after n + 1 tests
         density_module = importlib.import_module("lapsum.density")
         calls = []
 
-        def flow(net):
-            calls.append(net.n)
-            return _cut_keeping_every_vertex(net)
+        def fake(demand, capacity, adj):
+            calls.append(len(capacity))
+            return _short_reaching_every_bin(demand, capacity, adj)
 
         counts = itertools.count(5)
-        monkeypatch.setattr(density_module, "max_flow", flow)
+        monkeypatch.setattr(density_module, "assign", fake)
         monkeypatch.setattr(density_module, "_edges_inside", lambda g, subset: next(counts))
         with pytest.raises(AlgorithmError, match="did not settle"):
             density(make_family("path:5"))
@@ -142,10 +146,12 @@ class TestDensity:
     def test_not_denser_cut_raises_under_optimize(self):
         code = (
             "import importlib\n"
-            "from lapsum.flow import MaxFlowResult\n"
+            "from lapsum.flow import Assignment\n"
             "from lapsum.graphs import AlgorithmError, make_family\n"
             "mod = importlib.import_module('lapsum.density')\n"
-            "mod.max_flow = lambda net: MaxFlowResult(0, frozenset(range(net.n - 1)), {})\n"
+            "mod.assign = lambda d, c, adj: Assignment(\n"
+            "    0, ({},) * len(d), frozenset(range(len(d))), frozenset(range(len(c)))\n"
+            ")\n"
             "try:\n"
             "    mod.density(make_family('path:5'))\n"
             "except AlgorithmError as exc:\n"
@@ -280,12 +286,29 @@ class TestOrientation:
                     assert isinstance(res, OrientationInfeasible)
                     assert res.edges_inside > k * len(res.subset)
 
+    def test_infeasible_subset_is_minimal(self):
+        # the subset lies in every U that maximizes e(U) - k|U|
+        found = 0
+        for g in sampled_graphs(80, 8, seed=12):
+            for k in (1, 2):
+                res = k_orientation(g, k)
+                if isinstance(res, OrientationInfeasible):
+                    found += 1
+                    assert res.subset == oracle_min_maximizer(
+                        range(g.n), lambda u: edges_inside(g, u) - k * len(u)
+                    )
+        assert found >= 20
+
     def test_bogus_cut_raises_algorithm_error(self, monkeypatch):
-        # an unsaturated flow whose cut holds no vertex certifies nothing;
+        # an unsaturated assignment that reaches no vertex certifies nothing;
         # the check must raise even under python -O
         density_module = importlib.import_module("lapsum.density")
         monkeypatch.setattr(
-            density_module, "max_flow", lambda net: MaxFlowResult(0, frozenset({0}), {})
+            density_module,
+            "assign",
+            lambda demand, capacity, adj: Assignment(
+                0, tuple({} for _ in demand), frozenset({0}), frozenset()
+            ),
         )
         with pytest.raises(AlgorithmError):
             k_orientation(make_family("complete:4"), 1)

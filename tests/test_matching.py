@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lapsum.graphs import GraphError, disjoint_union, graph_from_edges, make_family
@@ -17,7 +19,13 @@ from lapsum.matching import (
 )
 
 from conftest import sampled_graphs, small_graphs
-from oracles import oracle_nu, oracle_nu_ell, oracle_odd_cover_weight, oracle_tau
+from oracles import (
+    oracle_min_maximizer,
+    oracle_nu,
+    oracle_nu_ell,
+    oracle_odd_cover_weight,
+    oracle_tau,
+)
 
 
 def petersen():
@@ -216,3 +224,23 @@ class TestHallViolator:
         res = hall_violator(g, [0, 1, 2], [3, 4, 5, 6], 2)
         assert not res.saturating  # 3 centers need 6 distinct leaves, only 4 exist
         assert len(res.packing.stars) >= len(frozenset({0, 1, 2}) - res.violator)
+
+    def test_violator_is_minimal(self):
+        # the violator lies in every A' that maximizes ell |A'| - |N(A')|,
+        # and that intersection is empty exactly when A is saturated
+        rng = random.Random(13)
+        found = 0
+        for _ in range(300):
+            na, nb, ell = rng.randint(1, 5), rng.randint(0, 6), rng.randint(1, 3)
+            p = rng.random()
+            g = graph_from_edges(
+                na + nb,
+                [(a, b) for a in range(na) for b in range(na, na + nb) if rng.random() < p],
+            )
+            res = hall_violator(g, range(na), range(na, na + nb), ell)
+            minimal = oracle_min_maximizer(
+                range(na), lambda x: ell * len(x) - len({w for a in x for w in g.neighbors(a)})
+            )
+            assert (res.violator or frozenset()) == minimal
+            found += not res.saturating
+        assert found >= 100
