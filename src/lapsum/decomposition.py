@@ -487,7 +487,8 @@ def random_kc_assignment(
     in-neighborhood list family has a transversal.
 
     Only the lists of failed vertices' in-neighbors are resampled between
-    tries. ``pinned`` fixes chosen lists on the first try (test hook).
+    tries, and only the vertices with a resampled in-neighbor are checked
+    again. ``pinned`` fixes chosen lists on the first try (test hook).
     Returns (result, tries); exhaustion is reported, not raised.
     """
     if ori.max_indegree() > k:
@@ -506,17 +507,27 @@ def random_kc_assignment(
         for v, lst in pinned.items():
             lists[v] = frozenset(lst)
     ins = ori.in_neighbors()
+    outs: list[list[int]] = [[] for _ in range(n)]
+    for v, nbrs in enumerate(ins):
+        for u in nbrs:
+            outs[u].append(v)
     failure_counts: dict[int, int] = {}
+    stale = range(n)  # the vertices whose in-neighbors' lists changed
     for attempt in range(1, max_tries + 1):
-        failed = _without_transversal(lists, ins, k + c)
+        stale_ins = [ins[v] for v in stale]
+        failed = [stale[i] for i in _without_transversal(lists, stale_ins, k + c)]
         if not failed:
             assignment = KCAssignment(k, c, tuple(lists))
             assignment.validate(ori)
             return assignment, attempt
+        resampled = set()
         for v in failed:
             failure_counts[v] = failure_counts.get(v, 0) + 1
             for u in ins[v]:
                 lists[u] = sample()
+                resampled.add(u)
+        # every other vertex passed with the lists it still sees
+        stale = sorted({w for u in resampled for w in outs[u]})
     return AssignmentExhausted(max_tries, failure_counts), max_tries
 
 

@@ -98,6 +98,8 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
 # graph6 codec (short form, n <= 62)
 
 _G6_MIN, _G6_MAX = 63, 126
+#: place values of the six bits in one graph6 data byte
+_G6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 
 def check_graph6(text: str) -> str:
@@ -135,8 +137,12 @@ def check_graph6(text: str) -> str:
 def parse_graph6(text: str) -> Graph:
     """Decode a one-line graph6 string (header-free short form)."""
     text = check_graph6(text)
-    n = ord(text[0]) - 63
-    edges = graph6_pairs(n)[graph6_bits([text])[0].astype(bool)].tolist()
+    return bits_graph(ord(text[0]) - 63, graph6_bits([text])[0])
+
+
+def bits_graph(n: int, bits: np.ndarray) -> Graph:
+    """The graph on n vertices whose edge bits, in graph6 order, are ``bits``."""
+    edges = graph6_pairs(n)[bits.astype(bool)].tolist()
     return Graph(n, tuple(sorted(map(tuple, edges))))
 
 
@@ -162,6 +168,21 @@ def graph6_bits(strings: Sequence[str]) -> np.ndarray:
     data = raw.reshape(len(strings), -1)[:, 1:] - 63
     bits = np.unpackbits(data[:, :, None], axis=2)[:, :, 2:]
     return bits.reshape(len(strings), -1)[:, :nbits]
+
+
+def graph6_strings(n: int, bits: np.ndarray) -> list[str]:
+    """graph6 strings of graphs on n <= 62 vertices from their edge bit rows
+    in graph6 order (the inverse of ``graph6_bits``), encoded together."""
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    padded = np.zeros((len(bits), 6 * nbytes), dtype=np.uint8)
+    padded[:, :nbits] = bits
+    data = np.empty((len(bits), 1 + nbytes), dtype=np.uint8)
+    data[:, 0] = n + 63
+    data[:, 1:] = (padded.reshape(len(bits), nbytes, 6) * _G6_WEIGHTS).sum(axis=2) + 63
+    text = data.tobytes().decode("ascii")
+    width = 1 + nbytes
+    return [text[i : i + width] for i in range(0, len(text), width)]
 
 
 def encode_graph6(g: Graph) -> str:
@@ -396,7 +417,9 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def _check_all_labeled(n: int):
+def all_labeled_count(n: int) -> int:
+    """The number 2^C(n,2) of labeled graphs on n vertices, the edge masks
+    0..2^C(n,2)-1; raises ``GraphError`` beyond ``ALL_LABELED_CAP``."""
     if n < 0:
         raise GraphError(f"negative vertex count {n}")
     if n > ALL_LABELED_CAP:
@@ -404,6 +427,21 @@ def _check_all_labeled(n: int):
             f"all-labeled enumeration capped at n={ALL_LABELED_CAP}; "
             "use a graph6 file for larger exhaustive runs"
         )
+    return 1 << len(_pairs(n))
+
+
+def mask_bits(n: int, lo: int, hi: int) -> np.ndarray:
+    """Edge bits of the labeled graphs with edge masks lo..hi-1 on n vertices.
+
+    Bit i of a mask is the pair ``_pairs(n)[i]``; row r holds mask lo + r's
+    bits in graph6 order, as ``graph6_bits`` returns them.
+    """
+    pairs = _pairs(n)
+    g6_pos = np.array([v * (v - 1) // 2 + u for u, v in pairs], dtype=np.intp)
+    masks = np.arange(lo, hi, dtype=np.int64)
+    bits = np.empty((len(masks), len(pairs)), dtype=np.uint8)
+    bits[:, g6_pos] = masks[:, None] >> np.arange(len(pairs), dtype=np.int64) & 1
+    return bits
 
 
 def all_labeled_graphs(n: int) -> Iterator[Graph]:
@@ -418,28 +456,10 @@ _MASK_BLOCK = 4096
 
 def all_labeled_graph6(n: int) -> Iterator[str]:
     """graph6 strings of all 2^C(n,2) labeled graphs on n vertices, in
-    edge-mask order (bit i of the mask is the pair ``_pairs(n)[i]``).
-
-    The strings come straight from the edge masks, a block of masks at a time.
-    """
-    _check_all_labeled(n)
-    pairs = _pairs(n)
-    nbits = len(pairs)
-    nbytes = (nbits + 5) // 6
-    g6_pos = np.array([v * (v - 1) // 2 + u for u, v in pairs], dtype=np.intp)
-    shifts = np.arange(nbits, dtype=np.int64)
-    weights = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
-    total = 1 << nbits
+    edge-mask order, encoded from ``mask_bits`` a block of masks at a time."""
+    total = all_labeled_count(n)
     for start in range(0, total, _MASK_BLOCK):
-        masks = np.arange(start, min(start + _MASK_BLOCK, total), dtype=np.int64)
-        bits = np.zeros((len(masks), 6 * nbytes), dtype=np.uint8)
-        bits[:, g6_pos] = masks[:, None] >> shifts & 1
-        data = np.empty((len(masks), 1 + nbytes), dtype=np.uint8)
-        data[:, 0] = n + 63
-        data[:, 1:] = (bits.reshape(len(masks), nbytes, 6) * weights).sum(axis=2) + 63
-        text = data.tobytes().decode("ascii")
-        width = 1 + nbytes
-        yield from (text[i : i + width] for i in range(0, len(text), width))
+        yield from graph6_strings(n, mask_bits(n, start, min(start + _MASK_BLOCK, total)))
 
 
 def gnp_graphs(n: int, p: float, count: int, seed: int) -> Iterator[Graph]:

@@ -28,15 +28,18 @@ from .decomposition import STAR_ARB_EDGE_CAP, star_arboricity_exact
 from .graphs import (
     FamilyId,
     GraphSource,
+    all_labeled_count,
+    bits_graph,
     components_info,
     conjugate_degrees,
     encode_graph6,
     graph6_bits,
     graph6_stream,
+    graph6_strings,
     is_bipartite,
     make_family,
+    mask_bits,
     non_isolated_count,
-    parse_graph6,
 )
 from .matching import (
     SizeCapError,
@@ -45,6 +48,7 @@ from .matching import (
     min_vertex_cover,
 )
 from .spectral import (
+    STACK_ENTRIES,
     SpectralError,
     eps_profile,
     graph6_spectra,
@@ -54,8 +58,9 @@ from .spectral import (
 
 #: equality examples recorded per (bound, k); totals are always exact
 EQUALITY_EXAMPLE_CAP = 10
-#: graphs per parallel work unit
-CHUNK_SIZE = 256
+#: matrix entries (n^2 per graph) per parallel work unit: the entries of four
+#: stacked eigvalsh calls (see CHANGES.md for the measurement behind the value)
+TASK_ENTRIES = 4 * STACK_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -234,46 +239,48 @@ def _witness_record(check: dict, n: int, m: int, spectrum_row, eps_row, aux) -> 
     return rec
 
 
-def _group_spectra(n: int, g6s: list[str]):
+def _group_spectra(n: int, bits: np.ndarray):
     """Edge counts, checked spectra (rows non-increasing) and eps rows of
-    graph6 strings that share one n."""
-    bits = graph6_bits(g6s)
+    graphs on n vertices given by their edge bit rows."""
     ms = bits.sum(axis=1, dtype=np.int64)
     vals = graph6_spectra(n, bits)
     fault = spectrum_fault(vals, ms)
     if fault is not None:
         row, reason = fault
-        raise SpectralError(f"graph6 {g6s[row]}: {reason}")
+        raise SpectralError(f"graph6 {graph6_strings(n, bits[row : row + 1])[0]}: {reason}")
     return ms, vals, np.cumsum(vals, axis=1) - ms[:, None]
 
 
-def _scan_group(n, g6s, positions, bounds, krange, partial, found):
-    """Evaluate the bounds on graphs with one n; records go to ``found`` keyed
-    by (source position, bound index, k index)."""
-    ms, vals, eps = _group_spectra(n, g6s)
+def _scan_group(n, bits, positions, bounds, krange, partial, found):
+    """Evaluate the bounds on graphs with one n, given by their edge bit rows;
+    records go to ``found`` keyed by (source position, bound index, k index).
+
+    Equality examples beyond the first EQUALITY_EXAMPLE_CAP per (n, bound, k)
+    of the work unit are counted but not recorded. graph6 strings are encoded
+    only for the rows of records.
+    """
+    ms, vals, eps = _group_spectra(n, bits)
     ks = krange.values(n)
     k_arr = np.array(ks, dtype=np.int64)
     lhs = np.repeat(ms[:, None].astype(float), len(ks), axis=1)  # |E| for k > n
     lhs[:, k_arr <= n] = eps[:, k_arr[k_arr <= n] - 1]
     needs = aux_requirements(bounds)
-    auxes: list[dict] = [{}] * len(g6s)
-    unavailable: list[dict] = [{}] * len(g6s)
-    live_rows = list(range(len(g6s)))  # graphs not size-capped
-    for i, g6 in enumerate(g6s if needs else ()):
+    auxes: list[dict] = [{}] * len(bits)
+    unavailable: list[dict] = [{}] * len(bits)
+    live_rows = list(range(len(bits)))  # graphs not size-capped
+    skips = []  # (row, bound index, reason)
+    for i in range(len(bits)) if needs else ():
         try:
-            auxes[i], unavailable[i] = _compute_aux(parse_graph6(g6), needs)
+            auxes[i], unavailable[i] = _compute_aux(bits_graph(n, bits[i]), needs)
         except SizeCapError as exc:
             live_rows.remove(i)
-            found["skipped"].extend(
-                ((positions[i], b, 0), {"graph6": g6, "bound": tag, "reason": str(exc)})
-                for b, tag in enumerate(bounds)
-            )
+            skips.extend((i, b, str(exc)) for b in range(len(bounds)))
     if ks and live_rows:
         ratio = (lhs[live_rows] / (k_arr * k_arr)).max()
         partial["max_ratio"] = max(partial["max_ratio"], float(ratio))
     # one (bound, graph, k) table for the whole group; NaN = not applicable
     sizes = ms.tolist()
-    rhs = np.full((len(bounds), len(g6s), len(ks)), math.nan)
+    rhs = np.full((len(bounds), len(bits), len(ks)), math.nan)
     checked = []
     for b, tag in enumerate(bounds):
         spec = bound_spec(tag)
@@ -282,13 +289,10 @@ def _scan_group(n, g6s, positions, bounds, krange, partial, found):
             rows = []
             for i in live_rows:
                 missing = [q for q in spec.needs if q in unavailable[i]]
-                if not missing:
+                if missing:
+                    skips.append((i, b, unavailable[i][missing[0]]))
+                else:
                     rows.append(i)
-                    continue
-                reason = unavailable[i][missing[0]]
-                found["skipped"].append(
-                    ((positions[i], b, 0), {"graph6": g6s[i], "bound": tag, "reason": reason})
-                )
         if rows:
             rhs[b, rows] = _rhs_rows(spec, n, sizes, auxes, rows, ks)
         checked.append(len(rows))
@@ -308,13 +312,29 @@ def _scan_group(n, g6s, positions, bounds, krange, partial, found):
             agg[2] += neq[b][j]
             if least[b][j] < agg[3]:
                 agg[3] = least[b][j]
-    per_bound = len(g6s) * len(ks)
-    for kind, hits in (("violations", violated), ("equalities", equal)):
-        for flat in np.flatnonzero(hits).tolist():
+    # equality examples of this n kept so far, per (bound, k)
+    kept = partial["kept"].setdefault(n, np.zeros((len(bounds), len(ks)), dtype=np.int64))
+    equal &= np.cumsum(equal, axis=1) + kept[:, None, :] <= EQUALITY_EXAMPLE_CAP
+    kept += equal.sum(axis=1)
+    hits = {
+        "violations": np.flatnonzero(violated).tolist(),
+        "equalities": np.flatnonzero(equal).tolist(),
+    }
+    per_bound = len(bits) * len(ks)
+    named = {i for i, _, _ in skips}
+    named.update(flat % per_bound // len(ks) for flats in hits.values() for flat in flats)
+    named = sorted(named)
+    g6 = dict(zip(named, graph6_strings(n, bits[named])))
+    for i, b, reason in skips:
+        found["skipped"].append(
+            ((positions[i], b, 0), {"graph6": g6[i], "bound": bounds[b], "reason": reason})
+        )
+    for kind, flats in hits.items():
+        for flat in flats:
             b, rest = divmod(flat, per_bound)
             i, j = divmod(rest, len(ks))
             check = {
-                "graph6": g6s[i],
+                "graph6": g6[i],
                 "bound": bounds[b],
                 "k": ks[j],
                 "lhs": float(lhs[i, j]),
@@ -329,30 +349,43 @@ def _scan_group(n, g6s, positions, bounds, krange, partial, found):
 
 
 def _scan_chunk(args):
-    """Evaluate the bounds over one chunk of graph6 strings.
+    """Evaluate the bounds over one work unit: an (n, lo, hi) range of
+    all-labeled edge masks, or a list of validated graph6 strings.
 
-    Graphs are grouped by n; each group is decoded at once and its spectra
-    come from stacked eigvalsh calls. A Graph is built only where a bound
+    Graphs are grouped by n, and each group goes as edge bit rows through
+    stacked eigvalsh calls of at most ``stack_size(n)`` graphs; that stack
+    also bounds the group's other arrays. A Graph is built only where a bound
     needs combinatorial invariants. Records come back in source order.
     """
-    (g6_list, bounds, krange) = args
+    (work, bounds, krange) = args
     partial = {
-        "graphs": len(g6_list),
+        "graphs": 0,
         "checks": 0,
         "agg": {},  # (tag, k) -> [checked, violations, equalities, min_slack]
         "max_ratio": -math.inf,
+        "kept": {},  # n -> equality examples recorded per (bound, k)
     }
-    groups: dict[int, list[int]] = {}
-    for pos, g6 in enumerate(g6_list):
-        groups.setdefault(ord(g6[0]) - 63, []).append(pos)
     found: dict[str, list] = {"violations": [], "equalities": [], "skipped": []}
-    for n, positions in groups.items():
-        # one eigvalsh stack per group also bounds the group's other arrays
+    if isinstance(work, tuple):
+        n, lo, hi = work
         step = stack_size(n)
-        for start in range(0, len(positions), step):
-            part = positions[start : start + step]
-            g6s = [g6_list[p] for p in part]
-            _scan_group(n, g6s, part, bounds, krange, partial, found)
+        for start in range(lo, hi, step):
+            end = min(start + step, hi)
+            bits = mask_bits(n, start, end)
+            _scan_group(n, bits, range(start, end), bounds, krange, partial, found)
+        partial["graphs"] = hi - lo
+    else:
+        groups: dict[int, list[int]] = {}
+        for pos, g6 in enumerate(work):
+            groups.setdefault(ord(g6[0]) - 63, []).append(pos)
+        for n, positions in groups.items():
+            step = stack_size(n)
+            for start in range(0, len(positions), step):
+                part = positions[start : start + step]
+                bits = graph6_bits([work[p] for p in part])
+                _scan_group(n, bits, part, bounds, krange, partial, found)
+        partial["graphs"] = len(work)
+    partial.pop("kept")
     for kind, records in found.items():
         records.sort(key=lambda item: item[0])
         partial[kind] = [rec for _, rec in records]
@@ -373,15 +406,30 @@ def _first_examples(equalities, counts: dict) -> list[dict]:
     return kept
 
 
-def _chunks(iterable, size):
-    buf = []
-    for item in iterable:
-        buf.append(item)
-        if len(buf) == size:
-            yield buf
-            buf = []
-    if buf:
-        yield buf
+def _tasks(src: GraphSource, strict: bool):
+    """The work units of a scan in source order: (n, lo, hi) edge-mask ranges
+    for an all-labeled source, lists of graph6 strings for any other. A unit
+    holds at most TASK_ENTRIES matrix entries, unless it is a single graph."""
+    if src.kind == "all-labeled":
+        total = all_labeled_count(src.n)
+        step = TASK_ENTRIES // STACK_ENTRIES * stack_size(src.n)
+        return [(src.n, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    return _graph6_tasks(graph6_stream(src, strict=strict))
+
+
+def _graph6_tasks(g6_stream):
+    """Consecutive graph6 strings cut greedily at TASK_ENTRIES entries."""
+    task, entries = [], 0
+    for g6 in g6_stream:
+        n = ord(g6[0]) - 63
+        cost = max(1, n * n)
+        if task and entries + cost > TASK_ENTRIES:
+            yield task
+            task, entries = [], 0
+        task.append(g6)
+        entries += cost
+    if task:
+        yield task
 
 
 def scan(
@@ -405,8 +453,7 @@ def scan(
     krange = ks or KRange("all")
     start = time.monotonic()
     report = ScanReport(src.describe(), bounds, krange)
-    g6_stream = graph6_stream(src, strict=strict)
-    tasks = ((chunk, bounds, krange) for chunk in _chunks(g6_stream, CHUNK_SIZE))
+    tasks = ((work, bounds, krange) for work in _tasks(src, strict))
     if jobs > 1:
         import multiprocessing
 

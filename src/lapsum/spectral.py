@@ -97,9 +97,10 @@ def stack_size(n: int) -> int:
 def graph6_spectra(n: int, bits: np.ndarray) -> np.ndarray:
     """Laplacian eigenvalues of graphs on n vertices given by their graph6 edge bits.
 
-    ``bits`` is a (B, C(n,2)) array from ``graphs.graph6_bits`` with B at most
-    ``stack_size(n)``; the B Laplacians go to one ``eigvalsh`` call. Row i of
-    the result is graph i's spectrum, non-increasing.
+    ``bits`` is a (B, C(n,2)) array in graph6 order, from ``graphs.graph6_bits``
+    or ``graphs.mask_bits``, with B at most ``stack_size(n)``; the B Laplacians
+    go to one ``eigvalsh`` call. Row i of the result is graph i's spectrum,
+    non-increasing.
 
     Every entry starts as +0.0, the diagonal of an isolated vertex included:
     LAPACK's Householder reflector takes the sign of its pivot, so a -0.0

@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -206,7 +208,72 @@ class TestTransversal:
         assert not has_transversal(sets + [frozenset({2000})], 2001)
 
 
+def full_recheck_kc_assignment(ori, k, c, rng, max_tries, pinned):
+    """The (k,c)-assignment loop that checks every vertex on every try, with
+    Hall's condition by brute force; draws from ``rng`` as lapsum does."""
+    palette = list(range(1, k + c + 1))
+    lists = [frozenset(rng.sample(palette, c)) for _ in range(ori.base.n)]
+    for v, lst in pinned.items():
+        lists[v] = frozenset(lst)
+    ins = ori.in_neighbors()
+    failure_counts = {}
+    for attempt in range(1, max_tries + 1):
+        failed = [
+            v for v, nbrs in enumerate(ins)
+            if not hall_condition([lists[u] for u in nbrs], k + c)
+        ]
+        if not failed:
+            return ("found", tuple(lists)), attempt
+        for v in failed:
+            failure_counts[v] = failure_counts.get(v, 0) + 1
+            for u in ins[v]:
+                lists[u] = frozenset(rng.sample(palette, c))
+    return ("exhausted", failure_counts), max_tries
+
+
+class RecordingRandom(random.Random):
+    """A seeded generator that logs every ``sample`` it returns."""
+
+    def __init__(self, seed, log):
+        super().__init__(seed)
+        self.log = log
+
+    def sample(self, population, k):
+        out = super().sample(population, k)
+        self.log.append(tuple(out))
+        return out
+
+
 class TestAssignments:
+    def test_matches_full_recheck(self, monkeypatch):
+        # pinning every list to {1} makes each vertex of in-degree >= 2 fail
+        # the first try, so the result comes after several partial re-checks
+        decomposition = importlib.import_module("lapsum.decomposition")
+        cases, several = 0, 0
+        for i, g in enumerate(sampled_graphs(40, 12, seed=11)):
+            k = max(1, math.ceil(partition_density(g).value))
+            for c in (1, 2):
+                ori = random_k_orientation(g, k + 1, seed=i)
+                kmax = max(ori.max_indegree(), 1)
+                pin = {v: frozenset({1}) for v in range(g.n)} if c == 1 else {}
+                seed = 100 * i + c
+                drawn, ref_drawn = [], []
+                recording = SimpleNamespace(Random=lambda s: RecordingRandom(s, drawn))
+                monkeypatch.setattr(decomposition, "random", recording)
+                res, tries = random_kc_assignment(ori, kmax, c, seed, max_tries=8, pinned=pin)
+                monkeypatch.undo()
+                ref, ref_tries = full_recheck_kc_assignment(
+                    ori, kmax, c, RecordingRandom(seed, ref_drawn), 8, pin
+                )
+                if isinstance(res, KCAssignment):
+                    assert ref == ("found", res.lists)
+                else:
+                    assert ref == ("exhausted", res.failure_counts)
+                assert tries == ref_tries and drawn == ref_drawn
+                cases += 1
+                several += tries > 2
+        assert cases == 80 and several >= 10
+
     def make_orientation(self):
         g = make_family("cycle:6")
         ori = random_k_orientation(g, 1, seed=0)

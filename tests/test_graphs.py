@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +23,14 @@ from lapsum.graphs import (
     graph6_bits,
     graph6_pairs,
     graph6_stream,
+    graph6_strings,
     graph_from_edges,
     graph_stream,
     induced_subgraph,
     is_bipartite,
     is_forest,
     make_family,
+    mask_bits,
     non_isolated_count,
     parse_edge_list,
     parse_family,
@@ -200,6 +204,20 @@ class TestSources:
         assert list(all_labeled_graph6(n)) == [
             encode_graph6(g) for g in all_labeled_graphs(n)
         ]
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_mask_bits_name_each_masks_graph(self, n):
+        # bit i of a mask is the i-th pair in lexicographic order
+        pairs = list(combinations(range(n), 2))
+        total = 2 ** len(pairs)
+        bits = mask_bits(n, 0, total)
+        names = graph6_strings(n, bits)
+        assert names == [
+            encode_graph6(Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1)))
+            for mask in range(total)
+        ]
+        assert (graph6_bits(names) == bits).all()
+        assert (mask_bits(n, total // 3, total // 2) == bits[total // 3 : total // 2]).all()
 
     def test_all_labeled_graph6_cap(self):
         with pytest.raises(GraphError):

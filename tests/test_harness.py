@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -15,11 +16,15 @@ from lapsum.bounds import (
 )
 from lapsum.cli import main
 from lapsum.graphs import (
+    Graph,
     Graph6Error,
+    GraphError,
     GraphSource,
+    all_labeled_graph6,
     all_labeled_graphs,
     encode_graph6,
     gnp_graphs,
+    graph6_stream,
     graph_from_edges,
     make_family,
     parse_graph6,
@@ -35,7 +40,7 @@ from lapsum.harness import (
     tightness_probe,
 )
 from lapsum.matching import SizeCapError
-from lapsum.spectral import STACK_ENTRIES, SpectralError, eps_profile, spectrum
+from lapsum.spectral import STACK_ENTRIES, SpectralError, eps_profile, spectrum, stack_size
 
 
 def single(g):
@@ -75,6 +80,14 @@ def mixed_g6_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("mixed") / "mixed.g6"
     path.write_text("".join(encode_graph6(g) + "\n" for g in _mixed_graphs()))
     return str(path)
+
+
+def _report_text(rep) -> str:
+    """A report's JSON without its runtime and its source description."""
+    doc = rep.to_json_dict()
+    doc.pop("runtime_ms")
+    doc.pop("source")
+    return json.dumps(doc, indent=2)
 
 
 def _oracle_report(graphs, tags, krange):
@@ -157,15 +170,101 @@ class TestScan:
                 assert agg.min_slack >= -1e-6
 
     def test_deterministic_across_worker_counts(self, mixed_g6_file):
-        for src, tags in (
-            (GraphSource("all-labeled", n=4), ["brouwer", "bai", "matching-thm"]),
-            (GraphSource("graph6-file", path=mixed_g6_file), list(BOUND_TAGS)),
-        ):
-            a = scan(src, tags, KRange("all"), jobs=1).to_json_dict()
-            b = scan(src, tags, KRange("all"), jobs=3).to_json_dict()
-            a.pop("runtime_ms")
-            b.pop("runtime_ms")
-            assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        cases = [(GraphSource("all-labeled", n=n), list(BOUND_TAGS)) for n in range(6)]
+        cases.append((GraphSource("all-labeled", n=6), ["brouwer"]))
+        cases.append((GraphSource("graph6-file", path=mixed_g6_file), list(BOUND_TAGS)))
+        for src, tags in cases:
+            a, b, c = (_report_text(scan(src, tags, KRange("all"), jobs=j)) for j in (1, 2, 3))
+            assert a == b == c, src
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_all_labeled_match_graph6_file(self, n, tmp_path):
+        # the single graph ? (n = 0) or @ (n = 1) as a mask range and as a line
+        path = tmp_path / "one.g6"
+        path.write_text("?@"[n] + "\n")
+        for krange in (KRange("all"), KRange("list", (1, 3, 9))):
+            want = _report_text(scan(GraphSource("graph6-file", path=str(path)), BOUND_TAGS, krange))
+            for jobs in (1, 2):
+                rep = scan(GraphSource("all-labeled", n=n), BOUND_TAGS, krange, jobs=jobs)
+                assert rep.graphs == 1 and _report_text(rep) == want
+
+    def test_all_labeled_cap_raises_before_pool(self, monkeypatch):
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        with pytest.raises(GraphError, match="capped at n=7"):
+            scan(GraphSource("all-labeled", n=8), ["brouwer"], jobs=2)
+
+    def test_tasks_within_entry_budget(self, mixed_g6_file):
+        sources = [GraphSource("all-labeled", n=n) for n in range(8)]
+        sources.append(GraphSource("graph6-file", path=mixed_g6_file))
+        sources.append(GraphSource("gnp", n=40, p=0.3, count=100, seed=2))
+        sources.append(GraphSource("single", graph=make_family("complete:62")))
+        for src in sources:
+            tasks = list(harness._tasks(src, strict=True))
+            if src.kind == "all-labeled":
+                n = src.n
+                assert [lo for _, lo, _ in tasks] == [0] + [hi for _, _, hi in tasks[:-1]]
+                assert tasks[-1][2] == 2 ** (n * (n - 1) // 2)
+                assert all(n2 == n for n2, _, _ in tasks)
+                entries = [(hi - lo) * n * n for _, lo, hi in tasks]
+                sizes = [hi - lo for _, lo, hi in tasks]
+            else:
+                assert [g6 for task in tasks for g6 in task] == list(graph6_stream(src))
+                entries = [sum((ord(g6[0]) - 63) ** 2 for g6 in task) for task in tasks]
+                sizes = [len(task) for task in tasks]
+            for size, used in zip(sizes, entries):
+                assert used <= harness.TASK_ENTRIES or size == 1
+
+    def test_mask_range_records_name_their_graphs(self, monkeypatch, tmp_path):
+        # brouwer violated everywhere (eps_k >= -|E|), both bounds skipped where
+        # |E| = 3 (mod 4): every record names its graph by the graph6 of the
+        # mask's edges
+        spec = bounds.bound_spec("brouwer")
+        monkeypatch.setitem(
+            bounds._REGISTRY,
+            "brouwer",
+            BoundSpec("brouwer", (), lambda size, k, aux: -100, spec.applicable, True),
+        )
+        real = harness._compute_aux
+
+        def capped(g, needs):
+            if g.m % 4 == 3:
+                raise SizeCapError("over the cap")
+            return real(g, needs)
+
+        monkeypatch.setattr(harness, "_compute_aux", capped)
+        n = 5
+        pairs = list(itertools.combinations(range(n), 2))
+        names = [
+            encode_graph6(Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1)))
+            for mask in range(2 ** len(pairs))
+        ]
+        live = [g6 for g6 in names if parse_graph6(g6).m % 4 != 3]
+        rep = scan(GraphSource("all-labeled", n=n), ["bai", "brouwer"], KRange("all"))
+        assert [v["graph6"] for v in rep.violations] == [g6 for g6 in live for _ in range(n)]
+        assert [(s["graph6"], s["bound"]) for s in rep.skipped] == [
+            (g6, tag) for g6 in names if g6 not in live for tag in ("bai", "brouwer")
+        ]
+        # equality examples: the same as a scan of those graph6 strings
+        path = tmp_path / "al5.g6"
+        path.write_text("".join(g6 + "\n" for g6 in names))
+        by_file = scan(GraphSource("graph6-file", path=str(path)), ["bai", "brouwer"], KRange("all"))
+        assert rep.equality_examples and rep.equality_examples == by_file.equality_examples
+        assert _report_text(rep) == _report_text(by_file)
+
+    def test_mask_range_ending_mid_stack(self):
+        # masks 3..699 on 5 vertices: stacks of stack_size(5) = 655 start at
+        # 3 and the second one ends 42 masks in
+        assert stack_size(5) == 655
+        tags, krange = tuple(BOUND_TAGS), KRange("all")
+        by_mask = harness._scan_chunk(((5, 3, 700), tags, krange))
+        g6s = list(itertools.islice(all_labeled_graph6(5), 3, 700))
+        assert by_mask == harness._scan_chunk((g6s, tags, krange))
+        assert by_mask["graphs"] == 697 and by_mask["equalities"]
 
     @pytest.mark.parametrize(
         "krange", [KRange("all"), KRange("nminus2"), KRange("list", (1, 3, 9, 41))]
