@@ -545,7 +545,8 @@ class GraphSource:
         if self.kind == "gnp":
             return f"gnp:n={self.n},p={self.p},count={self.count},seed={self.seed}"
         if self.kind == "single":
-            assert self.graph is not None
+            if self.graph is None:
+                raise GraphError("single source without a graph")
             return f"single:{encode_graph6(self.graph)}"
         raise GraphError(f"unknown source kind {self.kind!r}")
 

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .density import SizeCapError
 from .flow import assign
-from .graphs import AlgorithmError, Graph, GraphError, induced_subgraph
+from .graphs import AlgorithmError, Graph, GraphError, components_info, induced_subgraph
 
 VERTEX_COVER_NU_CAP = 15
 NU_ELL_VERTEX_CAP = 16
@@ -34,7 +34,9 @@ class MatchingResult:
 
 @dataclass(frozen=True)
 class GallaiEdmonds:
-    """D: vertices missed by some maximum matching; A = N(D) \\ D; C: rest."""
+    """D: vertices missed by some maximum matching, i.e. the even vertices of
+    the failed searches from one maximum matching's exposed vertices;
+    A = N(D) \\ D; C: rest."""
 
     D: frozenset[int]
     A: frozenset[int]
@@ -97,78 +99,77 @@ class StarPacking:
 # ---------------------------------------------------------------------------
 # Blossom maximum matching
 
-def _blossom(n: int, adj, match: list[int]):
-    """Augment ``match`` to maximum via blossom contraction (classic O(n^3))."""
+def _alternating_search(adj, match: list[int], root: int) -> list[bool] | None:
+    """Edmonds' blossom search from the exposed vertex ``root``: augments
+    ``match`` and returns None, or returns a mask of the even (outer) vertices
+    reached, i.e. the ends of even alternating paths from ``root``."""
+    n = len(match)
+    used = [False] * n
+    p = [-1] * n
+    base = list(range(n))
+    used[root] = True
+    q = deque([root])
 
-    def find_path(root: int) -> bool:
-        used = [False] * n
-        p = [-1] * n
-        base = list(range(n))
-        used[root] = True
-        q = deque([root])
+    def lca(a: int, b: int) -> int:
+        mark = [False] * n
+        while True:
+            a = base[a]
+            mark[a] = True
+            if match[a] == -1:
+                break
+            a = p[match[a]]
+        while True:
+            b = base[b]
+            if mark[b]:
+                return b
+            b = p[match[b]]
 
-        def lca(a: int, b: int) -> int:
-            mark = [False] * n
-            while True:
-                a = base[a]
-                mark[a] = True
-                if match[a] == -1:
-                    break
-                a = p[match[a]]
-            while True:
-                b = base[b]
-                if mark[b]:
-                    return b
-                b = p[match[b]]
+    def mark_path(v: int, b: int, child: int, blossom: list[bool]):
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            p[v] = child
+            child = match[v]
+            v = p[match[v]]
 
-        def mark_path(v: int, b: int, child: int, blossom: list[bool]):
-            while base[v] != b:
-                blossom[base[v]] = True
-                blossom[base[match[v]]] = True
-                p[v] = child
-                child = match[v]
-                v = p[match[v]]
-
-        while q:
-            v = q.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    curbase = lca(v, to)
-                    blossom = [False] * n
-                    mark_path(v, curbase, to, blossom)
-                    mark_path(to, curbase, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        u = to
-                        while u != -1:
-                            pv = p[u]
-                            ppv = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = ppv
-                        return True
-                    used[match[to]] = True
-                    q.append(match[to])
-        return False
-
-    for v in range(n):
-        if match[v] == -1:
-            find_path(v)
-    return match
+    while q:
+        v = q.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and p[match[to]] != -1):
+                curbase = lca(v, to)
+                blossom = [False] * n
+                mark_path(v, curbase, to, blossom)
+                mark_path(to, curbase, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = curbase
+                        if not used[i]:
+                            used[i] = True
+                            q.append(i)
+            elif p[to] == -1:
+                p[to] = v
+                if match[to] == -1:
+                    u = to
+                    while u != -1:
+                        pv = p[u]
+                        ppv = match[pv]
+                        match[u] = pv
+                        match[pv] = u
+                        u = ppv
+                    return None
+                used[match[to]] = True
+                q.append(match[to])
+    return used
 
 
 def maximum_matching(g: Graph) -> MatchingResult:
     """A maximum matching; scan order is smallest-index-first for determinism."""
-    match = _blossom(g.n, g.adjacency, [-1] * g.n)
+    adj, match = g.adjacency, [-1] * g.n
+    for v in range(g.n):
+        if match[v] == -1:
+            _alternating_search(adj, match, v)
     pairs = tuple(sorted((v, match[v]) for v in range(g.n) if match[v] > v))
     return MatchingResult(pairs)
 
@@ -228,26 +229,24 @@ def greedy_cover_2approx(g: Graph) -> frozenset[int]:
 # Gallai-Edmonds
 
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
-    """Structure decomposition computed definitionally: v is in D iff some
-    maximum matching exposes v, tested as nu(G - v) == nu(G)."""
-    nu = matching_number(g)
-    d = []
-    for v in range(g.n):
-        sub, _ = induced_subgraph(g, [u for u in range(g.n) if u != v])
-        if matching_number(sub) == nu:
-            d.append(v)
-    D = frozenset(d)
+    """Structure decomposition from one maximum matching M: D is the union of
+    the even vertices of the failed alternating searches from the vertices M
+    exposes (Lovasz-Plummer, Matching Theory, ch. 3); re-verified."""
+    mm = maximum_matching(g)
+    match = [-1] * g.n
+    for u, v in mm.pairs:
+        match[u], match[v] = v, u
+    reached = [_alternating_search(g.adjacency, match, r) for r in range(g.n) if match[r] == -1]
+    if None in reached:
+        raise AlgorithmError("augmenting path from an exposed vertex: matching not maximum")
+    D = frozenset(v for even in reached for v in range(g.n) if even[v])
     A = frozenset(w for v in D for w in g.neighbors(v)) - D
     C = frozenset(range(g.n)) - D - A
     gd, labels = induced_subgraph(g, sorted(D))
-    from .graphs import components_info
-
     comps_local, _ = components_info(gd)
-    comps = tuple(
-        sorted((frozenset(labels[i] for i in c) for c in comps_local), key=min)
-    )
+    comps = tuple(sorted((frozenset(labels[i] for i in c) for c in comps_local), key=min))
     ge = GallaiEdmonds(D, A, C, comps)
-    _verify_gallai_edmonds(g, ge, nu)
+    _verify_gallai_edmonds(g, ge, mm.nu)
     return ge
 
 

@@ -127,6 +127,34 @@ def oracle_nu(g: Graph) -> int:
     return rec(list(g.edges), frozenset())
 
 
+def oracle_gallai_edmonds(g: Graph):
+    """(D, A, C, components of G[D] by least vertex) by definition: v is in
+    D iff nu(G - v) = nu(G), and A = N(D) \\ D."""
+    nu = oracle_nu(g)
+    d = frozenset(
+        v
+        for v in range(g.n)
+        if oracle_nu(Graph(g.n, tuple(e for e in g.edges if v not in e))) == nu
+    )
+    a = frozenset(w for e in g.edges for u, w in (e, e[::-1]) if u in d) - d
+    c = frozenset(range(g.n)) - d - a
+    comps = []
+    for v in sorted(d):
+        if any(v in comp for comp in comps):
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            u = stack.pop()
+            for e in g.edges:
+                if u in e:
+                    w = e[0] + e[1] - u
+                    if w in d and w not in comp:
+                        comp.add(w)
+                        stack.append(w)
+        comps.append(frozenset(comp))
+    return d, a, c, tuple(comps)
+
+
 def oracle_tau(g: Graph) -> int:
     """Minimum vertex cover by subset enumeration."""
     if g.m == 0:

@@ -274,3 +274,7 @@ class TestSources:
     def test_describe(self):
         assert GraphSource("all-labeled", n=5).describe() == "all-labeled:5"
         assert "seed=9" in GraphSource("gnp", n=8, p=0.5, count=3, seed=9).describe()
+
+    def test_describe_single_without_graph(self):
+        with pytest.raises(GraphError, match="single source without a graph"):
+            GraphSource("single").describe()

@@ -1,10 +1,17 @@
+import importlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lapsum
 from lapsum.graphs import GraphError, disjoint_union, graph_from_edges, make_family
 from lapsum.matching import (
     AlgorithmError,
+    MatchingResult,
     SizeCapError,
     gallai_edmonds,
     greedy_cover_2approx,
@@ -20,6 +27,7 @@ from lapsum.matching import (
 
 from conftest import sampled_graphs, small_graphs
 from oracles import (
+    oracle_gallai_edmonds,
     oracle_min_maximizer,
     oracle_nu,
     oracle_nu_ell,
@@ -95,6 +103,56 @@ class TestGallaiEdmonds:
         for g in sampled_graphs(40, 7, seed=12):
             gallai_edmonds(g)
 
+    def test_matches_definition(self, exhaustive_n5):
+        graphs = exhaustive_n5 + list(sampled_graphs(40, 9, seed=15))
+        for g in graphs:
+            ge = gallai_edmonds(g)
+            assert (ge.D, ge.A, ge.C, ge.d_components) == oracle_gallai_edmonds(g), g
+
+    def test_dropped_even_vertex_raises(self, monkeypatch):
+        mod = importlib.import_module("lapsum.matching")
+        search = mod._alternating_search
+
+        def drop_root(adj, match, root):
+            even = search(adj, match, root)
+            if even is not None:
+                even[root] = False
+            return even
+
+        monkeypatch.setattr(mod, "_alternating_search", drop_root)
+        with pytest.raises(AlgorithmError):
+            gallai_edmonds(make_family("star:5"))
+
+    def test_non_maximum_matching_raises(self, monkeypatch):
+        mod = importlib.import_module("lapsum.matching")
+        monkeypatch.setattr(mod, "maximum_matching", lambda g: MatchingResult(()))
+        with pytest.raises(AlgorithmError, match="augmenting path"):
+            gallai_edmonds(make_family("path:4"))
+
+    def test_dropped_even_vertex_raises_under_optimize(self):
+        code = (
+            "import importlib\n"
+            "from lapsum.graphs import AlgorithmError, make_family\n"
+            "mod = importlib.import_module('lapsum.matching')\n"
+            "search = mod._alternating_search\n"
+            "def drop_root(adj, match, root):\n"
+            "    even = search(adj, match, root)\n"
+            "    if even is not None:\n"
+            "        even[root] = False\n"
+            "    return even\n"
+            "mod._alternating_search = drop_root\n"
+            "try:\n"
+            "    mod.gallai_edmonds(make_family('star:5'))\n"
+            "except AlgorithmError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(lapsum.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert "raised:" in out.stdout
+
 
 class TestOddSetCover:
     def test_triangle(self):
@@ -110,6 +168,23 @@ class TestOddSetCover:
     def test_weight_matches_brute_force(self, exhaustive_n4):
         for g in exhaustive_n4:
             assert odd_set_cover(g).weight == oracle_odd_cover_weight(g)
+
+    def test_bipartite_gives_minimum_vertex_cover(self):
+        # Konig: peeling one vertex of C at a time keeps the cover free of odd sets
+        rng = random.Random(16)
+        big_c = 0
+        for _ in range(60):
+            na, nb, p = rng.randint(1, 5), rng.randint(1, 5), rng.random()
+            g = graph_from_edges(
+                na + nb,
+                [(a, b) for a in range(na) for b in range(na, na + nb) if rng.random() < p],
+            )
+            cov = odd_set_cover(g)
+            assert cov.odd_sets == ()
+            assert len(set(cov.vertices)) == len(cov.vertices) == oracle_tau(g)
+            assert all(u in cov.vertices or v in cov.vertices for u, v in g.edges)
+            big_c += len(gallai_edmonds(g).C) >= 4
+        assert big_c >= 10
 
     def test_normalize_merges_overlaps(self):
         # two triangles sharing vertex 2; union has 5 vertices (odd) -> one set

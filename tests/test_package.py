@@ -1,0 +1,14 @@
+import ast
+from pathlib import Path
+
+import lapsum
+
+
+def test_no_assert_in_package():
+    # every check must stay in force under python -O
+    found = []
+    for path in sorted(Path(lapsum.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
