@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
+
+import numpy as np
 
 from .graphs import Graph
 from .spectral import EpsProfile, eps_profile
@@ -20,6 +22,8 @@ VIOLATION_TOL = 1e-6
 #: |slack| at or below this counts as an equality case; it is at most
 #: VIOLATION_TOL, so an equality case is never a violation
 EQUALITY_TOL = 1e-6
+#: largest k evaluated: every integer formula stays within int64 up to it
+K_MAX = 10**9
 
 
 class MissingAuxError(KeyError):
@@ -31,25 +35,21 @@ class MissingAuxError(KeyError):
         self.key = key
 
 
-class GraphSize(NamedTuple):
-    """All a bound's formulas read of the graph itself."""
-
-    n: int
-    m: int
-
-
 @dataclass(frozen=True)
 class BoundSpec:
-    """A bound eps_k(G) <= rhs(size, k, aux) where ``applicable(size, k, aux)``.
+    """A bound eps_k(G) <= rhs(m, k, aux) where ``applicable(m, k, aux)``.
 
-    Both formulas read only ``size`` (n and |E|), k and the aux quantities
-    named in ``needs``.
+    Both are array formulas over R graphs and K values of k that return an
+    array broadcasting to (R, K): ``m`` is an (R, 1) int64 column of edge
+    counts, ``k`` an int64 row, ``aux`` maps each quantity in ``needs`` to an
+    (R, 1) int64 column (``conj_degrees`` to an (R, n) block). Integer
+    formulas stay in int64 up to the one cast to float in ``rhs_table``.
     """
 
     tag: str
     needs: tuple[str, ...]
-    rhs: Callable[[GraphSize, int, dict], float]
-    applicable: Callable[[GraphSize, int, dict], bool]
+    rhs: Callable[[np.ndarray, np.ndarray, dict], np.ndarray]
+    applicable: Callable[[np.ndarray, np.ndarray, dict], np.ndarray]
     conjecture: bool = False
 
 
@@ -64,12 +64,21 @@ class BoundResult:
     slack: float
 
 
-def _binom2(x: int) -> int:
+def _binom2(x):
     return x * (x - 1) // 2
 
 
-def _always(g, k, aux):
+def _always(m, k, aux):
     return True
+
+
+def _bai(m, k, aux):
+    """sum of the min(k, n) first conjugate degrees minus |E|, or |E| for k > n."""
+    conj = aux["conj_degrees"]
+    n = conj.shape[1]
+    sums = np.zeros((len(conj), n + 1), dtype=np.int64)
+    np.cumsum(conj, axis=1, out=sums[:, 1:])
+    return np.where(k <= n, sums[:, np.minimum(k, n)] - m, m)
 
 
 _REGISTRY: dict[str, BoundSpec] = {}
@@ -79,56 +88,38 @@ def _register(tag, needs, rhs, applicable=_always, conjecture=False):
     _REGISTRY[tag] = BoundSpec(tag, tuple(needs), rhs, applicable, conjecture)
 
 
-_register("brouwer", (), lambda g, k, aux: _binom2(k + 1), conjecture=True)
-
-_register(
-    "bai",
-    ("conj_degrees",),
-    lambda g, k, aux: sum(aux["conj_degrees"][: min(k, g.n)]) - g.m
-    if k <= g.n
-    else g.m,
-)
-
+_register("brouwer", (), lambda m, k, aux: _binom2(k + 1), conjecture=True)
+_register("bai", ("conj_degrees",), _bai)
+# k^2 + 15 k log k + 65 k, per k with math.log and left to right: np.log or
+# another order may round differently, and reports keep their exact floats
 _register(
     "weak-brouwer",
     (),
-    lambda g, k, aux: k * k + 15 * k * math.log(k) + 65 * k,
+    lambda m, k, aux: np.array([j * j + 15 * j * math.log(j) + 65 * j for j in k.tolist()]),
 )
-
-_register("matching-thm", ("nu",), lambda g, k, aux: k * aux["nu"] + k // 2)
-
-_register("matching-sq", (), lambda g, k, aux: 2 * k * k - (k + 1) // 2)
-
+_register("matching-thm", ("nu",), lambda m, k, aux: k * aux["nu"] + k // 2)
+_register("matching-sq", (), lambda m, k, aux: 2 * k * k - (k + 1) // 2)
 _register(
     "bipartite-sq",
     ("bipartite",),
-    lambda g, k, aux: 2 * k * k - k,
-    applicable=lambda g, k, aux: bool(aux["bipartite"]),
+    lambda m, k, aux: 2 * k * k - k,
+    applicable=lambda m, k, aux: aux["bipartite"] != 0,
 )
-
-_register("cover", ("tau",), lambda g, k, aux: k * aux["tau"])
-
-_register("star-arb", ("sa",), lambda g, k, aux: k * aux["sa"])
-
-_register(
-    "half-component",
-    ("n_prime",),
-    lambda g, k, aux: (k * aux["n_prime"]) // 2,
-)
-
+_register("cover", ("tau",), lambda m, k, aux: k * aux["tau"])
+_register("star-arb", ("sa",), lambda m, k, aux: k * aux["sa"])
+_register("half-component", ("n_prime",), lambda m, k, aux: k * aux["n_prime"] // 2)
 _register(
     "conj-matching-improved",
     ("nu", "non_isolated"),
-    lambda g, k, aux: k * aux["nu"],
-    applicable=lambda g, k, aux: 1 <= k <= aux["non_isolated"] - 2,
+    lambda m, k, aux: k * aux["nu"],
+    applicable=lambda m, k, aux: (1 <= k) & (k <= aux["non_isolated"] - 2),
     conjecture=True,
 )
-
 _register(
     "conj-cover",
     ("tau",),
-    lambda g, k, aux: k * aux["tau"] - _binom2(aux["tau"]),
-    applicable=lambda g, k, aux: k >= aux["tau"],
+    lambda m, k, aux: k * aux["tau"] - _binom2(aux["tau"]),
+    applicable=lambda m, k, aux: k >= aux["tau"],
     conjecture=True,
 )
 
@@ -151,11 +142,12 @@ def aux_requirements(tags) -> set[str]:
     return out
 
 
-def bound_rhs(spec: BoundSpec, size: GraphSize, k: int, aux: dict) -> float:
-    """The right-hand side at k, or NaN where the bound's side condition fails."""
-    if not spec.applicable(size, k, aux):
-        return math.nan
-    return float(spec.rhs(size, k, aux))
+def rhs_table(spec: BoundSpec, m: np.ndarray, k: np.ndarray, aux: dict) -> np.ndarray:
+    """The (R, K) right-hand sides of one bound, NaN where its side condition
+    fails; arguments as in ``BoundSpec``."""
+    table = np.full((len(m), len(k)), math.nan)
+    np.copyto(table, spec.rhs(m, k, aux), where=spec.applicable(m, k, aux))
+    return table
 
 
 def verdict(slack):
@@ -176,8 +168,8 @@ def evaluate_bound(tag: str, g: Graph, k: int, aux: dict) -> BoundResult:
     the spectrum is computed here. A bound whose side condition fails reports
     applicable=False with holds vacuously True.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not 1 <= k <= K_MAX:
+        raise ValueError(f"k must be in 1..{K_MAX}, got {k}")
     spec = bound_spec(tag)
     for key in spec.needs:
         if key not in aux:
@@ -188,7 +180,9 @@ def evaluate_bound(tag: str, g: Graph, k: int, aux: dict) -> BoundResult:
     elif not isinstance(prof, EpsProfile):
         raise TypeError("aux['eps'] must be an EpsProfile")
     lhs = prof.value(k)
-    rhs = bound_rhs(spec, GraphSize(g.n, g.m), k, aux)
+    cols = {key: np.array(aux[key], dtype=np.int64).reshape(1, -1) for key in spec.needs}
+    m = np.array([[g.m]], dtype=np.int64)
+    rhs = float(rhs_table(spec, m, np.array([k], dtype=np.int64), cols)[0, 0])
     if math.isnan(rhs):
         return BoundResult(tag, k, lhs, math.nan, False, True, math.nan)
     slack = rhs - lhs

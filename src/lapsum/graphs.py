@@ -266,8 +266,19 @@ def remove_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def conjugate_degrees(g: Graph) -> list[int]:
     """Conjugate degree sequence: entry i-1 counts vertices of degree >= i."""
-    degs = g.degrees()
-    return [sum(1 for d in degs if d >= i) for i in range(1, g.n + 1)]
+    return conjugate_rows(np.array(g.degrees(), dtype=np.int64).reshape(1, g.n))[0].tolist()
+
+
+def conjugate_rows(degs: np.ndarray) -> np.ndarray:
+    """Conjugate degree sequences of the rows of an (R, n) degree block."""
+    n = degs.shape[1]
+    return (degs[:, None, :] >= np.arange(1, n + 1)[:, None]).sum(axis=2, dtype=np.int64)
+
+
+def degree_rows(n: int, bits: np.ndarray) -> np.ndarray:
+    """(R, n) vertex degrees of graphs on n vertices from their edge bit rows."""
+    ends = (graph6_pairs(n)[:, :, None] == np.arange(n)).any(axis=1)  # pair-vertex incidence
+    return bits.astype(np.int64) @ ends.astype(np.int64)
 
 
 def disjoint_union(*graphs: Graph) -> Graph:

@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (
-    GraphSize,
-    aux_requirements,
-    bound_rhs,
-    bound_spec,
-    evaluate_bound,
-    verdict,
-)
+from .bounds import K_MAX, aux_requirements, bound_spec, evaluate_bound, rhs_table, verdict
 from .decomposition import STAR_ARB_EDGE_CAP, star_arboricity_exact
 from .graphs import (
     FamilyId,
@@ -32,6 +25,8 @@ from .graphs import (
     bits_graph,
     components_info,
     conjugate_degrees,
+    conjugate_rows,
+    degree_rows,
     encode_graph6,
     graph6_bits,
     graph6_stream,
@@ -41,12 +36,7 @@ from .graphs import (
     mask_bits,
     non_isolated_count,
 )
-from .matching import (
-    SizeCapError,
-    VERTEX_COVER_NU_CAP,
-    matching_number,
-    min_vertex_cover,
-)
+from .matching import SizeCapError, VERTEX_COVER_NU_CAP, _cover_at_nu, matching_number
 from .spectral import (
     STACK_ENTRIES,
     SpectralError,
@@ -68,7 +58,8 @@ class KRange:
     """Which k values a scan evaluates per graph.
 
     modes: ``all`` (1..n), ``list`` (fixed values, k > n allowed when asked
-    for explicitly), ``nminus2`` (1..n-2, the improved-matching regime).
+    for explicitly; a repeated value counts once, at its first place),
+    ``nminus2`` (1..n-2, the improved-matching regime).
     """
 
     mode: str = "all"
@@ -80,8 +71,9 @@ class KRange:
         if self.mode == "list":
             if not self.ks:
                 raise ValueError("list k-range needs at least one value")
-            if any(k < 1 for k in self.ks):
-                raise ValueError("k values must be >= 1")
+            if not all(1 <= k <= K_MAX for k in self.ks):
+                raise ValueError(f"k values must be in 1..{K_MAX}")
+            object.__setattr__(self, "ks", tuple(dict.fromkeys(self.ks)))
 
     def values(self, n: int) -> tuple[int, ...]:
         if self.mode == "all":
@@ -184,6 +176,10 @@ class ScanReport:
 # ---------------------------------------------------------------------------
 # Chunk evaluation
 
+#: aux quantities a scan reads off a stack's degree rows, building no Graph
+DEGREE_AUX = frozenset({"conj_degrees", "non_isolated"})
+
+
 def _compute_aux(g, needs: set[str]) -> tuple[dict, dict[str, str]]:
     """Shared invariant memo for one graph, plus per-quantity skip reasons."""
     aux: dict = {}
@@ -202,7 +198,7 @@ def _compute_aux(g, needs: set[str]) -> tuple[dict, dict[str, str]]:
         if aux["nu"] > VERTEX_COVER_NU_CAP:
             unavailable["tau"] = f"nu={aux['nu']} exceeds exact-cover cap"
         else:
-            aux["tau"] = len(min_vertex_cover(g))
+            aux["tau"] = len(_cover_at_nu(g, aux["nu"]))
     if "sa" in needs:
         if g.m > STAR_ARB_EDGE_CAP:
             unavailable["sa"] = f"|E|={g.m} exceeds exact star-arboricity cap"
@@ -211,19 +207,20 @@ def _compute_aux(g, needs: set[str]) -> tuple[dict, dict[str, str]]:
     return aux, unavailable
 
 
-def _rhs_rows(spec, n: int, sizes: list[int], auxes, rows, ks) -> np.ndarray:
-    """RHS of one bound for the given rows of a group at each k, NaN where
-    the side condition fails."""
-    if spec.needs:
-        table = [
-            [bound_rhs(spec, GraphSize(n, sizes[i]), k, auxes[i]) for k in ks] for i in rows
-        ]
-        return np.array(table).reshape(len(rows), len(ks))
-    # the formulas then read only |E| and k: one call per distinct |E|
-    distinct = sorted({sizes[i] for i in rows})
-    table = [[bound_rhs(spec, GraphSize(n, m), k, {}) for k in ks] for m in distinct]
-    at = {m: p for p, m in enumerate(distinct)}
-    return np.array(table).reshape(len(distinct), len(ks))[[at[sizes[i]] for i in rows]]
+def _stack_aux(n: int, bits: np.ndarray, needs: set[str], auxes) -> dict:
+    """The aux columns of a stack as ``BoundSpec`` formulas read them: degree
+    quantities from the edge bit rows, the others from the per-graph dicts
+    (0 where a graph lacks the quantity)."""
+    cols = {
+        key: np.array([aux.get(key, 0) for aux in auxes], dtype=np.int64)[:, None]
+        for key in needs - DEGREE_AUX
+    }
+    degs = degree_rows(n, bits) if needs & DEGREE_AUX else None
+    if "conj_degrees" in needs:
+        cols["conj_degrees"] = conjugate_rows(degs)
+    if "non_isolated" in needs:
+        cols["non_isolated"] = (degs > 0).sum(axis=1, dtype=np.int64)[:, None]
+    return cols
 
 
 def _witness_record(check: dict, n: int, m: int, spectrum_row, eps_row, aux) -> dict:
@@ -231,11 +228,8 @@ def _witness_record(check: dict, n: int, m: int, spectrum_row, eps_row, aux) -> 
     rec = {"graph6": check["graph6"], "n": n, "m": m}
     rec.update((key, check[key]) for key in ("bound", "k", "lhs", "rhs", "slack"))
     rec["spectrum"] = spectrum_row
-    for key in sorted({"eps", *aux}):
-        if key == "eps":
-            rec["eps_profile"] = eps_row
-        else:
-            rec[key] = aux[key]
+    invariants = {**aux, "eps_profile": eps_row}
+    rec.update((key, invariants[key]) for key in sorted(invariants))
     return rec
 
 
@@ -269,17 +263,18 @@ def _scan_group(n, bits, positions, bounds, krange, partial, found):
     unavailable: list[dict] = [{}] * len(bits)
     live_rows = list(range(len(bits)))  # graphs not size-capped
     skips = []  # (row, bound index, reason)
-    for i in range(len(bits)) if needs else ():
+    graph_needs = needs - DEGREE_AUX  # the quantities that need a Graph
+    for i in range(len(bits)) if graph_needs else ():
         try:
-            auxes[i], unavailable[i] = _compute_aux(bits_graph(n, bits[i]), needs)
+            auxes[i], unavailable[i] = _compute_aux(bits_graph(n, bits[i]), graph_needs)
         except SizeCapError as exc:
             live_rows.remove(i)
             skips.extend((i, b, str(exc)) for b in range(len(bounds)))
+    cols = _stack_aux(n, bits, needs, auxes)
     if ks and live_rows:
         ratio = (lhs[live_rows] / (k_arr * k_arr)).max()
         partial["max_ratio"] = max(partial["max_ratio"], float(ratio))
     # one (bound, graph, k) table for the whole group; NaN = not applicable
-    sizes = ms.tolist()
     rhs = np.full((len(bounds), len(bits), len(ks)), math.nan)
     checked = []
     for b, tag in enumerate(bounds):
@@ -294,7 +289,7 @@ def _scan_group(n, bits, positions, bounds, krange, partial, found):
                 else:
                     rows.append(i)
         if rows:
-            rhs[b, rows] = _rhs_rows(spec, n, sizes, auxes, rows, ks)
+            rhs[b, rows] = rhs_table(spec, ms[:, None], k_arr, cols)[rows]
         checked.append(len(rows))
     partial["checks"] += sum(checked) * len(ks)
     slack = rhs - lhs
@@ -342,8 +337,13 @@ def _scan_group(n, bits, positions, bounds, krange, partial, found):
                 "slack": float(slack[b, i, j]),
             }
             if kind == "violations":
+                aux = dict(auxes[i])  # and the degree quantities, typed as by _compute_aux
+                if "conj_degrees" in cols:
+                    aux["conj_degrees"] = cols["conj_degrees"][i].tolist()
+                if "non_isolated" in cols:
+                    aux["non_isolated"] = int(cols["non_isolated"][i, 0])
                 check = _witness_record(
-                    check, n, int(ms[i]), vals[i].tolist(), eps[i].tolist(), auxes[i]
+                    check, n, int(ms[i]), vals[i].tolist(), eps[i].tolist(), aux
                 )
             found[kind].append(((positions[i], b, j), check))
 
@@ -355,7 +355,7 @@ def _scan_chunk(args):
     Graphs are grouped by n, and each group goes as edge bit rows through
     stacked eigvalsh calls of at most ``stack_size(n)`` graphs; that stack
     also bounds the group's other arrays. A Graph is built only where a bound
-    needs combinatorial invariants. Records come back in source order.
+    needs an invariant outside ``DEGREE_AUX``. Records come back in source order.
     """
     (work, bounds, krange) = args
     partial = {
@@ -510,21 +510,11 @@ def tightness_probe(families, bound: str, ks: KRange | None = None) -> list[Prob
         aux, unavailable = _compute_aux(g, needs)
         aux["eps"] = eps_profile(g)
         if any(q in unavailable for q in needs):
-            raise SizeCapError(
-                f"probe of {label}: {'; '.join(unavailable.values())}"
-            )
+            raise SizeCapError(f"probe of {label}: {'; '.join(unavailable.values())}")
         for k in krange.values(g.n):
             res = evaluate_bound(bound, g, k, aux)
             rows.append(
-                ProbeRow(
-                    label,
-                    encode_graph6(g),
-                    k,
-                    res.lhs,
-                    res.rhs,
-                    res.slack,
-                    res.applicable,
-                )
+                ProbeRow(label, encode_graph6(g), k, res.lhs, res.rhs, res.slack, res.applicable)
             )
     return rows
 

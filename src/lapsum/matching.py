@@ -186,7 +186,11 @@ def min_vertex_cover(g: Graph) -> frozenset[int]:
 
     Requires nu(g) <= 15 (the search tree is bounded by tau <= 2 nu).
     """
-    nu = matching_number(g)
+    return _cover_at_nu(g, matching_number(g))
+
+
+def _cover_at_nu(g: Graph, nu: int) -> frozenset[int]:
+    """``min_vertex_cover`` of a graph whose matching number nu is known."""
     if nu > VERTEX_COVER_NU_CAP:
         raise SizeCapError(
             f"exact vertex cover capped at nu <= {VERTEX_COVER_NU_CAP}, got nu={nu}"

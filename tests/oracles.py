@@ -7,6 +7,7 @@ None of it shares code paths with the package under test.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -307,6 +308,36 @@ def oracle_sa(g: Graph, cap: int = 6) -> int:
 
 # ---------------------------------------------------------------------------
 # Pure-Python Jacobi eigensolver (independent of numpy's LAPACK path)
+
+def oracle_rhs(tag: str, n: int, m: int, k: int, aux: dict) -> float:
+    """Right-hand side of bound ``tag`` at k on a graph with n vertices and m
+    edges, or NaN where the bound's side condition fails, typed from the
+    formulas: eps_k(G) <= rhs, where eps_k = (sum of the k largest Laplacian
+    eigenvalues) - m, and eps_k = m for k > n."""
+    if tag == "brouwer":  # Brouwer: C(k+1, 2)
+        return float(math.comb(k + 1, 2))
+    if tag == "bai":  # Bai: sum_{i <= k} d*_i - m, with d* the conjugate degrees
+        return float(sum(aux["conj_degrees"][:k]) - m) if k <= n else float(m)
+    if tag == "weak-brouwer":  # the paper's theorem: k^2 + 15 k log k + 65 k
+        return k**2 + 15 * k * math.log(k) + 65 * k
+    if tag == "matching-thm":  # the paper's theorem: k nu + floor(k/2)
+        return float(k * aux["nu"] + math.floor(k / 2))
+    if tag == "matching-sq":  # 2k^2 - ceil(k/2)
+        return float(2 * k**2 - math.ceil(k / 2))
+    if tag == "bipartite-sq":  # 2k^2 - k, for bipartite G only
+        return float(2 * k**2 - k) if aux["bipartite"] else math.nan
+    if tag == "cover":  # k tau
+        return float(k * aux["tau"])
+    if tag == "star-arb":  # k sa
+        return float(k * aux["sa"])
+    if tag == "half-component":  # floor(k n' / 2), n' the largest component
+        return float(math.floor(k * aux["n_prime"] / 2))
+    if tag == "conj-matching-improved":  # k nu, for 1 <= k <= n_non-isolated - 2
+        return float(k * aux["nu"]) if 1 <= k <= aux["non_isolated"] - 2 else math.nan
+    if tag == "conj-cover":  # k tau - C(tau, 2), for k >= tau
+        return float(k * aux["tau"] - math.comb(aux["tau"], 2)) if k >= aux["tau"] else math.nan
+    raise KeyError(tag)
+
 
 def jacobi_eigenvalues(matrix, sweeps: int = 60, tol: float = 1e-12):
     """Eigenvalues of a symmetric matrix by the cyclic Jacobi rotation method.

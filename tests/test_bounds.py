@@ -1,28 +1,37 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
+from lapsum import harness
 from lapsum.bounds import (
     BOUND_TAGS,
     CONJECTURE_TAGS,
+    K_MAX,
     THEOREM_TAGS,
     MissingAuxError,
     aux_requirements,
     bound_spec,
     evaluate_bound,
+    rhs_table,
 )
 from lapsum.decomposition import star_arboricity_exact
 from lapsum.graphs import (
+    all_labeled_count,
+    bits_graph,
     components_info,
     conjugate_degrees,
+    graph6_pairs,
     is_bipartite,
     make_family,
+    mask_bits,
     non_isolated_count,
 )
 from lapsum.matching import matching_number, min_vertex_cover
 from lapsum.spectral import eps_profile
 
-from oracles import oracle_eps
+from oracles import oracle_eps, oracle_rhs
 
 
 def full_aux(g):
@@ -124,6 +133,16 @@ class TestApplicability:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             evaluate_bound("brouwer", make_family("complete:3"), 0, {})
+        with pytest.raises(ValueError):
+            evaluate_bound("brouwer", make_family("complete:3"), K_MAX + 1, {})
+
+    def test_largest_k_stays_exact(self):
+        # the int64 formulas must not wrap at the largest k allowed
+        g = make_family("complete-bipartite:3,4")
+        aux = full_aux(g)
+        for tag in BOUND_TAGS:
+            got = evaluate_bound(tag, g, K_MAX, aux).rhs
+            assert got.hex() == oracle_rhs(tag, g.n, g.m, K_MAX, aux).hex(), tag
 
 
 class TestHoldsOnKnownCases:
@@ -157,3 +176,82 @@ class TestHoldsOnKnownCases:
             for tag in THEOREM_TAGS:
                 for k in range(1, g.n + 1):
                     assert evaluate_bound(tag, g, k, aux).holds, (g, tag, k)
+
+
+def _class_masks(n, bits):
+    """Per row, the least edge mask over all relabelings of its graph: equal
+    exactly for isomorphic graphs."""
+    pairs = graph6_pairs(n).tolist()
+    at = {tuple(p): i for i, p in enumerate(pairs)}
+    weights = np.int64(1) << np.arange(len(pairs), dtype=np.int64)
+    rows = bits.astype(np.int64)
+    least = np.full(len(bits), np.iinfo(np.int64).max)
+    for perm in itertools.permutations(range(n)):
+        moved = [at[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+        least = np.minimum(least, rows @ weights[moved])
+    return least.tolist()
+
+
+@pytest.fixture(scope="module")
+def labeled_upto6():
+    """(n, edge bit rows, graphs, full aux) of all labeled graphs per n <= 6.
+
+    Every aux quantity is an isomorphism invariant, so ``full_aux`` runs once
+    per class and each graph gets its class's dict."""
+    out = []
+    for n in range(7):
+        bits = mask_bits(n, 0, all_labeled_count(n))
+        graphs = [bits_graph(n, row) for row in bits]
+        by_class, auxes = {}, []
+        for c, g in zip(_class_masks(n, bits), graphs):
+            if c not in by_class:
+                by_class[c] = full_aux(g)
+            auxes.append(by_class[c])
+        out.append((n, bits, graphs, auxes))
+    return out
+
+
+def _rhs_inputs(m, aux):
+    """Everything a bound's RHS reads of a graph besides n and k."""
+    keys = ("bipartite", "n_prime", "non_isolated", "nu", "tau", "sa")
+    return (m, tuple(aux["conj_degrees"]), *(aux[key] for key in keys))
+
+
+class TestRhsOracle:
+    """Every registered RHS against ``oracle_rhs``, bit for bit, NaN where the
+    side condition fails, on all labeled graphs with n <= 6 and k in 1..n+2."""
+
+    def test_evaluate_bound(self, labeled_upto6):
+        for n, _, graphs, auxes in labeled_upto6:
+            # the RHS reads only (n, m, aux, k): one graph per distinct input
+            seen = set()
+            for g, aux in zip(graphs, auxes):
+                key = _rhs_inputs(g.m, aux)
+                if key in seen:
+                    continue
+                seen.add(key)
+                for tag in BOUND_TAGS:
+                    for k in range(1, n + 3):
+                        got = evaluate_bound(tag, g, k, aux).rhs
+                        assert got.hex() == oracle_rhs(tag, n, g.m, k, aux).hex(), (tag, g, k)
+
+    def test_stack_tables(self, labeled_upto6):
+        needs = aux_requirements(BOUND_TAGS)
+        for n, bits, graphs, auxes in labeled_upto6:
+            ks = np.arange(1, n + 3, dtype=np.int64)
+            ms = bits.sum(axis=1, dtype=np.int64)[:, None]
+            cols = harness._stack_aux(n, bits, needs, auxes)
+            keys = [_rhs_inputs(g.m, aux) for g, aux in zip(graphs, auxes)]
+            inputs = dict(zip(keys, zip(ms[:, 0].tolist(), auxes)))
+            for tag in BOUND_TAGS:
+                got = rhs_table(bound_spec(tag), ms, ks, cols)
+                memo = {
+                    key: [oracle_rhs(tag, n, m, k, aux) for k in ks.tolist()]
+                    for key, (m, aux) in inputs.items()
+                }
+                want = np.array([memo[key] for key in keys], dtype=float).reshape(got.shape)
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan), (tag, n)
+                # bit for bit: the int64 images of the floats agree
+                same = np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+                assert same, (tag, n)

@@ -6,10 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from lapsum import bounds, harness
+from lapsum import bounds, harness, matching
 from lapsum.bounds import (
     BOUND_TAGS,
     EQUALITY_TOL,
+    K_MAX,
     BoundSpec,
     aux_requirements,
     evaluate_bound,
@@ -20,13 +21,18 @@ from lapsum.graphs import (
     Graph6Error,
     GraphError,
     GraphSource,
+    all_labeled_count,
     all_labeled_graph6,
     all_labeled_graphs,
+    bits_graph,
+    conjugate_degrees,
     encode_graph6,
     gnp_graphs,
     graph6_stream,
     graph_from_edges,
     make_family,
+    mask_bits,
+    non_isolated_count,
     parse_graph6,
 )
 from lapsum.harness import (
@@ -39,8 +45,10 @@ from lapsum.harness import (
     scan,
     tightness_probe,
 )
-from lapsum.matching import SizeCapError
+from lapsum.matching import SizeCapError, matching_number
 from lapsum.spectral import STACK_ENTRIES, SpectralError, eps_profile, spectrum, stack_size
+
+from oracles import oracle_tau
 
 
 def single(g):
@@ -140,12 +148,76 @@ class TestKRange:
         with pytest.raises(ValueError):
             KRange("list", (0,))
 
+    def test_list_keeps_first_occurrence(self):
+        assert KRange("list", (3, 1, 3, 1)).values(2) == (3, 1)
+        assert parse_krange("1,1") == KRange("list", (1,))
+        with pytest.raises(ValueError):
+            KRange("list", (K_MAX + 1,))
+
+    @pytest.mark.parametrize("repeated, once", [("1,1", "1"), ("3,1,3", "3,1")])
+    def test_repeated_k_counts_once(self, repeated, once, tmp_path):
+        def report(k, bound):
+            out = tmp_path / "report.json"
+            main(["scan", "--all-labeled", "3", "--bound", bound, "--k", k,
+                  "--format", "json", "--out", str(out)])
+            doc = json.loads(out.read_text())
+            doc.pop("runtime_ms")
+            return doc
+
+        for bound in ("brouwer", "theorem"):
+            assert report(repeated, bound) == report(once, bound)
+
     def test_parse(self):
         assert parse_krange("all") == KRange("all")
         assert parse_krange("nminus2") == KRange("nminus2")
         assert parse_krange("1,3") == KRange("list", (1, 3))
         with pytest.raises(ValueError):
             parse_krange("1,x")
+
+
+class TestStackAux:
+    def test_degree_rows_match_per_graph(self):
+        for n in range(7):
+            bits = mask_bits(n, 0, all_labeled_count(n))
+            graphs = [bits_graph(n, row) for row in bits]
+            cols = harness._stack_aux(n, bits, set(harness.DEGREE_AUX), [{}] * len(bits))
+            conj = cols["conj_degrees"].tolist()
+            assert conj == [conjugate_degrees(g) for g in graphs]
+            # by definition, entry i-1 counts the vertices of degree >= i
+            assert conj == [
+                [sum(d >= i for d in g.degrees()) for i in range(1, n + 1)] for g in graphs
+            ]
+            assert cols["non_isolated"][:, 0].tolist() == [non_isolated_count(g) for g in graphs]
+
+    def test_degree_bounds_build_no_graph(self, monkeypatch):
+        def no_graph(n, bits):
+            raise AssertionError("a Graph was built")
+
+        monkeypatch.setattr(harness, "bits_graph", no_graph)
+        rep = scan(GraphSource("all-labeled", n=5), ["brouwer", "bai"], KRange("all"))
+        assert rep.graphs == 1024 and not rep.skipped
+
+    def test_one_matching_for_nu_and_tau(self, monkeypatch):
+        calls = []
+        real = matching.maximum_matching
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(matching, "maximum_matching", counted)
+        for g in itertools.islice(all_labeled_graphs(5), 0, None, 37):
+            calls.clear()
+            aux, _ = _compute_aux(g, {"nu", "tau"})
+            assert calls == [g] and aux["nu"] == matching_number(g)
+        calls.clear()
+        rep = scan(GraphSource("all-labeled", n=4), ["matching-thm", "cover"], KRange("all"))
+        assert len(calls) == rep.graphs == 64
+
+    def test_tau_matches_oracle(self, exhaustive_n5):
+        for g in exhaustive_n5:
+            aux, unavailable = _compute_aux(g, {"tau"})
+            assert not unavailable and aux["tau"] == oracle_tau(g), g
 
 
 class TestScan:
@@ -222,7 +294,8 @@ class TestScan:
     def test_mask_range_records_name_their_graphs(self, monkeypatch, tmp_path):
         # brouwer violated everywhere (eps_k >= -|E|), both bounds skipped where
         # |E| = 3 (mod 4): every record names its graph by the graph6 of the
-        # mask's edges
+        # mask's edges. The cap goes in through _compute_aux, which runs only
+        # for quantities that need a Graph, such as half-component's n_prime
         spec = bounds.bound_spec("brouwer")
         monkeypatch.setitem(
             bounds._REGISTRY,
@@ -244,15 +317,17 @@ class TestScan:
             for mask in range(2 ** len(pairs))
         ]
         live = [g6 for g6 in names if parse_graph6(g6).m % 4 != 3]
-        rep = scan(GraphSource("all-labeled", n=n), ["bai", "brouwer"], KRange("all"))
+        rep = scan(GraphSource("all-labeled", n=n), ["half-component", "brouwer"], KRange("all"))
         assert [v["graph6"] for v in rep.violations] == [g6 for g6 in live for _ in range(n)]
         assert [(s["graph6"], s["bound"]) for s in rep.skipped] == [
-            (g6, tag) for g6 in names if g6 not in live for tag in ("bai", "brouwer")
+            (g6, tag) for g6 in names if g6 not in live for tag in ("half-component", "brouwer")
         ]
         # equality examples: the same as a scan of those graph6 strings
         path = tmp_path / "al5.g6"
         path.write_text("".join(g6 + "\n" for g6 in names))
-        by_file = scan(GraphSource("graph6-file", path=str(path)), ["bai", "brouwer"], KRange("all"))
+        by_file = scan(
+            GraphSource("graph6-file", path=str(path)), ["half-component", "brouwer"], KRange("all")
+        )
         assert rep.equality_examples and rep.equality_examples == by_file.equality_examples
         assert _report_text(rep) == _report_text(by_file)
 
@@ -335,10 +410,12 @@ class TestScan:
             return real(g, needs)
 
         monkeypatch.setattr(harness, "_compute_aux", capped)
-        rep = scan(GraphSource("all-labeled", n=3), ["bai", "brouwer"], KRange("all"))
+        # half-component's n' needs a Graph, so _compute_aux runs for every graph
+        rep = scan(GraphSource("all-labeled", n=3), ["half-component", "brouwer"], KRange("all"))
         k3 = encode_graph6(make_family("complete:3"))
         assert rep.skipped == [
-            {"graph6": k3, "bound": tag, "reason": "over the cap"} for tag in ("bai", "brouwer")
+            {"graph6": k3, "bound": tag, "reason": "over the cap"}
+            for tag in ("half-component", "brouwer")
         ]
         assert (rep.graphs, rep.checks) == (8, 7 * 3 * 2)
 
