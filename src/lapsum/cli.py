@@ -35,6 +35,7 @@ from .density import (
     partition_density_bracket,
 )
 from .graphs import (
+    Graph,
     Graph6Error,
     GraphError,
     GraphSource,
@@ -76,24 +77,17 @@ def _add_graph_flags(p: argparse.ArgumentParser, sources: bool = False):
         )
 
 
-def _read_file_graph(path: str):
-    with open(path) as fh:
-        text = fh.read()
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
-    parts = first.split()
-    if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
-        return parse_edge_list(text)
-    return parse_graph6(first)
-
-
-def _single_graph(args) -> "Graph":
-    if args.graph6 is not None:
-        return parse_graph6(args.graph6)
-    if args.file is not None:
-        return _read_file_graph(args.file)
-    if args.family is not None:
-        return make_family(args.family)
-    raise GraphError("no graph input given")
+def _file_source(path: str) -> GraphSource:
+    """A ``--file`` input: an edge-list graph if the first line that is neither
+    blank nor a ``#`` comment reads ``n m``, else a graph6 file."""
+    # read as read_graph6_lines does, so a bad byte is reported at its offset
+    with open(path, encoding="ascii", errors="replace") as fh:
+        first = next((ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#")), "")
+        parts = first.split()
+        if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
+            fh.seek(0)
+            return GraphSource("single", graph=parse_edge_list(fh.read()))
+    return GraphSource("graph6-file", path=path)
 
 
 def _source(args) -> GraphSource:
@@ -105,24 +99,38 @@ def _source(args) -> GraphSource:
     if args.graph6 is not None:
         return GraphSource("single", graph=parse_graph6(args.graph6))
     if args.file is not None:
-        return GraphSource("graph6-file", path=args.file)
+        return _file_source(args.file)
     if args.family is not None:
         return GraphSource("single", graph=make_family(args.family))
     raise GraphError("no graph source given")
 
 
+def _single_graph(args) -> Graph:
+    """The graph of a single-graph command: its source's first graph."""
+    src = _source(args)
+    # a family or edge-list graph is taken as is: graph6 caps n at 62
+    g = src.graph if src.graph is not None else next(graph_stream(src), None)
+    if g is None:
+        raise GraphError(f"no graph in {src.describe()}")
+    return g
+
+
+def _write(text: str, out: str | None):
+    """Write text to the ``--out`` file or stdout, ending in one newline."""
+    text = text.rstrip("\n") + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(payload, args):
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
+    if getattr(args, "format", "text") == "json":
         text = json.dumps(payload, indent=2, default=_jsonable)
     else:
         text = _as_text(payload)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(text, getattr(args, "out", None))
 
 
 def _jsonable(obj):
@@ -303,12 +311,7 @@ def _cmd_scan(args) -> int:
     bounds = list(dict.fromkeys(t for b in ids for t in _BOUND_GROUPS.get(b, (b,))))
     ks = harness.parse_krange(args.k)
     report = harness.scan(_source(args), bounds, ks, jobs=args.jobs)
-    text = report.to_json() if args.format == "json" else report.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    _write(report.to_json() if args.format == "json" else report.to_csv(), args.out)
     return EXIT_VIOLATION if report.violation_count else EXIT_OK
 
 
@@ -320,11 +323,7 @@ def _cmd_probe(args) -> int:
         text = json.dumps(payload, indent=2)
     else:
         text = harness.probe_table_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+    _write(text, args.out)
     return EXIT_OK
 
 
@@ -334,10 +333,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="lapsum", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, handler, help_text, sources=False, graph=True):
+    def cmd(name, handler, help_text, sources=False):
         p = sub.add_parser(name, help=help_text)
-        if graph:
-            _add_graph_flags(p, sources=sources)
+        _add_graph_flags(p, sources=sources)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", metavar="PATH")
         p.set_defaults(handler=handler)

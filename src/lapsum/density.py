@@ -25,7 +25,6 @@ from .graphs import (
     GraphError,
     components_info,
     edge_subgraph,
-    induced_subgraph,
     remove_edges,
 )
 
@@ -443,14 +442,9 @@ def peel_to_low_partition_density(g: Graph, k: int) -> tuple[Graph, list[PeelSte
             s = set(part)
             h_edges.extend((u, v) for u, v in cur.edges if u in s and v in s)
         h = edge_subgraph(cur, h_edges)
-        _, h_nprime = components_info(_strip_isolated(h))
+        # H has an edge, so its isolated vertices cannot be its largest component
+        h_nprime = components_info(h)[1]
         if len(h_edges) < k * h_nprime:
             raise AlgorithmError(f"peel step of {len(h_edges)} edges is below {k} * n'")
         log.append(PeelStep(tuple(sorted(h_edges)), h_nprime, wit.value))
         cur = remove_edges(cur, h_edges)
-
-
-def _strip_isolated(g: Graph) -> Graph:
-    keep = [v for v in range(g.n) if g.degree(v) > 0]
-    sub, _ = induced_subgraph(g, keep) if keep else (Graph(0, ()), [])
-    return sub

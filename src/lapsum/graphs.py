@@ -506,15 +506,12 @@ def read_graph6_lines(path: str, strict: bool = True) -> Iterator[str]:
             yield line
 
 
-def read_graph6_file(path: str, strict: bool = True) -> Iterator[Graph]:
-    """Graphs from a file with one graph6 string per line (see ``read_graph6_lines``)."""
-    for line in read_graph6_lines(path, strict):
-        yield parse_graph6(line)
-
-
 def parse_edge_list(text: str) -> Graph:
-    """Edge-list text format: first line ``n m``, then m lines ``u v`` (0-based)."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    """Edge-list text format: first line ``n m``, then m lines ``u v`` (0-based).
+
+    Blank lines and ``#`` comments are skipped, as in graph6 files.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise GraphError("empty edge-list input")
     head = lines[0].split()
@@ -563,22 +560,14 @@ class GraphSource:
 
 
 def graph_stream(src: GraphSource, strict: bool = True) -> Iterator[Graph]:
-    """Deterministic iterator of graphs for the given source."""
-    if src.kind == "all-labeled":
-        return all_labeled_graphs(src.n)
-    if src.kind == "graph6-file":
-        return read_graph6_file(src.path, strict=strict)
-    if src.kind == "gnp":
-        return gnp_graphs(src.n, src.p, src.count, src.seed)
-    if src.kind == "single":
-        if src.graph is None:
-            raise GraphError("single source without a graph")
-        return iter([src.graph])
-    raise GraphError(f"unknown source kind {src.kind!r}")
+    """Deterministic iterator of graphs for the given source: the strings of
+    ``graph6_stream(src, strict)``, decoded."""
+    return map(parse_graph6, graph6_stream(src, strict=strict))
 
 
 def graph6_stream(src: GraphSource, strict: bool = True) -> Iterator[str]:
-    """The graphs of ``graph_stream(src)`` as graph6 strings.
+    """The graphs of a source as graph6 strings, in source order; the one
+    dispatch over source kinds.
 
     All-labeled and graph6-file sources build no ``Graph`` on the way.
     """
@@ -586,4 +575,10 @@ def graph6_stream(src: GraphSource, strict: bool = True) -> Iterator[str]:
         return all_labeled_graph6(src.n)
     if src.kind == "graph6-file":
         return read_graph6_lines(src.path, strict=strict)
-    return map(encode_graph6, graph_stream(src, strict=strict))
+    if src.kind == "gnp":
+        return map(encode_graph6, gnp_graphs(src.n, src.p, src.count, src.seed))
+    if src.kind == "single":
+        if src.graph is None:
+            raise GraphError("single source without a graph")
+        return iter([encode_graph6(src.graph)])
+    raise GraphError(f"unknown source kind {src.kind!r}")

@@ -103,6 +103,14 @@ class BoundKAggregate:
     equalities: int = 0
     min_slack: float = math.inf
 
+    def add(self, other: BoundKAggregate):
+        """Fold in the counts of more checks (a NaN ``min_slack`` is skipped)."""
+        self.checked += other.checked
+        self.violations += other.violations
+        self.equalities += other.equalities
+        if other.min_slack < self.min_slack:
+            self.min_slack = other.min_slack
+
     def to_row(self, tag: str, k: int) -> dict:
         return {
             "bound": tag,
@@ -245,13 +253,15 @@ def _group_spectra(n: int, bits: np.ndarray):
     return ms, vals, np.cumsum(vals, axis=1) - ms[:, None]
 
 
-def _scan_group(n, bits, positions, bounds, krange, partial, found):
-    """Evaluate the bounds on graphs with one n, given by their edge bit rows;
-    records go to ``found`` keyed by (source position, bound index, k index).
+def _scan_group(n, bits, positions, bounds, krange, report, found, kept):
+    """Evaluate the bounds on graphs with one n, given by their edge bit rows,
+    into the partial ``report``; records go to ``found`` keyed by (source
+    position, bound index, k index).
 
     Equality examples beyond the first EQUALITY_EXAMPLE_CAP per (n, bound, k)
-    of the work unit are counted but not recorded. graph6 strings are encoded
-    only for the rows of records.
+    of the work unit are counted but not recorded; ``kept`` maps n to the
+    examples recorded so far per (bound, k). graph6 strings are encoded only
+    for the rows of records.
     """
     ms, vals, eps = _group_spectra(n, bits)
     ks = krange.values(n)
@@ -273,7 +283,7 @@ def _scan_group(n, bits, positions, bounds, krange, partial, found):
     cols = _stack_aux(n, bits, needs, auxes)
     if ks and live_rows:
         ratio = (lhs[live_rows] / (k_arr * k_arr)).max()
-        partial["max_ratio"] = max(partial["max_ratio"], float(ratio))
+        report.max_eps_over_k2 = max(report.max_eps_over_k2, float(ratio))
     # one (bound, graph, k) table for the whole group; NaN = not applicable
     rhs = np.full((len(bounds), len(bits), len(ks)), math.nan)
     checked = []
@@ -291,7 +301,7 @@ def _scan_group(n, bits, positions, bounds, krange, partial, found):
         if rows:
             rhs[b, rows] = rhs_table(spec, ms[:, None], k_arr, cols)[rows]
         checked.append(len(rows))
-    partial["checks"] += sum(checked) * len(ks)
+    report.checks += sum(checked) * len(ks)
     slack = rhs - lhs
     violated, equal = verdict(slack)
     nviol = violated.sum(axis=1).tolist()
@@ -301,16 +311,12 @@ def _scan_group(n, bits, positions, bounds, krange, partial, found):
         if not checked[b]:
             continue
         for j, k in enumerate(ks):
-            agg = partial["agg"].setdefault((tag, k), [0, 0, 0, math.inf])
-            agg[0] += checked[b]
-            agg[1] += nviol[b][j]
-            agg[2] += neq[b][j]
-            if least[b][j] < agg[3]:
-                agg[3] = least[b][j]
-    # equality examples of this n kept so far, per (bound, k)
-    kept = partial["kept"].setdefault(n, np.zeros((len(bounds), len(ks)), dtype=np.int64))
-    equal &= np.cumsum(equal, axis=1) + kept[:, None, :] <= EQUALITY_EXAMPLE_CAP
-    kept += equal.sum(axis=1)
+            report.aggregates.setdefault((tag, k), BoundKAggregate()).add(
+                BoundKAggregate(checked[b], nviol[b][j], neq[b][j], least[b][j])
+            )
+    kept_n = kept.setdefault(n, np.zeros((len(bounds), len(ks)), dtype=np.int64))
+    equal &= np.cumsum(equal, axis=1) + kept_n[:, None, :] <= EQUALITY_EXAMPLE_CAP
+    kept_n += equal.sum(axis=1)
     hits = {
         "violations": np.flatnonzero(violated).tolist(),
         "equalities": np.flatnonzero(equal).tolist(),
@@ -355,25 +361,21 @@ def _scan_chunk(args):
     Graphs are grouped by n, and each group goes as edge bit rows through
     stacked eigvalsh calls of at most ``stack_size(n)`` graphs; that stack
     also bounds the group's other arrays. A Graph is built only where a bound
-    needs an invariant outside ``DEGREE_AUX``. Records come back in source order.
+    needs an invariant outside ``DEGREE_AUX``. Returns a partial report (no
+    source, no runtime) whose records are in source order.
     """
     (work, bounds, krange) = args
-    partial = {
-        "graphs": 0,
-        "checks": 0,
-        "agg": {},  # (tag, k) -> [checked, violations, equalities, min_slack]
-        "max_ratio": -math.inf,
-        "kept": {},  # n -> equality examples recorded per (bound, k)
-    }
+    report = ScanReport("", bounds, krange)
     found: dict[str, list] = {"violations": [], "equalities": [], "skipped": []}
+    kept: dict[int, np.ndarray] = {}
     if isinstance(work, tuple):
         n, lo, hi = work
         step = stack_size(n)
         for start in range(lo, hi, step):
             end = min(start + step, hi)
             bits = mask_bits(n, start, end)
-            _scan_group(n, bits, range(start, end), bounds, krange, partial, found)
-        partial["graphs"] = hi - lo
+            _scan_group(n, bits, range(start, end), bounds, krange, report, found, kept)
+        report.graphs = hi - lo
     else:
         groups: dict[int, list[int]] = {}
         for pos, g6 in enumerate(work):
@@ -383,15 +385,14 @@ def _scan_chunk(args):
             for start in range(0, len(positions), step):
                 part = positions[start : start + step]
                 bits = graph6_bits([work[p] for p in part])
-                _scan_group(n, bits, part, bounds, krange, partial, found)
-        partial["graphs"] = len(work)
-    partial.pop("kept")
-    for kind, records in found.items():
+                _scan_group(n, bits, part, bounds, krange, report, found, kept)
+        report.graphs = len(work)
+    for records in found.values():
         records.sort(key=lambda item: item[0])
-        partial[kind] = [rec for _, rec in records]
-    # the merge keeps only the first examples per (bound, k) in source order
-    partial["equalities"] = _first_examples(partial["equalities"], {})
-    return partial
+    report.violations = [rec for _, rec in found["violations"]]
+    report.equality_examples = [rec for _, rec in found["equalities"]]
+    report.skipped = [rec for _, rec in found["skipped"]]
+    return report
 
 
 def _first_examples(equalities, counts: dict) -> list[dict]:
@@ -463,20 +464,14 @@ def scan(
         partials = [_scan_chunk(t) for t in tasks]
     eq_counts: dict[tuple[str, int], int] = {}
     for p in partials:
-        report.graphs += p["graphs"]
-        report.checks += p["checks"]
-        for key, (checked, nviol, neq, mslack) in p["agg"].items():
-            agg = report.aggregates.setdefault(key, BoundKAggregate())
-            agg.checked += checked
-            agg.violations += nviol
-            agg.equalities += neq
-            if mslack < agg.min_slack:
-                agg.min_slack = mslack
-        report.violations.extend(p["violations"])
-        report.equality_examples.extend(_first_examples(p["equalities"], eq_counts))
-        report.skipped.extend(p["skipped"])
-        if p["max_ratio"] > report.max_eps_over_k2:
-            report.max_eps_over_k2 = p["max_ratio"]
+        report.graphs += p.graphs
+        report.checks += p.checks
+        for key, agg in p.aggregates.items():
+            report.aggregates.setdefault(key, BoundKAggregate()).add(agg)
+        report.violations.extend(p.violations)
+        report.equality_examples.extend(_first_examples(p.equality_examples, eq_counts))
+        report.skipped.extend(p.skipped)
+        report.max_eps_over_k2 = max(report.max_eps_over_k2, p.max_eps_over_k2)
     report.runtime_ms = int((time.monotonic() - start) * 1000)
     return report
 

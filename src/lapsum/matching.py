@@ -28,9 +28,6 @@ class MatchingResult:
     def nu(self) -> int:
         return len(self.pairs)
 
-    def matched_vertices(self) -> frozenset[int]:
-        return frozenset(v for e in self.pairs for v in e)
-
 
 @dataclass(frozen=True)
 class GallaiEdmonds:

@@ -4,6 +4,10 @@ import pytest
 
 from lapsum.bounds import THEOREM_TAGS
 from lapsum.cli import main
+from lapsum.graphs import encode_graph6, parse_edge_list
+
+#: an edge-list file: a 5-cycle with a chord, and one isolated vertex
+EDGE_LIST = "6 6\n0 1\n1 2\n2 3\n3 4\n0 4\n1 3\n"
 
 
 def run(capsys, *argv):
@@ -81,6 +85,37 @@ class TestSingleGraphCommands:
         code, out, _ = run(capsys, "stararbor", "--file", str(p6))
         assert code == 0 and out.strip() == "2"
 
+    def test_family_beyond_graph6_size(self, capsys):
+        # graph6 short form stops at n = 62; a family graph never passes through it
+        code, out, _ = run(capsys, "match", "--family", "star:70", "--format", "json")
+        assert code == 0 and json.loads(out)["nu"] == 1
+
+    def test_graph6_file_led_by_comment(self, tmp_path, capsys):
+        p6 = tmp_path / "g.g6"
+        p6.write_text("# a triangle\n\nBw\n")
+        code, out, _ = run(capsys, "stararbor", "--file", str(p6))
+        assert code == 0 and out == "2\n"
+
+    def test_edge_list_led_by_comment(self, tmp_path, capsys):
+        p = tmp_path / "g.txt"
+        p.write_text("# a path\n\n3 2\n0 1\n1 2\n")
+        code, out, _ = run(capsys, "match", "--file", str(p), "--format", "json")
+        assert code == 0 and json.loads(out)["nu"] == 1
+
+    def test_empty_file(self, tmp_path, capsys):
+        p = tmp_path / "empty.g6"
+        p.write_text("# nothing\n")
+        code, _, err = run(capsys, "density", "--file", str(p))
+        assert code == 2 and err == f"error: no graph in graph6-file:{p}\n"
+
+    def test_spectrum_edge_list_file(self, tmp_path, capsys):
+        p = tmp_path / "g.txt"
+        p.write_text(EDGE_LIST)
+        code, by_file, _ = run(capsys, "spectrum", "--file", str(p))
+        assert code == 0
+        g6 = encode_graph6(parse_edge_list(EDGE_LIST))
+        assert (code, by_file) == run(capsys, "spectrum", "--graph6", g6)[:2]
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -132,6 +167,27 @@ class TestScanCommand:
         assert code == 0
         text = out_path.read_text()
         assert text.startswith("bound,k,")
+
+    def test_scan_edge_list_file(self, tmp_path, capsys):
+        p = tmp_path / "g.txt"
+        p.write_text(EDGE_LIST)
+        g6 = encode_graph6(parse_edge_list(EDGE_LIST))
+        docs = []
+        for flag, value in (("--file", str(p)), ("--graph6", g6)):
+            code, out, _ = run(capsys, "scan", flag, value, "--bound", "all", "--format", "json")
+            doc = json.loads(out)
+            assert code == 0 and doc.pop("source") == f"single:{g6}"
+            doc.pop("runtime_ms")
+            docs.append(doc)
+        assert docs[0] == docs[1] and docs[0]["totals"]["graphs"] == 1
+
+    def test_scan_csv_stdout_ends_in_one_newline(self, tmp_path, capsys):
+        out_path = tmp_path / "report.csv"
+        argv = ("scan", "--all-labeled", "3", "--bound", "bai", "--format", "csv")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.endswith(",0.0\n")
+        assert run(capsys, *argv, "--out", str(out_path))[:2] == (0, "")
+        assert out_path.read_text() == out
 
     def test_scan_k_list(self, capsys):
         code, out, _ = run(

@@ -339,7 +339,7 @@ class TestScan:
         by_mask = harness._scan_chunk(((5, 3, 700), tags, krange))
         g6s = list(itertools.islice(all_labeled_graph6(5), 3, 700))
         assert by_mask == harness._scan_chunk((g6s, tags, krange))
-        assert by_mask["graphs"] == 697 and by_mask["equalities"]
+        assert by_mask.graphs == 697 and by_mask.equality_examples
 
     @pytest.mark.parametrize(
         "krange", [KRange("all"), KRange("nminus2"), KRange("list", (1, 3, 9, 41))]
