@@ -32,6 +32,7 @@ from .graphs import (
     graph_from_edges,
     induced_subgraph,
     is_forest,
+    non_isolated_count,
 )
 from .matching import greedy_cover_2approx, hall_violator
 
@@ -239,15 +240,24 @@ def forest_to_two_star_forests(n: int, forest_edges) -> tuple[tuple[tuple[int, i
 
 
 def star_arboricity_exact(g: Graph) -> tuple[int, StarForestDecomposition]:
-    """Exact star arboricity by iterative deepening from the arboricity."""
+    """Exact star arboricity by iterative deepening from t0 = ceil(m/(n+ - 1)),
+    where n+ is the number of non-isolated vertices (n+ >= 2 once m >= 1).
+
+    The start never passes sa(G). A forest has at most |U| - 1 edges inside
+    any vertex set U, and all m edges lie inside the n+ non-isolated
+    vertices, so a partition of E into t forests needs m <= t(n+ - 1), that
+    is t >= t0. Hence t0 <= a(G) (Nash-Williams 1964), and a(G) <= sa(G)
+    because a star forest is a forest. Every t < sa(G) fails, so the first
+    t that succeeds is sa(G). For every t >= t0, m <= t(n - 1) holds, so
+    ``_star_assign`` needs no edge-count test.
+    """
     if g.m > STAR_ARB_EDGE_CAP:
         raise SizeCapError(
             f"exact star arboricity capped at |E| <= {STAR_ARB_EDGE_CAP}, got {g.m}"
         )
     if g.m == 0:
         return 0, StarForestDecomposition(g.n, ())
-    a, _ = arboricity_value(g)
-    t = max(a, 1)
+    t = -(-g.m // (non_isolated_count(g) - 1))
     while True:
         classes = _star_assign(g, t)
         if classes is not None:
@@ -260,8 +270,6 @@ def star_arboricity_exact(g: Graph) -> tuple[int, StarForestDecomposition]:
 def _star_assign(g: Graph, t: int):
     """Backtracking edge assignment into t star-forest classes, or None."""
     n, m = g.n, g.m
-    if m > t * max(n - 1, 0):
-        return None
     degs = g.degrees()
     edges = sorted(g.edges, key=lambda e: -(degs[e[0]] + degs[e[1]]))
     deg = [[0] * n for _ in range(t)]

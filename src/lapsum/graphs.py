@@ -98,6 +98,7 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
 # graph6 codec (short form, n <= 62)
 
 _G6_MIN, _G6_MAX = 63, 126
+_G6_BYTES = bytes(range(_G6_MIN, _G6_MAX + 1))
 #: place values of the six bits in one graph6 data byte
 _G6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
@@ -116,9 +117,10 @@ def check_graph6(text: str) -> str:
         raise Graph6Error(
             f"character {text[exc.start]!r} outside graph6 range 63..126", exc.start
         ) from None
-    for i, b in enumerate(data):
-        if not (_G6_MIN <= b <= _G6_MAX):
-            raise Graph6Error(f"character {chr(b)!r} outside graph6 range 63..126", i)
+    if data.translate(None, _G6_BYTES):  # some byte is out of range: find the first
+        for i, b in enumerate(data):
+            if not (_G6_MIN <= b <= _G6_MAX):
+                raise Graph6Error(f"character {chr(b)!r} outside graph6 range 63..126", i)
     if data[0] == 126:
         raise Graph6Error("extended-length graph6 forms are not supported", 0)
     n = data[0] - 63

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -22,7 +21,6 @@ from lapsum.graphs import (
     bits_graph,
     components_info,
     conjugate_degrees,
-    graph6_pairs,
     is_bipartite,
     make_family,
     mask_bits,
@@ -31,6 +29,7 @@ from lapsum.graphs import (
 from lapsum.matching import matching_number, min_vertex_cover
 from lapsum.spectral import eps_profile
 
+from conftest import class_masks
 from oracles import oracle_eps, oracle_rhs
 
 
@@ -178,20 +177,6 @@ class TestHoldsOnKnownCases:
                     assert evaluate_bound(tag, g, k, aux).holds, (g, tag, k)
 
 
-def _class_masks(n, bits):
-    """Per row, the least edge mask over all relabelings of its graph: equal
-    exactly for isomorphic graphs."""
-    pairs = graph6_pairs(n).tolist()
-    at = {tuple(p): i for i, p in enumerate(pairs)}
-    weights = np.int64(1) << np.arange(len(pairs), dtype=np.int64)
-    rows = bits.astype(np.int64)
-    least = np.full(len(bits), np.iinfo(np.int64).max)
-    for perm in itertools.permutations(range(n)):
-        moved = [at[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
-        least = np.minimum(least, rows @ weights[moved])
-    return least.tolist()
-
-
 @pytest.fixture(scope="module")
 def labeled_upto6():
     """(n, edge bit rows, graphs, full aux) of all labeled graphs per n <= 6.
@@ -203,7 +188,7 @@ def labeled_upto6():
         bits = mask_bits(n, 0, all_labeled_count(n))
         graphs = [bits_graph(n, row) for row in bits]
         by_class, auxes = {}, []
-        for c, g in zip(_class_masks(n, bits), graphs):
+        for c, g in zip(class_masks(n, bits), graphs):
             if c not in by_class:
                 by_class[c] = full_aux(g)
             auxes.append(by_class[c])

@@ -6,9 +6,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from lapsum import decomposition
 from lapsum.decomposition import (
+    STAR_ARB_EDGE_CAP,
     AssignmentExhausted,
     KCAssignment,
+    _star_assign,
     _without_transversal,
     arboricity_value,
     build_assignment_aux,
@@ -22,10 +25,18 @@ from lapsum.decomposition import (
     structure_decomposition,
 )
 from lapsum.density import Orientation, SizeCapError, partition_density, random_k_orientation
-from lapsum.graphs import Graph, GraphError, graph_from_edges, make_family
+from lapsum.graphs import (
+    Graph,
+    GraphError,
+    all_labeled_count,
+    bits_graph,
+    graph_from_edges,
+    make_family,
+    mask_bits,
+)
 from lapsum.matching import min_vertex_cover
 
-from conftest import sampled_graphs, small_graphs
+from conftest import class_masks, sampled_graphs, small_graphs
 from oracles import oracle_arboricity, oracle_sa
 
 
@@ -95,7 +106,85 @@ class TestStarForests:
                 assert sorted(e for c in out for e in c) == sorted(cls)
 
 
+def _sa_from_arboricity(g):
+    """Reference: the iterative deepening of star_arboricity_exact started
+    at a(G), as (sa, classes)."""
+    if g.m == 0:
+        return 0, ()
+    t = arboricity_value(g)[0]
+    while (classes := _star_assign(g, t)) is None:
+        t += 1
+    return len(classes), classes
+
+
+def _one_per_class(n):
+    bits = mask_bits(n, 0, all_labeled_count(n))
+    reps = {}
+    for c, row in zip(class_masks(n, bits), bits):
+        reps.setdefault(c, row)
+    return [bits_graph(n, row) for row in reps.values()]
+
+
+def _dense_core_graphs(seed, count, cores=(5, 6)):
+    """Seeded relabeled K_q (q in cores) with pendant paths hung on random
+    vertices and isolated vertices added, within STAR_ARB_EDGE_CAP."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = rng.choice(cores)
+        edges = list(itertools.combinations(range(q), 2))
+        n = q
+        for _ in range(rng.randint(0, 3)):
+            v = rng.randrange(n)
+            for _ in range(rng.randint(1, 4)):
+                if len(edges) < STAR_ARB_EDGE_CAP:
+                    edges.append((v, n))
+                    v, n = n, n + 1
+        n += rng.randint(0, 3)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
 class TestStarArboricity:
+    def test_search_starts_at_or_below_arboricity(self, monkeypatch):
+        """The first t tried is at most a(G) <= sa(G) on every labeled graph
+        with an edge and 2 <= n <= 6, and on samples up to n = 10. a(G) is
+        an isomorphism invariant, so it is computed once per class."""
+
+        class Started(Exception):
+            pass
+
+        def first_try(g, t):
+            raise Started(t)
+
+        def first_t(g):
+            try:
+                star_arboricity_exact(g)
+            except Started as start:
+                return start.args[0]
+
+        cases = []
+        for n in range(2, 7):
+            bits = mask_bits(n, 1, all_labeled_count(n))
+            arb = {}
+            for c, row in zip(class_masks(n, bits), bits):
+                g = bits_graph(n, row)
+                if c not in arb:
+                    arb[c] = arboricity_value(g)[0]
+                cases.append((g, arb[c]))
+        samples = [g for g in sampled_graphs(200, 10, seed=26) if 0 < g.m <= STAR_ARB_EDGE_CAP]
+        cases += [(g, arboricity_value(g)[0]) for g in samples]
+        monkeypatch.setattr(decomposition, "_star_assign", first_try)
+        for g, a in cases:
+            assert 1 <= first_t(g) <= a, g
+
+    def test_same_as_search_from_arboricity(self, exhaustive_n5):
+        graphs = exhaustive_n5 + _one_per_class(6) + list(_dense_core_graphs(27, 24))
+        graphs += _dense_core_graphs(28, 1, cores=(7,))
+        for g in graphs:
+            sa, sfd = star_arboricity_exact(g)
+            assert (sa, sfd.classes) == _sa_from_arboricity(g), g
+
     def test_known_values(self):
         assert star_arboricity_exact(make_family("path:4"))[0] == 2
         assert star_arboricity_exact(make_family("complete:4"))[0] == 3

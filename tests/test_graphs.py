@@ -14,6 +14,7 @@ from lapsum.graphs import (
     all_labeled_graph6,
     all_labeled_graphs,
     bipartition,
+    check_graph6,
     components_info,
     conjugate_degrees,
     disjoint_union,
@@ -95,6 +96,20 @@ class TestGraph6:
         with pytest.raises(Graph6Error) as exc:
             parse_graph6("Bx")  # C(3,2) = 3 bits, then nonzero padding
         assert exc.value.offset == 1
+
+    @pytest.mark.parametrize(
+        "bad, at, shown",
+        [(" ", 100, "' '"), ("\x7f", 57, "'\\x7f'"), ("é", 90, "'é'"), (">", 1, "'>'")],
+    )
+    def test_first_bad_byte_deep_in_a_long_line(self, bad, at, shown):
+        line = encode_graph6(next(gnp_graphs(40, 0.5, 1, seed=5)))
+        text = line[:at] + bad + line[at + 1 : 120] + "\x01" + line[121:]
+        with pytest.raises(Graph6Error) as exc:
+            check_graph6(text)
+        assert exc.value.offset == at
+        assert str(exc.value) == (
+            f"character {shown} outside graph6 range 63..126 (byte offset {at})"
+        )
 
     def test_bits_decode_a_group_at_once(self):
         graphs = list(gnp_graphs(9, 0.5, 20, seed=2)) + [make_family("empty:9")]

@@ -1,0 +1,124 @@
+"""Compare `lapsum scan` reports of this checkout with another checkout's.
+
+    python3 tools/same_outputs.py PARENT_CHECKOUT
+
+Runs one fixed list of scan cases through ``lapsum.cli.main`` in this tree
+and in PARENT_CHECKOUT, each tree in its own interpreter that imports lapsum
+from the tree's ``src/``. Every case runs at ``--jobs`` 1, 2 and 3, once with
+``--format json`` and once with ``--format csv``. The compared text is the
+exit code plus the report: JSON without ``runtime_ms`` (the one field that is
+not deterministic), and CSV as written. Prints one line per case and exits 1
+on any difference. The input files are written once, to a temporary
+directory, by this tree's lapsum; the mixed-n file is the one
+``tests/test_harness.py`` scans.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+
+#: (name, scan arguments); {g40} and {mixed} name the generated input files
+CASES = [
+    *((f"all-labeled:{n} all", ["--all-labeled", str(n), "--bound", "all"]) for n in range(6)),
+    ("all-labeled:6 theorem", ["--all-labeled", "6", "--bound", "theorem"]),
+    ("all-labeled:6 brouwer", ["--all-labeled", "6", "--bound", "brouwer"]),
+    ("gnp40 file brouwer", ["--file", "{g40}", "--bound", "brouwer"]),
+    ("mixed-n file all", ["--file", "{mixed}", "--bound", "all"]),
+    ("gnp 12 0.5 200 3 nminus2", ["--gnp", "12", "0.5", "200", "3", "--bound", "all",
+                                  "--k", "nminus2"]),
+    ("graph6 E?zw theorem", ["--graph6", "E?zw", "--bound", "theorem"]),
+]
+JOBS = (1, 2, 3)
+FORMATS = ("json", "csv")
+
+#: run in a fresh interpreter per tree: argv = src dir, case file, result file
+RUNNER = r"""
+import contextlib, io, json, sys
+src, cases, out = sys.argv[1:]
+sys.path.insert(0, src)
+import lapsum
+from lapsum.cli import main
+if not lapsum.__file__.startswith(src):
+    sys.exit(f"imported lapsum from {lapsum.__file__}, not from {src}")
+results = []
+for argv in json.load(open(cases)):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    results.append([code, buf.getvalue()])
+with open(out, "w") as fh:
+    json.dump(results, fh)
+"""
+
+
+def write_inputs(tmp: Path) -> dict[str, str]:
+    sys.path[:0] = [str(HERE / "src"), str(HERE / "tests")]
+    from lapsum.graphs import encode_graph6, gnp_graphs
+    from test_harness import _mixed_graphs
+
+    g40 = tmp / "gnp40.g6"
+    lines = [
+        encode_graph6(g)
+        for seed, p in enumerate((0.1, 0.5, 0.9))
+        for g in gnp_graphs(40, p, 100, seed=seed)
+    ]
+    g40.write_text("\n".join(lines) + "\n")
+    mixed = tmp / "mixed.g6"
+    mixed.write_text("".join(encode_graph6(g) + "\n" for g in _mixed_graphs()))
+    return {"g40": str(g40), "mixed": str(mixed)}
+
+
+def deterministic(fmt: str, result) -> str:
+    code, text = result
+    if fmt == "json" and text:
+        doc = json.loads(text)
+        doc.pop("runtime_ms")
+        text = json.dumps(doc, indent=2)
+    return f"exit {code}\n{text}"
+
+
+def run_tree(root: Path, runs, tmp: Path, label: str) -> list:
+    cases, out = tmp / f"{label}-cases.json", tmp / f"{label}-out.json"
+    cases.write_text(json.dumps([argv for _, argv in runs]))
+    src = str((root / "src").resolve())
+    subprocess.run([sys.executable, "-c", RUNNER, src, str(cases), str(out)], check=True)
+    return json.loads(out.read_text())
+
+
+def main() -> int:
+    args = sys.argv[1:]
+    if len(args) != 1 or not (Path(args[0]) / "src" / "lapsum").is_dir():
+        print("usage: python3 tools/same_outputs.py PARENT_CHECKOUT", file=sys.stderr)
+        return 2
+    parent = Path(args[0])
+    with tempfile.TemporaryDirectory() as tmp_name:
+        tmp = Path(tmp_name)
+        files = write_inputs(tmp)
+        runs = [
+            (f"{name} --jobs {jobs} --format {fmt}",
+             ["scan", *(a.format(**files) for a in scan_args),
+              "--jobs", str(jobs), "--format", fmt])
+            for name, scan_args in CASES
+            for jobs in JOBS
+            for fmt in FORMATS
+        ]
+        ours = run_tree(HERE, runs, tmp, "this")
+        theirs = run_tree(parent, runs, tmp, "parent")
+    differ = 0
+    for (name, argv), a, b in zip(runs, ours, theirs):
+        fmt = argv[-1]
+        same = deterministic(fmt, a) == deterministic(fmt, b)
+        differ += not same
+        print(f"{'same' if same else 'DIFFERENT'}  {name}")
+    print(f"{len(runs) - differ} of {len(runs)} cases the same")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
