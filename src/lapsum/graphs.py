@@ -187,24 +187,19 @@ def graph6_strings(n: int, bits: np.ndarray) -> list[str]:
     return [text[i : i + width] for i in range(0, len(text), width)]
 
 
+def graph_bits(g: Graph) -> np.ndarray:
+    """The edge bits of g as one row in graph6 order (the inverse of ``bits_graph``)."""
+    bits = np.zeros(g.n * (g.n - 1) // 2, dtype=np.uint8)
+    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    bits[v * (v - 1) // 2 + u] = 1
+    return bits
+
+
 def encode_graph6(g: Graph) -> str:
     """Encode a graph in canonical graph6 short form (requires n <= 62)."""
     if g.n > 62:
         raise GraphError(f"graph6 short form supports n <= 62, got n={g.n}")
-    bits = []
-    es = g.edge_set
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if (u, v) in es else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    return graph6_strings(g.n, graph_bits(g)[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 A scan is a parallel map over graphs with a deterministic ordered merge:
 reports are byte-identical across worker counts (the ``runtime_ms`` field is
-the only nondeterministic entry). Expensive invariants are computed once per
-graph and shared across all requested bounds; size-cap failures become
-"skipped" records instead of aborting the run.
+the only nondeterministic entry). Scans and probes read one route: each stack
+of graphs on one n becomes a (bound, graph, k) table of stacked spectra, aux
+columns shared by all requested bounds, and right-hand sides; a probe's stack
+is one family graph. Size-cap failures become "skipped" records instead of
+aborting the run.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import K_MAX, aux_requirements, bound_spec, evaluate_bound, rhs_table, verdict
+from .bounds import K_MAX, aux_requirements, bound_spec, rhs_table, verdict
 from .decomposition import STAR_ARB_EDGE_CAP, star_arboricity_exact
 from .graphs import (
     FamilyId,
@@ -24,27 +26,19 @@ from .graphs import (
     all_labeled_count,
     bits_graph,
     components_info,
-    conjugate_degrees,
     conjugate_rows,
     degree_rows,
     encode_graph6,
     graph6_bits,
     graph6_stream,
     graph6_strings,
+    graph_bits,
     is_bipartite,
     make_family,
     mask_bits,
-    non_isolated_count,
 )
 from .matching import SizeCapError, VERTEX_COVER_NU_CAP, _cover_at_nu, matching_number
-from .spectral import (
-    STACK_ENTRIES,
-    SpectralError,
-    eps_profile,
-    graph6_spectra,
-    spectrum_fault,
-    stack_size,
-)
+from .spectral import STACK_ENTRIES, SpectralError, graph6_spectra, spectrum_fault, stack_size
 
 #: equality examples recorded per (bound, k); totals are always exact
 EQUALITY_EXAMPLE_CAP = 10
@@ -184,73 +178,122 @@ class ScanReport:
 # ---------------------------------------------------------------------------
 # Chunk evaluation
 
-#: aux quantities a scan reads off a stack's degree rows, building no Graph
-DEGREE_AUX = frozenset({"conj_degrees", "non_isolated"})
+def _aux_columns(n: int, bits: np.ndarray, needs: set[str]):
+    """The aux columns of graphs on n vertices given by their edge bit rows,
+    as ``BoundSpec`` formulas read them, and the rows that lack a quantity.
 
-
-def _compute_aux(g, needs: set[str]) -> tuple[dict, dict[str, str]]:
-    """Shared invariant memo for one graph, plus per-quantity skip reasons."""
-    aux: dict = {}
-    unavailable: dict[str, str] = {}
-    if "conj_degrees" in needs:
-        aux["conj_degrees"] = conjugate_degrees(g)
-    if "bipartite" in needs:
-        aux["bipartite"] = is_bipartite(g)
-    if "n_prime" in needs:
-        _, aux["n_prime"] = components_info(g)
-    if "non_isolated" in needs:
-        aux["non_isolated"] = non_isolated_count(g)
-    if "nu" in needs or "tau" in needs:
-        aux["nu"] = matching_number(g)
+    ``conj_degrees`` and ``non_isolated`` come from the degree rows, the rest
+    from one Graph per row; ν is computed whenever ν or τ is needed, and τ
+    reuses its maximum matching. Returns ``(cols, missing)``: int64 columns
+    ((R, n) for ``conj_degrees``), 0 where a row lacks the quantity, and per
+    row the skip reason of each quantity it lacks, under None for a graph a
+    ``SizeCapError`` skips whole.
+    """
+    cols, missing = {}, {}
+    if "conj_degrees" in needs or "non_isolated" in needs:
+        degs = degree_rows(n, bits)
+        if "conj_degrees" in needs:
+            cols["conj_degrees"] = conjugate_rows(degs)
+        if "non_isolated" in needs:
+            cols["non_isolated"] = (degs > 0).sum(axis=1, dtype=np.int64)[:, None]
     if "tau" in needs:
-        if aux["nu"] > VERTEX_COVER_NU_CAP:
-            unavailable["tau"] = f"nu={aux['nu']} exceeds exact-cover cap"
-        else:
-            aux["tau"] = len(_cover_at_nu(g, aux["nu"]))
-    if "sa" in needs:
-        if g.m > STAR_ARB_EDGE_CAP:
-            unavailable["sa"] = f"|E|={g.m} exceeds exact star-arboricity cap"
-        else:
-            aux["sa"] = star_arboricity_exact(g)[0]
-    return aux, unavailable
+        needs = needs | {"nu"}
+    keys = [q for q in ("bipartite", "n_prime", "nu", "tau", "sa") if q in needs]
+    values = np.zeros((len(bits), len(keys)), dtype=np.int64)
+    for i in range(len(bits)) if keys else ():
+        g = bits_graph(n, bits[i])
+        row, lacks = {}, {}
+        try:
+            if "bipartite" in needs:
+                row["bipartite"] = is_bipartite(g)
+            if "n_prime" in needs:
+                row["n_prime"] = components_info(g)[1]
+            if "nu" in needs:
+                row["nu"] = nu = matching_number(g)
+            if "tau" in needs and nu > VERTEX_COVER_NU_CAP:
+                lacks["tau"] = f"nu={nu} exceeds exact-cover cap"
+            elif "tau" in needs:
+                row["tau"] = len(_cover_at_nu(g, nu))
+            if "sa" in needs and g.m > STAR_ARB_EDGE_CAP:
+                lacks["sa"] = f"|E|={g.m} exceeds exact star-arboricity cap"
+            elif "sa" in needs:
+                row["sa"] = star_arboricity_exact(g)[0]
+            values[i] = [row.get(q, 0) for q in keys]
+        except SizeCapError as exc:
+            lacks = {None: str(exc)}
+        if lacks:
+            missing[i] = lacks
+    cols.update((q, values[:, j : j + 1]) for j, q in enumerate(keys))
+    return cols, missing
 
 
-def _stack_aux(n: int, bits: np.ndarray, needs: set[str], auxes) -> dict:
-    """The aux columns of a stack as ``BoundSpec`` formulas read them: degree
-    quantities from the edge bit rows, the others from the per-graph dicts
-    (0 where a graph lacks the quantity)."""
-    cols = {
-        key: np.array([aux.get(key, 0) for aux in auxes], dtype=np.int64)[:, None]
-        for key in needs - DEGREE_AUX
-    }
-    degs = degree_rows(n, bits) if needs & DEGREE_AUX else None
-    if "conj_degrees" in needs:
-        cols["conj_degrees"] = conjugate_rows(degs)
-    if "non_isolated" in needs:
-        cols["non_isolated"] = (degs > 0).sum(axis=1, dtype=np.int64)[:, None]
-    return cols
+@dataclass
+class _Table:
+    """The (bound, graph, k) checks of a stack of graphs on one n: ``lhs`` is
+    (R, K), ``rhs`` (B, R, K) and NaN where a bound is not applicable or is
+    skipped; ``live`` marks the graphs no ``SizeCapError`` skipped, ``checked``
+    counts the graphs per bound, ``skips`` lists (row, bound index, reason)."""
+
+    ms: np.ndarray
+    vals: np.ndarray
+    eps: np.ndarray
+    lhs: np.ndarray
+    cols: dict
+    missing: dict
+    live: np.ndarray
+    rhs: np.ndarray
+    checked: list
+    skips: list
 
 
-def _witness_record(check: dict, n: int, m: int, spectrum_row, eps_row, aux) -> dict:
-    """Full serialized witness: graph, spectrum, and every cached invariant."""
-    rec = {"graph6": check["graph6"], "n": n, "m": m}
-    rec.update((key, check[key]) for key in ("bound", "k", "lhs", "rhs", "slack"))
-    rec["spectrum"] = spectrum_row
-    invariants = {**aux, "eps_profile": eps_row}
-    rec.update((key, invariants[key]) for key in sorted(invariants))
-    return rec
-
-
-def _group_spectra(n: int, bits: np.ndarray):
-    """Edge counts, checked spectra (rows non-increasing) and eps rows of
-    graphs on n vertices given by their edge bit rows."""
+def _table(n: int, bits: np.ndarray, bounds, ks) -> _Table:
+    """Edge counts, checked spectra (rows non-increasing), eps rows, aux
+    columns, per-bound skips and right-hand sides of graphs on n vertices
+    given by their edge bit rows, at the k values ``ks``."""
     ms = bits.sum(axis=1, dtype=np.int64)
     vals = graph6_spectra(n, bits)
     fault = spectrum_fault(vals, ms)
     if fault is not None:
         row, reason = fault
         raise SpectralError(f"graph6 {graph6_strings(n, bits[row : row + 1])[0]}: {reason}")
-    return ms, vals, np.cumsum(vals, axis=1) - ms[:, None]
+    eps = np.cumsum(vals, axis=1) - ms[:, None]
+    k_arr = np.array(ks, dtype=np.int64)
+    lhs = np.repeat(ms[:, None].astype(float), len(ks), axis=1)  # |E| for k > n
+    lhs[:, k_arr <= n] = eps[:, k_arr[k_arr <= n] - 1]
+    cols, missing = _aux_columns(n, bits, aux_requirements(bounds))
+    live = np.ones(len(bits), dtype=bool)
+    live[[i for i, lacks in missing.items() if None in lacks]] = False
+    rhs = np.full((len(bounds), len(bits), len(ks)), math.nan)
+    checked, skips = [], []
+    for b, tag in enumerate(bounds):
+        spec = bound_spec(tag)
+        rows = live.copy()
+        for i, lacks in missing.items():
+            reasons = [lacks[q] for q in (None, *spec.needs) if q in lacks]
+            if reasons:
+                rows[i] = False
+                skips.append((i, b, reasons[0]))
+        if rows.any():
+            np.copyto(rhs[b], rhs_table(spec, ms[:, None], k_arr, cols), where=rows[:, None])
+        checked.append(int(rows.sum()))
+    return _Table(ms, vals, eps, lhs, cols, missing, live, rhs, checked, skips)
+
+
+def _witness_record(check: dict, t: _Table, i: int) -> dict:
+    """Full serialized witness of row i: graph, spectrum, and every aux value
+    computed for it, typed as the per-graph functions return them."""
+    rec = {"graph6": check["graph6"], "n": t.vals.shape[1], "m": int(t.ms[i])}
+    rec.update((key, check[key]) for key in ("bound", "k", "lhs", "rhs", "slack"))
+    rec["spectrum"] = t.vals[i].tolist()
+    invariants = {"eps_profile": t.eps[i].tolist()}
+    for key, col in t.cols.items():
+        if key not in t.missing.get(i, {}):
+            value = col[i].tolist()
+            if key != "conj_degrees":
+                value = bool(value[0]) if key == "bipartite" else value[0]
+            invariants[key] = value
+    rec.update((key, invariants[key]) for key in sorted(invariants))
+    return rec
 
 
 def _scan_group(n, bits, positions, bounds, krange, report, found, kept):
@@ -263,56 +306,24 @@ def _scan_group(n, bits, positions, bounds, krange, report, found, kept):
     examples recorded so far per (bound, k). graph6 strings are encoded only
     for the rows of records.
     """
-    ms, vals, eps = _group_spectra(n, bits)
     ks = krange.values(n)
-    k_arr = np.array(ks, dtype=np.int64)
-    lhs = np.repeat(ms[:, None].astype(float), len(ks), axis=1)  # |E| for k > n
-    lhs[:, k_arr <= n] = eps[:, k_arr[k_arr <= n] - 1]
-    needs = aux_requirements(bounds)
-    auxes: list[dict] = [{}] * len(bits)
-    unavailable: list[dict] = [{}] * len(bits)
-    live_rows = list(range(len(bits)))  # graphs not size-capped
-    skips = []  # (row, bound index, reason)
-    graph_needs = needs - DEGREE_AUX  # the quantities that need a Graph
-    for i in range(len(bits)) if graph_needs else ():
-        try:
-            auxes[i], unavailable[i] = _compute_aux(bits_graph(n, bits[i]), graph_needs)
-        except SizeCapError as exc:
-            live_rows.remove(i)
-            skips.extend((i, b, str(exc)) for b in range(len(bounds)))
-    cols = _stack_aux(n, bits, needs, auxes)
-    if ks and live_rows:
-        ratio = (lhs[live_rows] / (k_arr * k_arr)).max()
+    t = _table(n, bits, bounds, ks)
+    lhs, rhs = t.lhs, t.rhs
+    if ks and t.live.any():
+        ratio = (lhs[t.live] / (np.array(ks, dtype=np.int64) ** 2)).max()
         report.max_eps_over_k2 = max(report.max_eps_over_k2, float(ratio))
-    # one (bound, graph, k) table for the whole group; NaN = not applicable
-    rhs = np.full((len(bounds), len(bits), len(ks)), math.nan)
-    checked = []
-    for b, tag in enumerate(bounds):
-        spec = bound_spec(tag)
-        rows = live_rows
-        if spec.needs:
-            rows = []
-            for i in live_rows:
-                missing = [q for q in spec.needs if q in unavailable[i]]
-                if missing:
-                    skips.append((i, b, unavailable[i][missing[0]]))
-                else:
-                    rows.append(i)
-        if rows:
-            rhs[b, rows] = rhs_table(spec, ms[:, None], k_arr, cols)[rows]
-        checked.append(len(rows))
-    report.checks += sum(checked) * len(ks)
+    report.checks += sum(t.checked) * len(ks)
     slack = rhs - lhs
     violated, equal = verdict(slack)
     nviol = violated.sum(axis=1).tolist()
     neq = equal.sum(axis=1).tolist()
     least = np.fmin.reduce(slack, axis=1).tolist()  # NaN: nothing applicable
     for b, tag in enumerate(bounds):
-        if not checked[b]:
+        if not t.checked[b]:
             continue
         for j, k in enumerate(ks):
             report.aggregates.setdefault((tag, k), BoundKAggregate()).add(
-                BoundKAggregate(checked[b], nviol[b][j], neq[b][j], least[b][j])
+                BoundKAggregate(t.checked[b], nviol[b][j], neq[b][j], least[b][j])
             )
     kept_n = kept.setdefault(n, np.zeros((len(bounds), len(ks)), dtype=np.int64))
     equal &= np.cumsum(equal, axis=1) + kept_n[:, None, :] <= EQUALITY_EXAMPLE_CAP
@@ -322,11 +333,11 @@ def _scan_group(n, bits, positions, bounds, krange, report, found, kept):
         "equalities": np.flatnonzero(equal).tolist(),
     }
     per_bound = len(bits) * len(ks)
-    named = {i for i, _, _ in skips}
+    named = {i for i, _, _ in t.skips}
     named.update(flat % per_bound // len(ks) for flats in hits.values() for flat in flats)
     named = sorted(named)
     g6 = dict(zip(named, graph6_strings(n, bits[named])))
-    for i, b, reason in skips:
+    for i, b, reason in t.skips:
         found["skipped"].append(
             ((positions[i], b, 0), {"graph6": g6[i], "bound": bounds[b], "reason": reason})
         )
@@ -343,14 +354,7 @@ def _scan_group(n, bits, positions, bounds, krange, report, found, kept):
                 "slack": float(slack[b, i, j]),
             }
             if kind == "violations":
-                aux = dict(auxes[i])  # and the degree quantities, typed as by _compute_aux
-                if "conj_degrees" in cols:
-                    aux["conj_degrees"] = cols["conj_degrees"][i].tolist()
-                if "non_isolated" in cols:
-                    aux["non_isolated"] = int(cols["non_isolated"][i, 0])
-                check = _witness_record(
-                    check, n, int(ms[i]), vals[i].tolist(), eps[i].tolist(), aux
-                )
+                check = _witness_record(check, t, i)
             found[kind].append(((positions[i], b, j), check))
 
 
@@ -361,7 +365,7 @@ def _scan_chunk(args):
     Graphs are grouped by n, and each group goes as edge bit rows through
     stacked eigvalsh calls of at most ``stack_size(n)`` graphs; that stack
     also bounds the group's other arrays. A Graph is built only where a bound
-    needs an invariant outside ``DEGREE_AUX``. Returns a partial report (no
+    needs an invariant beyond the degree rows. Returns a partial report (no
     source, no runtime) whose records are in source order.
     """
     (work, bounds, krange) = args
@@ -495,22 +499,21 @@ class ProbeRow:
 
 
 def tightness_probe(families, bound: str, ks: KRange | None = None) -> list[ProbeRow]:
-    """Slack table of one bound over a list of named family graphs."""
+    """Slack table of one bound over a list of named family graphs, each
+    checked as a one-row stack."""
     krange = ks or KRange("all")
-    needs = aux_requirements([bound])
     rows: list[ProbeRow] = []
     for fam in families:
         g = make_family(fam)
         label = str(fam) if isinstance(fam, FamilyId) else fam
-        aux, unavailable = _compute_aux(g, needs)
-        aux["eps"] = eps_profile(g)
-        if any(q in unavailable for q in needs):
-            raise SizeCapError(f"probe of {label}: {'; '.join(unavailable.values())}")
-        for k in krange.values(g.n):
-            res = evaluate_bound(bound, g, k, aux)
-            rows.append(
-                ProbeRow(label, encode_graph6(g), k, res.lhs, res.rhs, res.slack, res.applicable)
-            )
+        kvals = krange.values(g.n)
+        t = _table(g.n, graph_bits(g)[None], (bound,), kvals)
+        if t.missing:
+            raise SizeCapError(f"probe of {label}: {'; '.join(t.missing[0].values())}")
+        rows.extend(
+            ProbeRow(label, encode_graph6(g), k, lhs, rhs, rhs - lhs, not math.isnan(rhs))
+            for k, lhs, rhs in zip(kvals, t.lhs[0].tolist(), t.rhs[0, 0].tolist())
+        )
     return rows
 
 

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from lapsum.graphs import Graph
+from lapsum.graphs import Graph, GraphError
 
 
 def edges_inside(g: Graph, subset) -> int:
@@ -112,6 +112,26 @@ def loop_partition_witness(g: Graph):
         mask ^= t
     parts.sort(key=min)
     return best, tuple(parts), max(len(p) for p in parts)
+
+
+def loop_graph6(g: Graph) -> str:
+    """graph6 short form by a pure-Python bit loop over the vertex pairs."""
+    if g.n > 62:
+        raise GraphError(f"graph6 short form supports n <= 62, got n={g.n}")
+    bits = []
+    es = g.edge_set
+    for v in range(1, g.n):
+        for u in range(v):
+            bits.append(1 if (u, v) in es else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    out = [chr(g.n + 63)]
+    for i in range(0, len(bits), 6):
+        val = 0
+        for b in bits[i : i + 6]:
+            val = (val << 1) | b
+        out.append(chr(val + 63))
+    return "".join(out)
 
 
 def oracle_nu(g: Graph) -> int:

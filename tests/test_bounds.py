@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from lapsum import harness
 from lapsum.bounds import (
     BOUND_TAGS,
     CONJECTURE_TAGS,
@@ -225,7 +224,10 @@ class TestRhsOracle:
         for n, bits, graphs, auxes in labeled_upto6:
             ks = np.arange(1, n + 3, dtype=np.int64)
             ms = bits.sum(axis=1, dtype=np.int64)[:, None]
-            cols = harness._stack_aux(n, bits, needs, auxes)
+            cols = {
+                key: np.array([aux[key] for aux in auxes], dtype=np.int64).reshape(len(bits), -1)
+                for key in needs
+            }
             keys = [_rhs_inputs(g.m, aux) for g, aux in zip(graphs, auxes)]
             inputs = dict(zip(keys, zip(ms[:, 0].tolist(), auxes)))
             for tag in BOUND_TAGS:

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from lapsum.graphs import (
     all_labeled_graph6,
     all_labeled_graphs,
     bipartition,
+    bits_graph,
     check_graph6,
     components_info,
     conjugate_degrees,
@@ -25,6 +27,7 @@ from lapsum.graphs import (
     graph6_pairs,
     graph6_stream,
     graph6_strings,
+    graph_bits,
     graph_from_edges,
     graph_stream,
     induced_subgraph,
@@ -39,6 +42,8 @@ from lapsum.graphs import (
     read_graph6_lines,
     remove_edges,
 )
+
+from oracles import loop_graph6
 
 
 def random_graph_strategy(max_n=8):
@@ -118,6 +123,24 @@ class TestGraph6:
         assert bits.shape == (len(graphs), 36)
         for g, row in zip(graphs, bits):
             assert sorted(map(tuple, pairs[row == 1].tolist())) == list(g.edges)
+
+    def test_encoder_matches_bit_loop(self):
+        graphs = [g for n in range(7) for g in all_labeled_graphs(n)]
+        graphs += [g for seed, p in enumerate((0.1, 0.5, 0.9)) for g in gnp_graphs(40, p, 1, seed)]
+        graphs.append(make_family("complete:62"))
+        for g in graphs:
+            assert encode_graph6(g) == loop_graph6(g), g
+        with pytest.raises(GraphError, match="n <= 62, got n=63"):
+            encode_graph6(make_family("empty:63"))
+
+    def test_graph_bits_inverts_bits_graph(self):
+        for n in range(6):
+            for row in mask_bits(n, 0, 2 ** (n * (n - 1) // 2)):
+                g = bits_graph(n, row)
+                bits = graph_bits(g)
+                assert bits.dtype == np.uint8 and (bits == row).all(), g
+        g = make_family("complete-bipartite:30,40")  # n > 62: bits, no graph6
+        assert bits_graph(g.n, graph_bits(g)) == g
 
     @given(random_graph_strategy())
     @settings(max_examples=200, deadline=None)
@@ -217,7 +240,7 @@ class TestSources:
     @pytest.mark.parametrize("n", range(0, 6))
     def test_all_labeled_graph6_follows_all_labeled_graphs(self, n):
         assert list(all_labeled_graph6(n)) == [
-            encode_graph6(g) for g in all_labeled_graphs(n)
+            loop_graph6(g) for g in all_labeled_graphs(n)
         ]
 
     @pytest.mark.parametrize("n", range(0, 7))
@@ -228,7 +251,7 @@ class TestSources:
         bits = mask_bits(n, 0, total)
         names = graph6_strings(n, bits)
         assert names == [
-            encode_graph6(Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1)))
+            loop_graph6(Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1)))
             for mask in range(total)
         ]
         assert (graph6_bits(names) == bits).all()

@@ -16,6 +16,7 @@ from lapsum.bounds import (
     evaluate_bound,
 )
 from lapsum.cli import main
+from lapsum.decomposition import STAR_ARB_EDGE_CAP, star_arboricity_exact
 from lapsum.graphs import (
     Graph,
     Graph6Error,
@@ -25,11 +26,15 @@ from lapsum.graphs import (
     all_labeled_graph6,
     all_labeled_graphs,
     bits_graph,
+    components_info,
     conjugate_degrees,
     encode_graph6,
     gnp_graphs,
     graph6_stream,
+    graph_bits,
+    graph_stream,
     graph_from_edges,
+    is_bipartite,
     make_family,
     mask_bits,
     non_isolated_count,
@@ -39,15 +44,20 @@ from lapsum.harness import (
     EQUALITY_EXAMPLE_CAP,
     KRange,
     ScanReport,
-    _compute_aux,
     parse_krange,
     probe_table_csv,
     scan,
     tightness_probe,
 )
-from lapsum.matching import SizeCapError, matching_number
+from lapsum.matching import (
+    VERTEX_COVER_NU_CAP,
+    SizeCapError,
+    matching_number,
+    min_vertex_cover,
+)
 from lapsum.spectral import STACK_ENTRIES, SpectralError, eps_profile, spectrum, stack_size
 
+from conftest import class_masks
 from oracles import oracle_tau
 
 
@@ -98,12 +108,39 @@ def _report_text(rep) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _oracle_aux(g, needs):
+    """The aux values of one graph from the public per-graph functions, and
+    the skip reason of each quantity over its exact cap (nu comes with tau)."""
+    aux, unavailable = {}, {}
+    if "conj_degrees" in needs:
+        aux["conj_degrees"] = conjugate_degrees(g)
+    if "bipartite" in needs:
+        aux["bipartite"] = is_bipartite(g)
+    if "n_prime" in needs:
+        aux["n_prime"] = components_info(g)[1]
+    if "non_isolated" in needs:
+        aux["non_isolated"] = non_isolated_count(g)
+    if "nu" in needs or "tau" in needs:
+        aux["nu"] = matching_number(g)
+    if "tau" in needs:
+        if aux["nu"] > VERTEX_COVER_NU_CAP:
+            unavailable["tau"] = f"nu={aux['nu']} exceeds exact-cover cap"
+        else:
+            aux["tau"] = len(min_vertex_cover(g))
+    if "sa" in needs:
+        if g.m > STAR_ARB_EDGE_CAP:
+            unavailable["sa"] = f"|E|={g.m} exceeds exact star-arboricity cap"
+        else:
+            aux["sa"] = star_arboricity_exact(g)[0]
+    return aux, unavailable
+
+
 def _oracle_report(graphs, tags, krange):
     """Aggregates, equality examples and max eps/k^2 from the per-graph API."""
     needs = aux_requirements(tags)
     agg, equalities, skipped, kept, max_ratio = {}, [], [], {}, -math.inf
     for g in graphs:
-        aux, unavailable = _compute_aux(g, needs)
+        aux, unavailable = _oracle_aux(g, needs)
         aux["eps"] = eps_profile(g)
         for k in krange.values(g.n):
             max_ratio = max(max_ratio, aux["eps"].value(k) / (k * k))
@@ -180,7 +217,8 @@ class TestStackAux:
         for n in range(7):
             bits = mask_bits(n, 0, all_labeled_count(n))
             graphs = [bits_graph(n, row) for row in bits]
-            cols = harness._stack_aux(n, bits, set(harness.DEGREE_AUX), [{}] * len(bits))
+            cols, missing = harness._aux_columns(n, bits, {"conj_degrees", "non_isolated"})
+            assert not missing
             conj = cols["conj_degrees"].tolist()
             assert conj == [conjugate_degrees(g) for g in graphs]
             # by definition, entry i-1 counts the vertices of degree >= i
@@ -208,16 +246,158 @@ class TestStackAux:
         monkeypatch.setattr(matching, "maximum_matching", counted)
         for g in itertools.islice(all_labeled_graphs(5), 0, None, 37):
             calls.clear()
-            aux, _ = _compute_aux(g, {"nu", "tau"})
-            assert calls == [g] and aux["nu"] == matching_number(g)
+            cols, _ = harness._aux_columns(g.n, graph_bits(g)[None], {"nu", "tau"})
+            assert calls == [g] and cols["nu"][0, 0] == matching_number(g)
         calls.clear()
         rep = scan(GraphSource("all-labeled", n=4), ["matching-thm", "cover"], KRange("all"))
         assert len(calls) == rep.graphs == 64
 
     def test_tau_matches_oracle(self, exhaustive_n5):
         for g in exhaustive_n5:
-            aux, unavailable = _compute_aux(g, {"tau"})
-            assert not unavailable and aux["tau"] == oracle_tau(g), g
+            cols, missing = harness._aux_columns(g.n, graph_bits(g)[None], {"tau"})
+            assert not missing and cols["tau"][0, 0] == oracle_tau(g), g
+
+
+def _aux_stacks():
+    """(n, edge bit rows) of every labeled graph with n <= 5, and of one graph
+    per isomorphism class at n = 6."""
+    for n in range(6):
+        yield n, mask_bits(n, 0, all_labeled_count(n))
+    bits = mask_bits(6, 0, all_labeled_count(6))
+    first = {}
+    for row, c in enumerate(class_masks(6, bits)):
+        first.setdefault(c, row)
+    yield 6, bits[sorted(first.values())]
+
+
+class TestAuxColumns:
+    """The columns of ``harness._aux_columns`` against the public per-graph
+    functions, value by value."""
+
+    def test_columns_match_per_graph_functions(self):
+        needs = aux_requirements(BOUND_TAGS)
+        assert needs == {"conj_degrees", "bipartite", "n_prime", "non_isolated", "nu", "tau", "sa"}
+        for n, bits in _aux_stacks():
+            cols, missing = harness._aux_columns(n, bits, needs)
+            assert not missing and set(cols) == needs
+            graphs = [bits_graph(n, row) for row in bits]
+            want = {
+                "conj_degrees": [conjugate_degrees(g) for g in graphs],
+                "bipartite": [[int(is_bipartite(g))] for g in graphs],
+                "n_prime": [[components_info(g)[1]] for g in graphs],
+                "non_isolated": [[non_isolated_count(g)] for g in graphs],
+                "nu": [[matching_number(g)] for g in graphs],
+                "tau": [[oracle_tau(g)] for g in graphs],
+                "sa": [[star_arboricity_exact(g)[0]] for g in graphs],
+            }
+            for key, col in cols.items():
+                assert col.dtype == np.int64 and col.tolist() == want[key], (n, key)
+
+    def test_tau_alone_brings_nu(self):
+        bits = mask_bits(4, 0, all_labeled_count(4))
+        cols, missing = harness._aux_columns(4, bits, {"tau"})
+        assert not missing and set(cols) == {"nu", "tau"}
+        assert cols["nu"][:, 0].tolist() == [matching_number(bits_graph(4, r)) for r in bits]
+
+    def test_skip_reasons(self, monkeypatch):
+        k9 = make_family("complete:9")
+        cols, missing = harness._aux_columns(9, graph_bits(k9)[None], {"sa", "nu"})
+        assert missing == {0: {"sa": "|E|=36 exceeds exact star-arboricity cap"}}
+        assert cols["sa"].tolist() == [[0]] and cols["nu"].tolist() == [[4]]
+        # a perfect matching on 16 edges: nu = 16 is over the exact-cover cap
+        pm = graph_from_edges(32, [(2 * i, 2 * i + 1) for i in range(16)])
+        cols, missing = harness._aux_columns(32, graph_bits(pm)[None], {"tau"})
+        assert missing == {0: {"tau": "nu=16 exceeds exact-cover cap"}}
+        assert cols["nu"].tolist() == [[16]] and cols["tau"].tolist() == [[0]]
+        # a SizeCapError from a per-graph function skips the whole graph
+        real = harness.is_bipartite
+
+        def capped(g):
+            if g.m == 3:
+                raise SizeCapError("over the cap")
+            return real(g)
+
+        monkeypatch.setattr(harness, "is_bipartite", capped)
+        bits = mask_bits(3, 0, all_labeled_count(3))
+        cols, missing = harness._aux_columns(3, bits, {"bipartite", "nu"})
+        assert missing == {7: {None: "over the cap"}}
+        assert cols["bipartite"][:, 0].tolist() == [1] * 7 + [0]
+        assert cols["nu"][:, 0].tolist() == [0, 1, 1, 1, 1, 1, 1, 0]
+
+    def test_brouwer_scan_computes_no_aux(self, monkeypatch):
+        def no_aux(*args):
+            raise AssertionError("an aux quantity was computed")
+
+        monkeypatch.setattr(harness, "bits_graph", no_aux)
+        monkeypatch.setattr(harness, "degree_rows", no_aux)
+        rep = scan(GraphSource("all-labeled", n=5), ["brouwer"], KRange("all"))
+        assert rep.graphs == 1024 and not rep.skipped
+
+
+#: bounds whose violation records carry every aux quantity between them
+WITNESS_BOUNDS = ("cover", "bipartite-sq", "bai", "star-arb", "conj-matching-improved")
+
+
+class TestWitnessRecords:
+    @pytest.fixture
+    def rhs_minus_100(self, monkeypatch):
+        for tag in WITNESS_BOUNDS:
+            spec = bounds.bound_spec(tag)
+            monkeypatch.setitem(
+                bounds._REGISTRY,
+                tag,
+                BoundSpec(tag, spec.needs, lambda m, k, aux: -100, spec.applicable, spec.conjecture),
+            )
+
+    @pytest.mark.parametrize(
+        "src, tags, violated, aux_keys",
+        [
+            (GraphSource("all-labeled", n=4), WITNESS_BOUNDS, WITNESS_BOUNDS,
+             ["bipartite", "conj_degrees", "eps_profile", "non_isolated", "nu", "sa", "tau"]),
+            # |E| = 36 is over the exact-sa cap: star-arb is skipped and sa has
+            # no key; K9 is not bipartite and brouwer holds on it
+            (single(make_family("complete:9")), (*WITNESS_BOUNDS, "brouwer"),
+             ("cover", "bai", "conj-matching-improved"),
+             ["bipartite", "conj_degrees", "eps_profile", "non_isolated", "nu", "tau"]),
+        ],
+    )
+    def test_keys_values_and_json_types(self, src, tags, violated, aux_keys, rhs_minus_100):
+        doc = json.loads(scan(src, tags, KRange("all")).to_json())
+        graphs = list(graph_stream(src))
+        needs = aux_requirements(WITNESS_BOUNDS)
+        expected = []
+        for g in graphs:
+            aux, unavailable = _oracle_aux(g, needs)
+            for tag in tags:
+                if any(q in unavailable for q in bounds.bound_spec(tag).needs):
+                    continue
+                for k in range(1, g.n + 1):
+                    if not evaluate_bound(tag, g, k, aux).holds:
+                        expected.append((encode_graph6(g), tag, k))
+        records = doc["violations"]
+        assert [(r["graph6"], r["bound"], r["k"]) for r in records] == expected
+        assert {r["bound"] for r in records} == set(violated)
+        head = ["graph6", "n", "m", "bound", "k", "lhs", "rhs", "slack", "spectrum"]
+        for r in records:
+            g = parse_graph6(r["graph6"])
+            aux, _ = _oracle_aux(g, needs)
+            assert list(r) == head + aux_keys
+            prof = eps_profile(g)
+            assert type(r["n"]) is int and type(r["m"]) is int and (r["n"], r["m"]) == (g.n, g.m)
+            assert r["lhs"].hex() == prof.value(r["k"]).hex()
+            assert type(r["rhs"]) is float and r["rhs"] == -100.0
+            assert r["slack"].hex() == (-100.0 - r["lhs"]).hex()
+            assert r["spectrum"] == list(spectrum(g).values)
+            assert r["eps_profile"] == list(prof.eps)
+            assert all(type(x) is float for x in r["spectrum"] + r["eps_profile"])
+            assert type(r["bipartite"]) is bool
+            assert type(r["conj_degrees"]) is list
+            assert all(type(x) is int for x in r["conj_degrees"])
+            for key in aux_keys:
+                if key != "eps_profile":
+                    assert r[key] == aux[key], (r["graph6"], key)
+                if key not in ("bipartite", "conj_degrees", "eps_profile"):
+                    assert type(r[key]) is int, key
 
 
 class TestScan:
@@ -294,22 +474,22 @@ class TestScan:
     def test_mask_range_records_name_their_graphs(self, monkeypatch, tmp_path):
         # brouwer violated everywhere (eps_k >= -|E|), both bounds skipped where
         # |E| = 3 (mod 4): every record names its graph by the graph6 of the
-        # mask's edges. The cap goes in through _compute_aux, which runs only
-        # for quantities that need a Graph, such as half-component's n_prime
+        # mask's edges. The cap goes in through components_info, which the
+        # scan calls for half-component's n_prime
         spec = bounds.bound_spec("brouwer")
         monkeypatch.setitem(
             bounds._REGISTRY,
             "brouwer",
             BoundSpec("brouwer", (), lambda size, k, aux: -100, spec.applicable, True),
         )
-        real = harness._compute_aux
+        real = harness.components_info
 
-        def capped(g, needs):
+        def capped(g):
             if g.m % 4 == 3:
                 raise SizeCapError("over the cap")
-            return real(g, needs)
+            return real(g)
 
-        monkeypatch.setattr(harness, "_compute_aux", capped)
+        monkeypatch.setattr(harness, "components_info", capped)
         n = 5
         pairs = list(itertools.combinations(range(n), 2))
         names = [
@@ -402,15 +582,15 @@ class TestScan:
                 assert (v["n"], v["m"], v["rhs"]) == (g.n, g.m, -1.0)
 
     def test_size_cap_error_skips_every_bound_of_the_graph(self, monkeypatch):
-        real = harness._compute_aux
+        real = harness.components_info
 
-        def capped(g, needs):
+        def capped(g):
             if g.m == 3:
                 raise SizeCapError("over the cap")
-            return real(g, needs)
+            return real(g)
 
-        monkeypatch.setattr(harness, "_compute_aux", capped)
-        # half-component's n' needs a Graph, so _compute_aux runs for every graph
+        monkeypatch.setattr(harness, "components_info", capped)
+        # half-component's n' comes from components_info, called for every graph
         rep = scan(GraphSource("all-labeled", n=3), ["half-component", "brouwer"], KRange("all"))
         k3 = encode_graph6(make_family("complete:3"))
         assert rep.skipped == [
@@ -501,7 +681,34 @@ class TestScan:
         assert all(a.min_slack >= -1e-6 for a in rep.aggregates.values())
 
 
+#: README's three tightness tables: (bound, families, k range)
+README_PROBES = [
+    ("matching-thm", [f"complete:{n}" for n in (3, 5, 7, 9)], KRange("all")),
+    ("matching-thm", [f"star:{n}" for n in range(2, 11)], KRange("list", (1,))),
+    ("conj-cover", [f"split-s:{n},{r}" for n in range(2, 10) for r in range(1, n + 1)],
+     KRange("all")),
+]
+
+
 class TestProbe:
+    @pytest.mark.parametrize("bound, families, krange", README_PROBES)
+    def test_rows_match_per_graph_api(self, bound, families, krange):
+        rows = iter(tightness_probe(families, bound, krange))
+        for fam in families:
+            g = make_family(fam)
+            aux, _ = _oracle_aux(g, aux_requirements([bound]))
+            for k in krange.values(g.n):
+                row, res = next(rows), evaluate_bound(bound, g, k, aux)
+                assert (row.family, row.graph6, row.k) == (fam, encode_graph6(g), k)
+                got = [row.lhs.hex(), row.rhs.hex(), row.slack.hex(), row.applicable]
+                assert got == [res.lhs.hex(), res.rhs.hex(), res.slack.hex(), res.applicable]
+        assert next(rows, None) is None
+
+    def test_capped_family_raises(self):
+        with pytest.raises(SizeCapError) as exc:
+            tightness_probe(["star:3", "complete:9"], "star-arb")
+        assert str(exc.value) == "probe of complete:9: |E|=36 exceeds exact star-arboricity cap"
+
     def test_complete_graph_equalities(self):
         rows = tightness_probe(
             [f"complete:{n}" for n in (3, 5, 7)], "matching-thm"

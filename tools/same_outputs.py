@@ -1,14 +1,16 @@
-"""Compare `lapsum scan` reports of this checkout with another checkout's.
+"""Compare `lapsum scan` reports and `lapsum probe` tables of this checkout
+with another checkout's.
 
     python3 tools/same_outputs.py PARENT_CHECKOUT
 
-Runs one fixed list of scan cases through ``lapsum.cli.main`` in this tree
-and in PARENT_CHECKOUT, each tree in its own interpreter that imports lapsum
-from the tree's ``src/``. Every case runs at ``--jobs`` 1, 2 and 3, once with
-``--format json`` and once with ``--format csv``. The compared text is the
-exit code plus the report: JSON without ``runtime_ms`` (the one field that is
-not deterministic), and CSV as written. Prints one line per case and exits 1
-on any difference. The input files are written once, to a temporary
+Runs one fixed list of cases through ``lapsum.cli.main`` in this tree and in
+PARENT_CHECKOUT, each tree in its own interpreter that imports lapsum from the
+tree's ``src/``. Every scan case runs at ``--jobs`` 1, 2 and 3, once with
+``--format json`` and once with ``--format csv``; each probe case runs once,
+in the format it names. The compared text is the exit code plus the output:
+scan JSON without ``runtime_ms`` (the one field that is not deterministic),
+everything else as written, so a capped probe, which writes nothing, compares
+by its exit code. Prints one line per case and exits 1 on any difference. The input files are written once, to a temporary
 directory, by this tree's lapsum; the mixed-n file is the one
 ``tests/test_harness.py`` scans.
 """
@@ -33,6 +35,24 @@ CASES = [
     ("gnp 12 0.5 200 3 nminus2", ["--gnp", "12", "0.5", "200", "3", "--bound", "all",
                                   "--k", "nminus2"]),
     ("graph6 E?zw theorem", ["--graph6", "E?zw", "--bound", "theorem"]),
+]
+#: (name, probe arguments): README's three tightness tables, one of them also
+#: as JSON, a k list reaching past n, and a family over the exact-sa cap
+_TABLES = [
+    ("matching-thm odd complete", ["--bound", "matching-thm",
+                                   *(a for n in (3, 5, 7, 9) for a in ("--family", f"complete:{n}"))]),
+    ("matching-thm stars k=1", ["--bound", "matching-thm", "--k", "1",
+                                *(a for n in range(2, 11) for a in ("--family", f"star:{n}"))]),
+    ("conj-cover split family", ["--bound", "conj-cover",
+                                 *(a for n in range(2, 10) for r in range(1, n + 1)
+                                   for a in ("--family", f"split-s:{n},{r}"))]),
+]
+PROBES = [
+    *((f"{name} csv", [*args, "--format", "csv"]) for name, args in _TABLES),
+    (f"{_TABLES[2][0]} json", [*_TABLES[2][1], "--format", "json"]),
+    ("cover k=1,3", ["--bound", "cover", "--k", "1,3", "--family", "complete:2",
+                     "--family", "cycle:5", "--family", "kbip:2,3", "--format", "csv"]),
+    ("star-arb capped K9", ["--bound", "star-arb", "--family", "complete:9"]),
 ]
 JOBS = (1, 2, 3)
 FORMATS = ("json", "csv")
@@ -74,9 +94,9 @@ def write_inputs(tmp: Path) -> dict[str, str]:
     return {"g40": str(g40), "mixed": str(mixed)}
 
 
-def deterministic(fmt: str, result) -> str:
+def deterministic(argv, result) -> str:
     code, text = result
-    if fmt == "json" and text:
+    if argv[0] == "scan" and argv[-1] == "json" and text:
         doc = json.loads(text)
         doc.pop("runtime_ms")
         text = json.dumps(doc, indent=2)
@@ -108,12 +128,12 @@ def main() -> int:
             for jobs in JOBS
             for fmt in FORMATS
         ]
+        runs += [(f"probe {name}", ["probe", *args]) for name, args in PROBES]
         ours = run_tree(HERE, runs, tmp, "this")
         theirs = run_tree(parent, runs, tmp, "parent")
     differ = 0
     for (name, argv), a, b in zip(runs, ours, theirs):
-        fmt = argv[-1]
-        same = deterministic(fmt, a) == deterministic(fmt, b)
+        same = deterministic(argv, a) == deterministic(argv, b)
         differ += not same
         print(f"{'same' if same else 'DIFFERENT'}  {name}")
     print(f"{len(runs) - differ} of {len(runs)} cases the same")
