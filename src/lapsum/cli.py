@@ -7,12 +7,15 @@ pipeline, bound scans, and family tightness probes.
 
 Exit codes: 0 success, 1 scan found a violation, 2 usage error,
 3 size-cap skip in single-graph mode. Errors go to stderr prefixed "error:".
+A reader that closes stdout early ends a command quietly, with its exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -39,14 +42,13 @@ from .graphs import (
     Graph6Error,
     GraphError,
     GraphSource,
-    encode_graph6,
     graph_stream,
     make_family,
     parse_edge_list,
     parse_graph6,
 )
 from .matching import maximum_matching, min_vertex_cover, odd_set_cover
-from .spectral import eps_profile, spectrum
+from .spectral import eps_profile
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -115,22 +117,22 @@ def _single_graph(args) -> Graph:
     return g
 
 
-def _write(text: str, out: str | None):
-    """Write text to the ``--out`` file or stdout, ending in one newline."""
-    text = text.rstrip("\n") + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(output, out: str | None):
+    """Write a command's output to the ``--out`` file or to ``sys.stdout`` as
+    it stands now: one text, ending in one newline, or text pieces as they come."""
+    if isinstance(output, str):
+        output = [output.rstrip("\n") + "\n"]
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(output)
+        fh.flush()
 
 
-def _emit(payload, args):
-    if getattr(args, "format", "text") == "json":
-        text = json.dumps(payload, indent=2, default=_jsonable)
-    else:
-        text = _as_text(payload)
-    _write(text, getattr(args, "out", None))
+def _cmd_single(args):
+    """A single-graph command: its query's payload for the graph, as text or JSON."""
+    payload = args.query(_single_graph(args), args)
+    if args.format == "json":
+        return EXIT_OK, json.dumps(payload, indent=2, default=_jsonable)
+    return EXIT_OK, _as_text(payload)
 
 
 def _jsonable(obj):
@@ -158,134 +160,83 @@ def _fmt_value(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns its exit code and its output. A
+# single-graph query takes the graph and returns its payload.
 
-def _cmd_spectrum(args) -> int:
-    for g in graph_stream(_source(args)):
-        vals = spectrum(g).values
-        print(",".join([encode_graph6(g), str(g.n), str(g.m), *(repr(v) for v in vals)]))
-    return EXIT_OK
+def _cmd_spectrum(args):
+    return EXIT_OK, harness.spectrum_rows(_source(args))
 
 
-def _cmd_eps(args) -> int:
-    g = _single_graph(args)
+def _eps(g, args):
     prof = eps_profile(g)
     if args.k == "all":
-        _emit({f"eps_{k}": prof.value(k) for k in range(1, g.n + 1)}, args)
-    else:
-        print(prof.value(int(args.k)))
-    return EXIT_OK
+        return {f"eps_{k}": prof.value(k) for k in range(1, g.n + 1)}
+    return prof.value(int(args.k))
 
 
-def _cmd_density(args) -> int:
-    g = _single_graph(args)
+def _density(g, args):
     wit = density(g)
-    _emit({"density": wit.value, "subset": wit.subset}, args)
-    return EXIT_OK
+    return {"density": wit.value, "subset": wit.subset}
 
 
-def _cmd_parden(args) -> int:
-    g = _single_graph(args)
+def _parden(g, args):
     if args.bracket:
         lo, hi = partition_density_bracket(g)
-        _emit({"lower": lo, "upper": hi}, args)
-        return EXIT_OK
+        return {"lower": lo, "upper": hi}
     wit = partition_density(g)
-    _emit(
-        {
-            "partition_density": wit.value,
-            "attained_part_size": wit.attained_part_size,
-            "parts": [sorted(p) for p in wit.parts],
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "partition_density": wit.value,
+        "attained_part_size": wit.attained_part_size,
+        "parts": [sorted(p) for p in wit.parts],
+    }
 
 
-def _cmd_orient(args) -> int:
-    g = _single_graph(args)
+def _orient(g, args):
     res = k_orientation(g, args.k)
     if isinstance(res, OrientationInfeasible):
-        _emit(
-            {
-                "feasible": False,
-                "k": res.k,
-                "subset": res.subset,
-                "edges_inside": res.edges_inside,
-            },
-            args,
-        )
-        return EXIT_OK
-    _emit(
-        {"feasible": True, "k": args.k, "arcs": res.arcs(), "indegrees": res.indegrees},
-        args,
-    )
-    return EXIT_OK
+        return {"feasible": False, "k": res.k, "subset": res.subset,
+                "edges_inside": res.edges_inside}
+    return {"feasible": True, "k": args.k, "arcs": res.arcs(), "indegrees": res.indegrees}
 
 
-def _cmd_match(args) -> int:
-    g = _single_graph(args)
+def _match(g, args):
     mm = maximum_matching(g)
-    _emit({"nu": mm.nu, "pairs": [list(e) for e in mm.pairs]}, args)
-    return EXIT_OK
+    return {"nu": mm.nu, "pairs": [list(e) for e in mm.pairs]}
 
 
-def _cmd_cover(args) -> int:
-    g = _single_graph(args)
+def _cover(g, args):
     cov = min_vertex_cover(g)
-    _emit({"tau": len(cov), "cover": cov}, args)
-    return EXIT_OK
+    return {"tau": len(cov), "cover": cov}
 
 
-def _cmd_oddcover(args) -> int:
-    g = _single_graph(args)
+def _oddcover(g, args):
     cov = odd_set_cover(g)
-    _emit(
-        {
-            "weight": cov.weight,
-            "vertices": list(cov.vertices),
-            "odd_sets": [sorted(s) for s in cov.odd_sets],
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "weight": cov.weight,
+        "vertices": list(cov.vertices),
+        "odd_sets": [sorted(s) for s in cov.odd_sets],
+    }
 
 
-def _cmd_arbor(args) -> int:
-    g = _single_graph(args)
+def _arbor(g, args):
     a, wit = arboricity_value(g)
-    _emit({"arboricity": a, "witness": wit if wit is not None else []}, args)
-    return EXIT_OK
+    return {"arboricity": a, "witness": wit if wit is not None else []}
 
 
-def _cmd_stararbor(args) -> int:
-    g = _single_graph(args)
+def _stararbor(g, args):
     sa, sfd = star_arboricity_exact(g)
-    if args.classes:
-        _emit(
-            {
-                "star_arboricity": sa,
-                "classes": [[list(e) for e in cls] for cls in sfd.classes],
-            },
-            args,
-        )
-    else:
-        print(sa)
-    return EXIT_OK
+    if not args.classes:
+        return sa
+    return {"star_arboricity": sa, "classes": [[list(e) for e in cls] for cls in sfd.classes]}
 
 
-def _cmd_structure(args) -> int:
-    g = _single_graph(args)
+def _structure(g, args):
     sd = structure_decomposition(g, args.k, parden_mode=args.parden_mode)
-    _emit({"k": args.k, "U": sd.U, "C": sd.C, "I": sd.I}, args)
-    return EXIT_OK
+    return {"k": args.k, "U": sd.U, "C": sd.C, "I": sd.I}
 
 
-def _cmd_pipeline(args) -> int:
-    g = _single_graph(args)
-    res = sa_upper_bound_pipeline(
-        g, args.k, seed=args.seed, parden_mode=args.parden_mode
-    )
+def _pipeline(g, args):
+    res = sa_upper_bound_pipeline(g, args.k, seed=args.seed, parden_mode=args.parden_mode)
     payload = {"k": res.k, "route": res.route, "bound_claimed": res.bound_claimed}
     if res.route == "2a":
         payload["star_classes"] = len(res.star_classes.classes)
@@ -299,32 +250,28 @@ def _cmd_pipeline(args) -> int:
         else:
             payload["assignment"] = "found"
             payload["c"] = res.assignment.c
-    _emit(payload, args)
-    return EXIT_OK
+    return payload
 
 
 _BOUND_GROUPS = {"theorem": THEOREM_TAGS, "conjecture": CONJECTURE_TAGS, "all": BOUND_TAGS}
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     ids = [b.strip() for b in args.bound.split(",") if b.strip()]
     bounds = list(dict.fromkeys(t for b in ids for t in _BOUND_GROUPS.get(b, (b,))))
     ks = harness.parse_krange(args.k)
     report = harness.scan(_source(args), bounds, ks, jobs=args.jobs)
-    _write(report.to_json() if args.format == "json" else report.to_csv(), args.out)
-    return EXIT_VIOLATION if report.violation_count else EXIT_OK
+    code = EXIT_VIOLATION if report.violation_count else EXIT_OK
+    return code, report.to_json() if args.format == "json" else report.to_csv()
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(args):
     ks = harness.parse_krange(args.k)
     rows = harness.tightness_probe(args.family, args.bound, ks)
     if args.format == "json":
         payload = [dict(asdict(r), equality=r.equality) for r in rows]
-        text = json.dumps(payload, indent=2)
-    else:
-        text = harness.probe_table_csv(rows)
-    _write(text, args.out)
-    return EXIT_OK
+        return EXIT_OK, json.dumps(payload, indent=2)
+    return EXIT_OK, harness.probe_table_csv(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -334,33 +281,37 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def cmd(name, handler, help_text, sources=False):
+        """A subcommand; one without ``sources`` is a single-graph query."""
         p = sub.add_parser(name, help=help_text)
         _add_graph_flags(p, sources=sources)
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        if sources:
+            p.set_defaults(handler=handler)
+        else:
+            p.add_argument("--format", choices=("text", "json"), default="text")
+            p.set_defaults(handler=_cmd_single, query=handler)
         p.add_argument("--out", metavar="PATH")
-        p.set_defaults(handler=handler)
         return p
 
     cmd("spectrum", _cmd_spectrum, "Laplacian spectra as CSV rows", sources=True)
-    p = cmd("eps", _cmd_eps, "eigenvalue-sum excess eps_k")
+    p = cmd("eps", _eps, "eigenvalue-sum excess eps_k")
     p.add_argument("--k", required=True, help="k value or 'all'")
-    cmd("density", _cmd_density, "exact density with witness subset")
-    p = cmd("parden", _cmd_parden, "exact partition density (or bracket)")
+    cmd("density", _density, "exact density with witness subset")
+    p = cmd("parden", _parden, "exact partition density (or bracket)")
     p.add_argument("--bracket", action="store_true", help="bounds for n beyond the cap")
-    p = cmd("orient", _cmd_orient, "k-orientation or infeasibility certificate")
+    p = cmd("orient", _orient, "k-orientation or infeasibility certificate")
     p.add_argument("--k", type=int, required=True)
-    cmd("match", _cmd_match, "maximum matching")
-    cmd("cover", _cmd_cover, "minimum vertex cover")
-    cmd("oddcover", _cmd_oddcover, "minimum-weight odd set cover")
-    cmd("arbor", _cmd_arbor, "arboricity with dense-subset witness")
-    p = cmd("stararbor", _cmd_stararbor, "exact star arboricity")
+    cmd("match", _match, "maximum matching")
+    cmd("cover", _cover, "minimum vertex cover")
+    cmd("oddcover", _oddcover, "minimum-weight odd set cover")
+    cmd("arbor", _arbor, "arboricity with dense-subset witness")
+    p = cmd("stararbor", _stararbor, "exact star arboricity")
     p.add_argument("--classes", action="store_true", help="print the decomposition")
-    p = cmd("structure", _cmd_structure, "U/C/I structure decomposition")
+    p = cmd("structure", _structure, "U/C/I structure decomposition")
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
         "--parden-mode", choices=("exact", "bound", "assume"), default="exact"
     )
-    p = cmd("pipeline", _cmd_pipeline, "constructive star-arboricity upper bound")
+    p = cmd("pipeline", _pipeline, "constructive star-arboricity upper bound")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -372,6 +323,7 @@ def build_parser() -> _Parser:
                    f"or a group: {', '.join(_BOUND_GROUPS)}")
     p.add_argument("--k", default="all", help="'all', 'nminus2', or a list like 1,2,3")
     p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p = sub.add_parser("probe", help="tightness probe over named families")
     p.add_argument("--family", action="append", required=True, metavar="NAME:ARGS")
     p.add_argument("--bound", required=True)
@@ -389,7 +341,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code, output = args.handler(args)  # handlers write nothing
+        _write(output, args.out)
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: end quietly, and keep the exit-time
+        # flush of what is left from failing again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return code
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SKIPPED

@@ -6,7 +6,8 @@ the only nondeterministic entry). Scans and probes read one route: each stack
 of graphs on one n becomes a (bound, graph, k) table of stacked spectra, aux
 columns shared by all requested bounds, and right-hand sides; a probe's stack
 is one family graph. Size-cap failures become "skipped" records instead of
-aborting the run.
+aborting the run. ``spectrum_rows`` walks the same work units and stacks for
+the spectra alone.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .bounds import K_MAX, aux_requirements, bound_spec, rhs_table, verdict
 from .decomposition import STAR_ARB_EDGE_CAP, star_arboricity_exact
 from .graphs import (
     FamilyId,
+    Graph6Error,
     GraphSource,
     all_labeled_count,
     bits_graph,
@@ -38,7 +40,7 @@ from .graphs import (
     mask_bits,
 )
 from .matching import SizeCapError, VERTEX_COVER_NU_CAP, _cover_at_nu, matching_number
-from .spectral import STACK_ENTRIES, SpectralError, graph6_spectra, spectrum_fault, stack_size
+from .spectral import STACK_ENTRIES, checked_spectra, stack_size
 
 #: equality examples recorded per (bound, k); totals are always exact
 EQUALITY_EXAMPLE_CAP = 10
@@ -250,12 +252,7 @@ def _table(n: int, bits: np.ndarray, bounds, ks) -> _Table:
     """Edge counts, checked spectra (rows non-increasing), eps rows, aux
     columns, per-bound skips and right-hand sides of graphs on n vertices
     given by their edge bit rows, at the k values ``ks``."""
-    ms = bits.sum(axis=1, dtype=np.int64)
-    vals = graph6_spectra(n, bits)
-    fault = spectrum_fault(vals, ms)
-    if fault is not None:
-        row, reason = fault
-        raise SpectralError(f"graph6 {graph6_strings(n, bits[row : row + 1])[0]}: {reason}")
+    ms, vals = checked_spectra(n, bits)
     eps = np.cumsum(vals, axis=1) - ms[:, None]
     k_arr = np.array(ks, dtype=np.int64)
     lhs = np.repeat(ms[:, None].astype(float), len(ks), axis=1)  # |E| for k > n
@@ -298,8 +295,8 @@ def _witness_record(check: dict, t: _Table, i: int) -> dict:
 
 def _scan_group(n, bits, positions, bounds, krange, report, found, kept):
     """Evaluate the bounds on graphs with one n, given by their edge bit rows,
-    into the partial ``report``; records go to ``found`` keyed by (source
-    position, bound index, k index).
+    into the partial ``report``; records go to ``found`` keyed by (position in
+    the work unit, bound index, k index).
 
     Equality examples beyond the first EQUALITY_EXAMPLE_CAP per (n, bound, k)
     of the work unit are counted but not recorded; ``kept`` maps n to the
@@ -358,39 +355,44 @@ def _scan_group(n, bits, positions, bounds, krange, report, found, kept):
             found[kind].append(((positions[i], b, j), check))
 
 
-def _scan_chunk(args):
-    """Evaluate the bounds over one work unit: an (n, lo, hi) range of
-    all-labeled edge masks, or a list of validated graph6 strings.
+def _stacks(work):
+    """The stacks of one work unit: an (n, lo, hi) range of all-labeled edge
+    masks, or a list of validated graph6 strings.
 
-    Graphs are grouped by n, and each group goes as edge bit rows through
-    stacked eigvalsh calls of at most ``stack_size(n)`` graphs; that stack
-    also bounds the group's other arrays. A Graph is built only where a bound
-    needs an invariant beyond the degree rows. Returns a partial report (no
-    source, no runtime) whose records are in source order.
+    Graphs are grouped by n, and each group is cut into stacks of at most
+    ``stack_size(n)`` graphs, one stacked eigvalsh call each; that stack also
+    bounds the group's other arrays. Yields ``(n, bits, positions)``: the edge
+    bit rows and, per row, the graph's index in the unit.
     """
-    (work, bounds, krange) = args
-    report = ScanReport("", bounds, krange)
-    found: dict[str, list] = {"violations": [], "equalities": [], "skipped": []}
-    kept: dict[int, np.ndarray] = {}
     if isinstance(work, tuple):
         n, lo, hi = work
         step = stack_size(n)
         for start in range(lo, hi, step):
             end = min(start + step, hi)
-            bits = mask_bits(n, start, end)
-            _scan_group(n, bits, range(start, end), bounds, krange, report, found, kept)
-        report.graphs = hi - lo
-    else:
-        groups: dict[int, list[int]] = {}
-        for pos, g6 in enumerate(work):
-            groups.setdefault(ord(g6[0]) - 63, []).append(pos)
-        for n, positions in groups.items():
-            step = stack_size(n)
-            for start in range(0, len(positions), step):
-                part = positions[start : start + step]
-                bits = graph6_bits([work[p] for p in part])
-                _scan_group(n, bits, part, bounds, krange, report, found, kept)
-        report.graphs = len(work)
+            yield n, mask_bits(n, start, end), range(start - lo, end - lo)
+        return
+    groups: dict[int, list[int]] = {}
+    for pos, g6 in enumerate(work):
+        groups.setdefault(ord(g6[0]) - 63, []).append(pos)
+    for n, positions in groups.items():
+        step = stack_size(n)
+        for start in range(0, len(positions), step):
+            part = positions[start : start + step]
+            yield n, graph6_bits([work[p] for p in part]), part
+
+
+def _scan_chunk(args):
+    """Evaluate the bounds over the stacks of one work unit. A Graph is built
+    only where a bound needs an invariant beyond the degree rows. Returns a
+    partial report (no source, no runtime) whose records are in source order.
+    """
+    (work, bounds, krange) = args
+    report = ScanReport("", bounds, krange)
+    found: dict[str, list] = {"violations": [], "equalities": [], "skipped": []}
+    kept: dict[int, np.ndarray] = {}
+    for n, bits, positions in _stacks(work):
+        _scan_group(n, bits, positions, bounds, krange, report, found, kept)
+    report.graphs = work[2] - work[1] if isinstance(work, tuple) else len(work)
     for records in found.values():
         records.sort(key=lambda item: item[0])
     report.violations = [rec for _, rec in found["violations"]]
@@ -423,16 +425,23 @@ def _tasks(src: GraphSource, strict: bool):
 
 
 def _graph6_tasks(g6_stream):
-    """Consecutive graph6 strings cut greedily at TASK_ENTRIES entries."""
+    """Consecutive graph6 strings cut greedily at TASK_ENTRIES entries. A
+    malformed string ends the units: the strings before it form the last
+    one, and then its ``Graph6Error`` is raised."""
     task, entries = [], 0
-    for g6 in g6_stream:
-        n = ord(g6[0]) - 63
-        cost = max(1, n * n)
-        if task and entries + cost > TASK_ENTRIES:
+    try:
+        for g6 in g6_stream:
+            n = ord(g6[0]) - 63
+            cost = max(1, n * n)
+            if task and entries + cost > TASK_ENTRIES:
+                yield task
+                task, entries = [], 0
+            task.append(g6)
+            entries += cost
+    except Graph6Error:
+        if task:
             yield task
-            task, entries = [], 0
-        task.append(g6)
-        entries += cost
+        raise
     if task:
         yield task
 
@@ -478,6 +487,26 @@ def scan(
         report.max_eps_over_k2 = max(report.max_eps_over_k2, p.max_eps_over_k2)
     report.runtime_ms = int((time.monotonic() - start) * 1000)
     return report
+
+
+def spectrum_rows(src: GraphSource):
+    """CSV rows ``graph6,n,m,eigenvalues...`` of the graphs of a source, one
+    string per scan work unit, in source order.
+
+    The eigenvalues are the stacked, checked spectra a scan computes, equal
+    to ``spectrum(g).values``; each graph is named by its unit's graph6 string.
+    """
+    for work in _tasks(src, strict=True):
+        rows = {}
+        for n, bits, positions in _stacks(work):
+            ms, vals = checked_spectra(n, bits)
+            if isinstance(work, tuple):
+                names = graph6_strings(n, bits)
+            else:
+                names = [work[p] for p in positions]
+            for pos, g6, m, row in zip(positions, names, ms.tolist(), vals.tolist()):
+                rows[pos] = ",".join([g6, str(n), str(m), *map(repr, row)]) + "\n"
+        yield "".join(rows[pos] for pos in sorted(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, graph6_pairs
+from .graphs import Graph, graph6_pairs, graph6_strings
 
 #: absolute eigenvalue tolerance for computed spectra
 SPECTRUM_TOL = 1e-9
@@ -21,23 +21,20 @@ class SpectralError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Laplacian eigenvalues sorted non-increasing, with the tolerance used."""
+    """Laplacian eigenvalues sorted non-increasing."""
 
     values: tuple[float, ...]
-    tol: float = SPECTRUM_TOL
 
     def validate(self, g: Graph):
         if len(self.values) != g.n:
             raise SpectralError(f"expected {g.n} eigenvalues, got {len(self.values)}")
         vals = np.array(self.values, dtype=float).reshape(1, g.n)
-        fault = spectrum_fault(vals, np.array([g.m]), self.tol)
+        fault = spectrum_fault(vals, np.array([g.m]))
         if fault is not None:
             raise SpectralError(fault[1])
 
 
-def spectrum_fault(
-    vals: np.ndarray, m: np.ndarray, tol: float = SPECTRUM_TOL
-) -> tuple[int, str] | None:
+def spectrum_fault(vals: np.ndarray, m: np.ndarray) -> tuple[int, str] | None:
     """The first spectrum of a stack that breaks a Laplacian invariant.
 
     ``vals`` holds one spectrum per row, non-increasing; ``m`` the edge counts.
@@ -47,7 +44,7 @@ def spectrum_fault(
     n = vals.shape[1]
     if n == 0:
         return None
-    ntol = max(tol * n, 1e-7)
+    ntol = max(SPECTRUM_TOL * n, 1e-7)
     total = np.cumsum(vals, axis=1)[:, -1]
     smallest = np.abs(vals[:, -1]) > ntol
     wrong_sum = np.abs(total - 2 * m) > ntol
@@ -121,6 +118,19 @@ def graph6_spectra(n: int, bits: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
     return vals[:, ::-1]
+
+
+def checked_spectra(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge counts and ``graph6_spectra`` of a stack, each row checked by
+    ``spectrum_fault``; a failed check raises the ``SpectralError`` that names
+    the graph by its graph6 string."""
+    ms = bits.sum(axis=1, dtype=np.int64)
+    vals = graph6_spectra(n, bits)
+    fault = spectrum_fault(vals, ms)
+    if fault is not None:
+        row, reason = fault
+        raise SpectralError(f"graph6 {graph6_strings(n, bits[row : row + 1])[0]}: {reason}")
+    return ms, vals
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lapsum
 from lapsum.bounds import THEOREM_TAGS
 from lapsum.cli import main
-from lapsum.graphs import encode_graph6, parse_edge_list
+from lapsum.graphs import all_labeled_graphs, encode_graph6, gnp_graphs, parse_edge_list
+from lapsum.graphs import parse_graph6
+from lapsum.spectral import spectrum
+
+from test_harness import _mixed_graphs
 
 #: an edge-list file: a 5-cycle with a chord, and one isolated vertex
 EDGE_LIST = "6 6\n0 1\n1 2\n2 3\n3 4\n0 4\n1 3\n"
@@ -240,3 +249,147 @@ class TestProbeCommand:
         doc = json.loads(out)
         assert code == 0 and len(doc) == 2
         assert all(row["equality"] for row in doc)
+
+
+def oracle_rows(graphs) -> str:
+    """``lapsum spectrum`` output by the per-graph API: one row per graph."""
+    return "".join(
+        ",".join([encode_graph6(g), str(g.n), str(g.m), *map(repr, spectrum(g).values)]) + "\n"
+        for g in graphs
+    )
+
+
+class TestSpectrumCommand:
+    """``lapsum spectrum`` reads the scan's stacked spectra; the per-graph
+    ``spectrum`` is the oracle, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_all_labeled(self, capsys, n):
+        code, out, _ = run(capsys, "spectrum", "--all-labeled", str(n))
+        assert code == 0 and out == oracle_rows(all_labeled_graphs(n))
+
+    def test_gnp_source(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--gnp", "9", "0.4", "30", "5")
+        assert code == 0 and out == oracle_rows(gnp_graphs(9, 0.4, 30, seed=5))
+
+    def test_mixed_n_file_in_source_order(self, tmp_path, capsys):
+        graphs = _mixed_graphs()
+        path = tmp_path / "mixed.g6"
+        path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+        code, out, _ = run(capsys, "spectrum", "--file", str(path))
+        assert code == 0 and out == oracle_rows(graphs)
+
+    def test_graph6_file_with_comments_and_tiny_graphs(self, tmp_path, capsys):
+        path = tmp_path / "tiny.g6"
+        path.write_text("# no vertex, one vertex, a triangle\n\n?\n@\n\n# last\nBw\n")
+        code, out, _ = run(capsys, "spectrum", "--file", str(path))
+        assert code == 0 and out == oracle_rows(map(parse_graph6, ("?", "@", "Bw")))
+        assert out.splitlines()[:2] == ["?,0,0", "@,1,0,0.0"]
+
+    def test_malformed_line_mid_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.g6"
+        path.write_text("A_\nBw\nB!\nBw\n")
+        code, out, err = run(capsys, "spectrum", "--file", str(path))
+        assert code == 2
+        assert err == (
+            f"error: {path}:3: character '!' outside graph6 range 63..126 (byte offset 1)\n"
+        )
+        # the rows before the bad line are written, as they were per graph
+        assert out == oracle_rows(map(parse_graph6, ("A_", "Bw")))
+
+
+class TestOutputRoute:
+    """Every command writes through one writer: ``--out`` and ``--format``
+    hold for all of them, and ``--format`` offers only what is written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--all-labeled", "3"),
+            ("eps", "--family", "star:6", "--k", "1"),
+            ("stararbor", "--graph6", "Bw"),
+        ],
+    )
+    def test_out_file(self, tmp_path, capsys, argv):
+        code, want, _ = run(capsys, *argv)
+        out_path = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(out_path)) == (code, "", "")
+        assert code == 0 and want and out_path.read_text() == want
+
+    def test_scalar_payloads_as_json(self, tmp_path, capsys):
+        # a bare number reads the same as text and as JSON on stdout; the
+        # --out file shows that the JSON route wrote it
+        out_path = tmp_path / "out.json"
+        for argv, want in (
+            (("eps", "--family", "star:6", "--k", "1"), pytest.approx(1.0)),
+            (("stararbor", "--graph6", "Bw"), 2),
+        ):
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            assert code == 0 and json.loads(out) == want
+            assert run(capsys, *argv, "--format", "json", "--out", str(out_path))[:2] == (0, "")
+            assert out_path.read_text() == out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("density", "--family", "complete:4", "--format", "csv"),
+            ("spectrum", "--graph6", "Bw", "--format", "json"),
+            ("scan", "--all-labeled", "3", "--bound", "bai", "--format", "text"),
+        ],
+    )
+    def test_format_not_written_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_scan_writes_csv_by_default(self, capsys):
+        argv = ("scan", "--all-labeled", "4", "--bound", "theorem")
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == run(capsys, *argv, "--format", "csv")[:2]
+        assert out.startswith("bound,k,checked,")
+
+
+#: runs ``lapsum`` with the brouwer bound violated by every graph
+VIOLATED = """
+import sys
+from lapsum import bounds
+from lapsum.cli import main
+spec = bounds.bound_spec("brouwer")
+bounds._REGISTRY["brouwer"] = bounds.BoundSpec(
+    "brouwer", (), lambda size, k, aux: -100, spec.applicable, True
+)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early ends the command quietly, with the
+    command's own exit code."""
+
+    def close_after(self, lines, *argv):
+        """Run python with ``argv``, read ``lines`` lines of its stdout, close
+        the pipe; return the exit code, the lines read and stderr."""
+        src = str(Path(lapsum.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, *argv], env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        read = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=60), read, err
+
+    def test_spectrum_exits_0(self):
+        # 32768 rows, written unit by unit: far more than a pipe holds
+        code, read, err = self.close_after(
+            1, "-m", "lapsum.cli", "spectrum", "--all-labeled", "6"
+        )
+        assert (code, read, err) == (0, ["E???,6,0,0.0,0.0,0.0,0.0,0.0,0.0\n"], "")
+
+    @pytest.mark.parametrize("lines", [0, 1])
+    def test_scan_with_violations_exits_1(self, lines):
+        # the report is written in one piece once the scan is done: with no
+        # line read, the pipe is closed before that write
+        argv = ("scan", "--all-labeled", "5", "--bound", "brouwer", "--format", "json")
+        code, read, err = self.close_after(lines, "-c", VIOLATED, *argv)
+        assert (code, read, err) == (1, ["{\n"][:lines], "")

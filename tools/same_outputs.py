@@ -1,18 +1,20 @@
-"""Compare `lapsum scan` reports and `lapsum probe` tables of this checkout
-with another checkout's.
+"""Compare the outputs of `lapsum scan`, `lapsum probe`, `lapsum spectrum` and
+the single-graph commands of this checkout with another checkout's.
 
     python3 tools/same_outputs.py PARENT_CHECKOUT
 
 Runs one fixed list of cases through ``lapsum.cli.main`` in this tree and in
 PARENT_CHECKOUT, each tree in its own interpreter that imports lapsum from the
 tree's ``src/``. Every scan case runs at ``--jobs`` 1, 2 and 3, once with
-``--format json`` and once with ``--format csv``; each probe case runs once,
-in the format it names. The compared text is the exit code plus the output:
-scan JSON without ``runtime_ms`` (the one field that is not deterministic),
-everything else as written, so a capped probe, which writes nothing, compares
-by its exit code. Prints one line per case and exits 1 on any difference. The input files are written once, to a temporary
-directory, by this tree's lapsum; the mixed-n file is the one
-``tests/test_harness.py`` scans.
+``--format json`` and once with ``--format csv``; each single-graph case runs
+once as text and once as JSON; each probe case runs once, in the format it
+names, and each spectrum case once. The compared text is the exit code plus
+the output: scan JSON without ``runtime_ms`` (the one field that is not
+deterministic), everything else as written, so a capped probe, which writes
+nothing, compares by its exit code. Prints one line per case and exits 1 on
+any difference. The input files are written once, to a temporary directory,
+by this tree's lapsum; the mixed-n file is the one ``tests/test_harness.py``
+scans.
 """
 
 from __future__ import annotations
@@ -53,6 +55,22 @@ PROBES = [
     ("cover k=1,3", ["--bound", "cover", "--k", "1,3", "--family", "complete:2",
                      "--family", "cycle:5", "--family", "kbip:2,3", "--format", "csv"]),
     ("star-arb capped K9", ["--bound", "star-arb", "--family", "complete:9"]),
+]
+#: (name, spectrum arguments)
+SPECTRA = [
+    *((f"all-labeled:{n}", ["--all-labeled", str(n)]) for n in range(7)),
+    ("gnp40 file", ["--file", "{g40}"]),
+    ("mixed-n file", ["--file", "{mixed}"]),
+    ("gnp 12 0.5 200 3", ["--gnp", "12", "0.5", "200", "3"]),
+]
+#: every single-graph command, with the arguments it needs, on one graph;
+#: eps and stararbor also with their bare-number payloads
+SINGLE_GRAPH = "E?zw"
+SINGLES = [
+    ["eps", "--k", "all"], ["eps", "--k", "2"], ["density"], ["parden"],
+    ["orient", "--k", "1"], ["match"], ["cover"], ["oddcover"], ["arbor"],
+    ["stararbor"], ["stararbor", "--classes"], ["structure", "--k", "2"],
+    ["pipeline", "--k", "2"],
 ]
 JOBS = (1, 2, 3)
 FORMATS = ("json", "csv")
@@ -129,6 +147,16 @@ def main() -> int:
             for fmt in FORMATS
         ]
         runs += [(f"probe {name}", ["probe", *args]) for name, args in PROBES]
+        runs += [
+            (f"spectrum {name}", ["spectrum", *(a.format(**files) for a in args)])
+            for name, args in SPECTRA
+        ]
+        runs += [
+            (f"{' '.join(args)} --format {fmt}",
+             [*args, "--graph6", SINGLE_GRAPH, "--format", fmt])
+            for args in SINGLES
+            for fmt in ("text", "json")
+        ]
         ours = run_tree(HERE, runs, tmp, "this")
         theirs = run_tree(parent, runs, tmp, "parent")
     differ = 0
