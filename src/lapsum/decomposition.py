@@ -32,7 +32,6 @@ from .graphs import (
     graph_from_edges,
     induced_subgraph,
     is_forest,
-    non_isolated_count,
 )
 from .matching import greedy_cover_2approx, hall_violator
 
@@ -249,7 +248,8 @@ def star_arboricity_exact(g: Graph) -> tuple[int, StarForestDecomposition]:
     is t >= t0. Hence t0 <= a(G) (Nash-Williams 1964), and a(G) <= sa(G)
     because a star forest is a forest. Every t < sa(G) fails, so the first
     t that succeeds is sa(G). For every t >= t0, m <= t(n - 1) holds, so
-    ``_star_assign`` needs no edge-count test.
+    ``_star_assign`` needs no edge-count test. The edge order and the edge
+    masks of the search are built once per graph (``_star_plan``).
     """
     if g.m > STAR_ARB_EDGE_CAP:
         raise SizeCapError(
@@ -257,75 +257,151 @@ def star_arboricity_exact(g: Graph) -> tuple[int, StarForestDecomposition]:
         )
     if g.m == 0:
         return 0, StarForestDecomposition(g.n, ())
-    t = -(-g.m // (non_isolated_count(g) - 1))
-    while True:
-        classes = _star_assign(g, t)
-        if classes is not None:
-            sfd = StarForestDecomposition(g.n, classes)
-            sfd.validate(g)
-            return len(classes), sfd
+    plan = _star_plan(g)
+    inc = plan[2]
+    t = -(-g.m // (len(inc) - inc.count(0) - 1))
+    while (classes := _star_assign(plan, t)) is None:
         t += 1
+    sfd = StarForestDecomposition(g.n, classes)
+    sfd.validate(g)
+    return len(classes), sfd
 
 
-def _star_assign(g: Graph, t: int):
-    """Backtracking edge assignment into t star-forest classes, or None."""
-    n, m = g.n, g.m
-    degs = g.degrees()
+def _star_plan(g: Graph):
+    """The search input of ``_star_assign``: (n, edges, inc). Edge i is the
+    i-th edge by degree sum, largest first (ties in lexicographic order),
+    and inc[v] is the bit mask of the edge indices at vertex v."""
+    degs = [0] * g.n
+    for u, v in g.edges:
+        degs[u] += 1
+        degs[v] += 1
     edges = sorted(g.edges, key=lambda e: -(degs[e[0]] + degs[e[1]]))
-    deg = [[0] * n for _ in range(t)]
-    nb = [[-1] * n for _ in range(t)]
-    assign = [-1] * m
+    inc = [0] * g.n
+    for i, (u, v) in enumerate(edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    return g.n, edges, inc
 
-    def try_add(c, u, v):
-        du, dv = deg[c][u], deg[c][v]
-        if du > 0 and dv > 0:
-            return False
-        if du == 0 and dv > 0:
-            u, v = v, u
-            du, dv = dv, du
-        if du > 0:
-            # u must act as center: reject if u is a leaf of a bigger star
-            if du == 1 and deg[c][nb[c][u]] >= 2:
-                return False
-            deg[c][u] += 1
-            deg[c][v] = 1
-            nb[c][v] = u
-        else:
-            deg[c][u] = deg[c][v] = 1
-            nb[c][u] = v
-            nb[c][v] = u
-        return True
 
-    def undo_add(c, u, v):
-        if deg[c][u] == 1 and deg[c][v] == 1 and nb[c][u] == v and nb[c][v] == u:
-            deg[c][u] = deg[c][v] = 0
-            return
-        if deg[c][v] == 1 and nb[c][v] == u:
-            deg[c][v] = 0
-            deg[c][u] -= 1
-        else:
-            deg[c][u] = 0
-            deg[c][v] -= 1
+def _star_assign(plan, t: int):
+    """The edges of a ``_star_plan`` assigned to t star-forest classes by
+    backtracking, or None when no assignment exists.
 
-    def rec(i, used):
-        if i == m:
+    State of a class c: in a star forest every vertex is free (no class
+    edge), a hub (a star centre, or either end of a single-edge star) or a
+    closed leaf (a leaf of a star with two or more edges). ``free[c]`` is
+    the vertex mask of free vertices; ``mate[c][h]`` is the first neighbour
+    of hub h; the edge masks ``touched[c]`` (an end not free) and
+    ``nofit[c]`` (both ends not free, or an end closed) are kept up to date
+    as edges are added, so the class fit of every edge is one AND.
+
+    Search: a node holds the unassigned edges and the number ``used`` of
+    classes with an edge, which are classes 0..used-1. It branches on the
+    unassigned edge that fits the fewest used classes, ties to the lowest
+    index, into each used class it fits and then into class ``used`` if
+    used < t; with no class in use that is edge 0 into class 0.
+
+    Why the search is exhaustive:
+
+    * The fit test accepts exactly the additions that keep a class a star
+      forest. Adding uv to a class keeps every component a star iff u and v
+      are both free (a new single-edge star) or one is free and the other a
+      hub (the hub becomes or stays the centre; the other end of a
+      single-edge star becomes a closed leaf). An edge between two non-free
+      vertices joins two stars or closes a triangle, and an edge at a closed
+      leaf makes a path on four vertices. ``nofit`` holds exactly these
+      rejected edges: an edge joins it when its second end stops being free
+      (the ``touched`` edges at a vertex that stops being free) or when an
+      end becomes a closed leaf.
+    * Every complete assignment below a node agrees with the node's partial
+      classes, and an edge subset of a star forest is a star forest. So an
+      unassigned edge that fits no class (a dead edge: it fits no used
+      class and used = t, since an empty class fits every edge) has no
+      completion, and the node is pruned. An edge that fits one class has
+      every completion put it there. The fewest-fits choice picks a dead
+      edge whenever there is one, and otherwise an edge with one class
+      whenever there is one, which the node then places without branching.
+    * Classes used..t-1 are empty at a node, so a permutation of them maps
+      a completion of the node to another completion of it. If some
+      completion puts the chosen edge e into an empty class, swapping that
+      class with class ``used`` gives one that puts e into class ``used``,
+      the only empty class the node tries. The choice of e reads only the
+      node's own state (fit counts over the used classes and the edge
+      index), so it does not matter in which order the edges came before:
+      by induction on the number of unassigned edges, a node with a
+      completion finds one.
+    """
+    n, edges, inc = plan
+    full = (1 << n) - 1
+    free = [full] * t
+    touched = [0] * t
+    nofit = [0] * t
+    mate = [[0] * n for _ in range(t)]
+    where = [0] * len(edges)
+
+    def rec(left, used):
+        if not left:
             return True
+        if used:
+            one = two = 0  # the unassigned edges that fit >= 1, >= 2 used classes
+            for c in range(used):
+                fit = left & ~nofit[c]
+                two |= one & fit
+                one |= fit
+            if one != left:
+                if used == t:
+                    return False
+                low = left & ~one
+            elif two != left or used < 3:
+                low = left & ~two or left
+            else:
+                low = _fewest_fits(left, nofit, used)
+            bit = low & -low
+        else:
+            bit = left & -left
+        i = bit.bit_length() - 1
         u, v = edges[i]
-        for c in range(min(used + 1, t)):
-            if try_add(c, u, v):
-                assign[i] = c
-                if rec(i + 1, max(used, c + 1)):
-                    return True
-                undo_add(c, u, v)
-                assign[i] = -1
+        for c in range(used + 1 if used < t else t):
+            fc, tc, nc = free[c], touched[c], nofit[c]
+            if nc & bit:
+                continue
+            if fc >> u & 1 and fc >> v & 1:
+                iu, iv = inc[u], inc[v]
+                nofit[c] = nc | iu & tc | iv & (tc | iu)
+                touched[c] = tc | iu | iv
+                free[c] = fc & ~(1 << u | 1 << v)
+                mate[c][u], mate[c][v] = v, u
+            else:
+                hub, leaf = (v, u) if fc >> u & 1 else (u, v)
+                nofit[c] = nc | inc[leaf] | inc[mate[c][hub]]
+                touched[c] = tc | inc[leaf]
+                free[c] = fc & ~(1 << leaf)
+            where[i] = c
+            if rec(left & ~bit, used + (c == used)):
+                return True
+            free[c], touched[c], nofit[c] = fc, tc, nc
         return False
 
-    if not rec(0, 0):
+    if not rec((1 << len(edges)) - 1, 0):
         return None
     classes = [[] for _ in range(t)]
-    for i, e in enumerate(edges):
-        classes[assign[i]].append(e)
+    for e, c in zip(edges, where):
+        classes[c].append(e)
     return tuple(tuple(sorted(cls)) for cls in classes if cls)
+
+
+def _fewest_fits(left: int, nofit, used: int) -> int:
+    """The edges of the mask ``left`` that fit the fewest of the classes
+    0..used-1, where edge i fits class c iff bit i of nofit[c] is clear."""
+    ge = [left] + [0] * used  # ge[k]: the edges that fit >= k classes
+    for c in range(used):
+        fit = left & ~nofit[c]
+        for k in range(c + 1, 0, -1):
+            ge[k] |= ge[k - 1] & fit
+    k = 1
+    while k < used and ge[k + 1] == left:
+        k += 1
+    return left & ~ge[k + 1] if k < used else left
 
 
 def sa_via_cover(g: Graph, cover) -> StarForestDecomposition:

@@ -550,10 +550,16 @@ class GraphSource:
         if self.kind == "gnp":
             return f"gnp:n={self.n},p={self.p},count={self.count},seed={self.seed}"
         if self.kind == "single":
-            if self.graph is None:
-                raise GraphError("single source without a graph")
-            return f"single:{encode_graph6(self.graph)}"
+            return f"single:{self.single_graph6}"
         raise GraphError(f"unknown source kind {self.kind!r}")
+
+    @cached_property
+    def single_graph6(self) -> str:
+        """The graph6 string of a ``single`` source's graph, encoded once for
+        ``describe`` and ``graph6_stream``."""
+        if self.graph is None:
+            raise GraphError("single source without a graph")
+        return encode_graph6(self.graph)
 
 
 def graph_stream(src: GraphSource, strict: bool = True) -> Iterator[Graph]:
@@ -575,7 +581,5 @@ def graph6_stream(src: GraphSource, strict: bool = True) -> Iterator[str]:
     if src.kind == "gnp":
         return map(encode_graph6, gnp_graphs(src.n, src.p, src.count, src.seed))
     if src.kind == "single":
-        if src.graph is None:
-            raise GraphError("single source without a graph")
-        return iter([encode_graph6(src.graph)])
+        return iter([src.single_graph6])
     raise GraphError(f"unknown source kind {src.kind!r}")

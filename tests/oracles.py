@@ -326,6 +326,85 @@ def oracle_sa(g: Graph, cap: int = 6) -> int:
     raise AssertionError(f"star arboricity above cap {cap}")
 
 
+# The static-order backtracking that lapsum's exact star arboricity used
+# before it branched on the edge with the fewest fitting classes, kept
+# verbatim as a reference: edges in one fixed order (degree sum, largest
+# first), each tried in the classes already in use and then in one fresh
+# class.
+def static_star_assign(g: Graph, t: int):
+    """Backtracking edge assignment into t star-forest classes, or None."""
+    n, m = g.n, g.m
+    degs = g.degrees()
+    edges = sorted(g.edges, key=lambda e: -(degs[e[0]] + degs[e[1]]))
+    deg = [[0] * n for _ in range(t)]
+    nb = [[-1] * n for _ in range(t)]
+    assign = [-1] * m
+
+    def try_add(c, u, v):
+        du, dv = deg[c][u], deg[c][v]
+        if du > 0 and dv > 0:
+            return False
+        if du == 0 and dv > 0:
+            u, v = v, u
+            du, dv = dv, du
+        if du > 0:
+            # u must act as center: reject if u is a leaf of a bigger star
+            if du == 1 and deg[c][nb[c][u]] >= 2:
+                return False
+            deg[c][u] += 1
+            deg[c][v] = 1
+            nb[c][v] = u
+        else:
+            deg[c][u] = deg[c][v] = 1
+            nb[c][u] = v
+            nb[c][v] = u
+        return True
+
+    def undo_add(c, u, v):
+        if deg[c][u] == 1 and deg[c][v] == 1 and nb[c][u] == v and nb[c][v] == u:
+            deg[c][u] = deg[c][v] = 0
+            return
+        if deg[c][v] == 1 and nb[c][v] == u:
+            deg[c][v] = 0
+            deg[c][u] -= 1
+        else:
+            deg[c][u] = 0
+            deg[c][v] -= 1
+
+    def rec(i, used):
+        if i == m:
+            return True
+        u, v = edges[i]
+        for c in range(min(used + 1, t)):
+            if try_add(c, u, v):
+                assign[i] = c
+                if rec(i + 1, max(used, c + 1)):
+                    return True
+                undo_add(c, u, v)
+                assign[i] = -1
+        return False
+
+    if not rec(0, 0):
+        return None
+    classes = [[] for _ in range(t)]
+    for i, e in enumerate(edges):
+        classes[assign[i]].append(e)
+    return tuple(tuple(sorted(cls)) for cls in classes if cls)
+
+
+def static_sa(g: Graph) -> int:
+    """Star arboricity by ``static_star_assign`` at t = ceil(m/(n+ - 1)),
+    ceil(m/(n+ - 1)) + 1, ... (n+ non-isolated vertices; a partition into t
+    forests needs m <= t(n+ - 1), so no smaller t can succeed)."""
+    if g.m == 0:
+        return 0
+    n_plus = len({v for e in g.edges for v in e})
+    t = -(-g.m // (n_plus - 1))
+    while (classes := static_star_assign(g, t)) is None:
+        t += 1
+    return len(classes)
+
+
 # ---------------------------------------------------------------------------
 # Pure-Python Jacobi eigensolver (independent of numpy's LAPACK path)
 

@@ -190,6 +190,25 @@ class TestScanCommand:
             docs.append(doc)
         assert docs[0] == docs[1] and docs[0]["totals"]["graphs"] == 1
 
+    def test_graph6_scan_encodes_its_graph_once(self, monkeypatch, capsys):
+        """The source name and the scanned row share one graph6 encoding."""
+        import lapsum.graphs
+        import lapsum.harness
+
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return encode_graph6(g)
+
+        monkeypatch.setattr(lapsum.graphs, "encode_graph6", counting)
+        monkeypatch.setattr(lapsum.harness, "encode_graph6", counting)
+        code, out, _ = run(capsys, "scan", "--graph6", "E?zw", "--bound", "theorem",
+                           "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and doc["source"] == "single:E?zw"
+        assert doc["totals"]["graphs"] == 1 and len(calls) == 1
+
     def test_scan_csv_stdout_ends_in_one_newline(self, tmp_path, capsys):
         out_path = tmp_path / "report.csv"
         argv = ("scan", "--all-labeled", "3", "--bound", "bai", "--format", "csv")

@@ -12,6 +12,7 @@ from lapsum.decomposition import (
     AssignmentExhausted,
     KCAssignment,
     _star_assign,
+    _star_plan,
     _without_transversal,
     arboricity_value,
     build_assignment_aux,
@@ -37,7 +38,7 @@ from lapsum.graphs import (
 from lapsum.matching import min_vertex_cover
 
 from conftest import class_masks, sampled_graphs, small_graphs
-from oracles import oracle_arboricity, oracle_sa
+from oracles import oracle_arboricity, oracle_sa, static_sa
 
 
 class TestArboricity:
@@ -112,7 +113,7 @@ def _sa_from_arboricity(g):
     if g.m == 0:
         return 0, ()
     t = arboricity_value(g)[0]
-    while (classes := _star_assign(g, t)) is None:
+    while (classes := _star_assign(_star_plan(g), t)) is None:
         t += 1
     return len(classes), classes
 
@@ -143,6 +144,59 @@ def _dense_core_graphs(seed, count, cores=(5, 6)):
         perm = list(range(n))
         rng.shuffle(perm)
         yield graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _certify_gnm_graphs(seed, count):
+    """count seeded G(n, m) graphs at each of the four sizes at which
+    certify times exact star arboricity; the static-order reference search
+    takes at most 0.02 s on each of these."""
+    rng = random.Random(seed)
+    for n, m in ((7, 12), (8, 16), (9, 18), (10, 20)):
+        pairs = list(itertools.combinations(range(n), 2))
+        for _ in range(count):
+            yield graph_from_edges(n, rng.sample(pairs, m))
+
+
+class TestStarSearchReference:
+    """star_arboricity_exact gives the sa of the static-order search it
+    replaced (``oracles.static_star_assign``), with a decomposition that
+    passes ``validate``."""
+
+    @staticmethod
+    def check(graphs):
+        for g in graphs:
+            sa, sfd = star_arboricity_exact(g)
+            sfd.validate(g)
+            assert len(sfd.classes) == sa == static_sa(g), g
+
+    def test_all_labeled_up_to_5(self, exhaustive_n5):
+        self.check(exhaustive_n5)
+
+    def test_one_per_class_at_6(self):
+        self.check(_one_per_class(6))
+
+    def test_dense_cores(self):
+        self.check(_dense_core_graphs(27, 24))
+        self.check(_dense_core_graphs(28, 1, cores=(7,)))
+
+    def test_certify_sizes(self):
+        self.check(_certify_gnm_graphs(31, 16))
+
+    def test_only_the_lowest_empty_class_is_opened(self, monkeypatch):
+        """Trying a second empty class at a node changes no value, only the
+        work: the nodes where every edge fits two or more classes, counted
+        by their full fit count, go from 1,528 to 6,133 or more on K7,
+        whose level t = 4 has no assignment."""
+        counts = []
+        fewest_fits = decomposition._fewest_fits
+
+        def counting(*args):
+            counts.append(1)
+            return fewest_fits(*args)
+
+        monkeypatch.setattr(decomposition, "_fewest_fits", counting)
+        assert star_arboricity_exact(make_family("complete:7"))[0] == 5
+        assert len(counts) <= 2000
 
 
 class TestStarArboricity:
