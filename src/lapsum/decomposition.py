@@ -32,6 +32,7 @@ from .graphs import (
     graph_from_edges,
     induced_subgraph,
     is_forest,
+    non_isolated_count,
 )
 from .matching import greedy_cover_2approx, hall_violator
 
@@ -41,7 +42,7 @@ STAR_ARB_EDGE_CAP = 30
 # ---------------------------------------------------------------------------
 # Decomposition containers
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForestDecomposition:
     n: int
     classes: tuple[tuple[tuple[int, int], ...], ...]
@@ -53,7 +54,7 @@ class ForestDecomposition:
                 raise AlgorithmError("forest class contains a cycle")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StarForestDecomposition:
     n: int
     classes: tuple[tuple[tuple[int, int], ...], ...]
@@ -208,11 +209,12 @@ def forest_to_two_star_forests(n: int, forest_edges) -> tuple[tuple[tuple[int, i
     Each tree is rooted at its smallest vertex; an edge goes to class 0 or 1
     according to the depth parity of its parent endpoint.
     """
-    edges = tuple((min(u, v), max(u, v)) for u, v in forest_edges)
+    # ordered edge tuples are kept, not copied: the classes share them
+    edges = tuple(tuple(e) if e[0] < e[1] else (e[1], e[0]) for e in forest_edges)
     if not is_forest(Graph(n, edges)):
         raise GraphError("input edge set is not acyclic")
     adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in forest_edges:
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     depth = [-1] * n
@@ -228,9 +230,10 @@ def forest_to_two_star_forests(n: int, forest_edges) -> tuple[tuple[tuple[int, i
                     depth[y] = depth[x] + 1
                     q.append(y)
     classes: list[list[tuple[int, int]]] = [[], []]
-    for u, v in forest_edges:
+    for e in edges:
+        u, v = e
         parent = u if depth[u] < depth[v] else v
-        classes[depth[parent] % 2].append((u, v) if u < v else (v, u))
+        classes[depth[parent] % 2].append(e)
     out = tuple(tuple(sorted(cls)) for cls in classes if cls)
     for cls in out:
         if not is_star_forest(n, cls):
@@ -258,8 +261,7 @@ def star_arboricity_exact(g: Graph) -> tuple[int, StarForestDecomposition]:
     if g.m == 0:
         return 0, StarForestDecomposition(g.n, ())
     plan = _star_plan(g)
-    inc = plan[2]
-    t = -(-g.m // (len(inc) - inc.count(0) - 1))
+    t = -(-g.m // (non_isolated_count(g) - 1))
     while (classes := _star_assign(plan, t)) is None:
         t += 1
     sfd = StarForestDecomposition(g.n, classes)
@@ -271,10 +273,7 @@ def _star_plan(g: Graph):
     """The search input of ``_star_assign``: (n, edges, inc). Edge i is the
     i-th edge by degree sum, largest first (ties in lexicographic order),
     and inc[v] is the bit mask of the edge indices at vertex v."""
-    degs = [0] * g.n
-    for u, v in g.edges:
-        degs[u] += 1
-        degs[v] += 1
+    degs = g.degrees()
     edges = sorted(g.edges, key=lambda e: -(degs[e[0]] + degs[e[1]]))
     inc = [0] * g.n
     for i, (u, v) in enumerate(edges):
@@ -342,23 +341,10 @@ def _star_assign(plan, t: int):
     def rec(left, used):
         if not left:
             return True
-        if used:
-            one = two = 0  # the unassigned edges that fit >= 1, >= 2 used classes
-            for c in range(used):
-                fit = left & ~nofit[c]
-                two |= one & fit
-                one |= fit
-            if one != left:
-                if used == t:
-                    return False
-                low = left & ~one
-            elif two != left or used < 3:
-                low = left & ~two or left
-            else:
-                low = _fewest_fits(left, nofit, used)
-            bit = low & -low
-        else:
-            bit = left & -left
+        fits, low = _fewest_fits(left, nofit, used)
+        if not fits and used == t:
+            return False
+        bit = low & -low
         i = bit.bit_length() - 1
         u, v = edges[i]
         for c in range(used + 1 if used < t else t):
@@ -390,18 +376,30 @@ def _star_assign(plan, t: int):
     return tuple(tuple(sorted(cls)) for cls in classes if cls)
 
 
-def _fewest_fits(left: int, nofit, used: int) -> int:
-    """The edges of the mask ``left`` that fit the fewest of the classes
-    0..used-1, where edge i fits class c iff bit i of nofit[c] is clear."""
-    ge = [left] + [0] * used  # ge[k]: the edges that fit >= k classes
+def _fewest_fits(left: int, nofit, used: int) -> tuple[int, int]:
+    """(k, low): the fewest k of the classes 0..used-1 that an edge of the
+    mask ``left`` fits, and the mask of the edges that fit exactly k, where
+    edge i fits class c iff bit i of nofit[c] is clear. One sweep settles
+    k < 2; only when every edge fits two or more classes are all counts
+    taken."""
+    one = two = 0  # the edges that fit >= 1, >= 2 classes
+    for c in range(used):
+        fit = left & ~nofit[c]
+        two |= one & fit
+        one |= fit
+    if one != left:
+        return 0, left & ~one
+    if two != left:
+        return 1, left & ~two
+    ge = [left] + [0] * (used + 1)  # ge[k]: the edges that fit >= k classes
     for c in range(used):
         fit = left & ~nofit[c]
         for k in range(c + 1, 0, -1):
             ge[k] |= ge[k - 1] & fit
-    k = 1
-    while k < used and ge[k + 1] == left:
+    k = 2
+    while ge[k + 1] == left:
         k += 1
-    return left & ~ge[k + 1] if k < used else left
+    return k, left & ~ge[k + 1]
 
 
 def sa_via_cover(g: Graph, cover) -> StarForestDecomposition:
@@ -428,7 +426,7 @@ def sa_via_cover(g: Graph, cover) -> StarForestDecomposition:
 # ---------------------------------------------------------------------------
 # Structure decomposition
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructureDecomposition:
     k: int
     U: frozenset[int]
@@ -524,7 +522,7 @@ def structure_decomposition(
 # ---------------------------------------------------------------------------
 # (k,c)-assignments
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KCAssignment:
     k: int
     c: int
@@ -540,7 +538,7 @@ class KCAssignment:
             raise AlgorithmError(f"in-neighborhood of {missing[0]} has no transversal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssignmentExhausted:
     tries: int
     failure_counts: dict[int, int] = field(hash=False)
@@ -618,7 +616,7 @@ def random_kc_assignment(
 # ---------------------------------------------------------------------------
 # Upper-bound pipeline
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PipelineResult:
     k: int
     route: str  # "2a" | "assignment"

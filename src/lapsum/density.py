@@ -43,20 +43,20 @@ class SizeCapError(ValueError):
     """Input exceeds the documented exact-mode size cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityWitness:
     value: Fraction
     subset: frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionWitness:
     value: Fraction
     parts: tuple[frozenset[int], ...]
     attained_part_size: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Orientation:
     """A direction per edge of ``base``: heads[i] is the head of base.edges[i]."""
 
@@ -93,7 +93,7 @@ class Orientation:
         return max(self.indegrees, default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrientationInfeasible:
     """Certificate that no k-orientation exists: a subset with e(U) > k|U|."""
 
@@ -413,7 +413,7 @@ def random_k_orientation(g: Graph, k: int, seed: int) -> Orientation:
 # ---------------------------------------------------------------------------
 # Peeling
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeelStep:
     """One removed witness subgraph: its edges and the certifying quantities."""
 
@@ -440,7 +440,7 @@ def peel_to_low_partition_density(g: Graph, k: int) -> tuple[Graph, list[PeelSte
         h_edges = []
         for part in wit.parts:
             s = set(part)
-            h_edges.extend((u, v) for u, v in cur.edges if u in s and v in s)
+            h_edges.extend(e for e in cur.edges if e[0] in s and e[1] in s)
         h = edge_subgraph(cur, h_edges)
         # H has an edge, so its isolated vertices cannot be its largest component
         h_nprime = components_info(h)[1]

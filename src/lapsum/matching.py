@@ -20,7 +20,7 @@ VERTEX_COVER_NU_CAP = 15
 NU_ELL_VERTEX_CAP = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchingResult:
     pairs: tuple[tuple[int, int], ...]
 
@@ -29,7 +29,7 @@ class MatchingResult:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GallaiEdmonds:
     """D: vertices missed by some maximum matching, i.e. the even vertices of
     the failed searches from one maximum matching's exposed vertices;
@@ -41,7 +41,7 @@ class GallaiEdmonds:
     d_components: tuple[frozenset[int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OddSetCover:
     vertices: tuple[int, ...]
     odd_sets: tuple[frozenset[int], ...]
@@ -68,7 +68,7 @@ class OddSetCover:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StarPacking:
     """Vertex-disjoint stars with a fixed leaf count."""
 

@@ -348,6 +348,13 @@ class TestPeeling:
         assert h.m == 0 and len(log) == 1
         assert log[0].value == Fraction(2)
 
+    def test_removed_edges_are_the_graph_edge_tuples(self):
+        # a peel log holds pointers to the input's edges, not copies of them
+        g = make_family("complete:6")
+        ids = {id(e) for e in g.edges}
+        _, log = peel_to_low_partition_density(g, 2)
+        assert log and all(id(e) in ids for step in log for e in step.removed_edges)
+
     def test_invariants_on_small_graphs(self):
         for g in small_graphs(4):
             for k in (1, 2):

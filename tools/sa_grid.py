@@ -1,19 +1,18 @@
 """Time exact star arboricity on a seeded grid of dense graphs.
 
-    python3 tools/sa_grid.py [CHECKOUT] [--seed S] [--per-cell K] [--n LO-HI]
+    python3 tools/sa_grid.py [CHECKOUT]
 
-For each n in LO..HI (default 7-12) and each m from 2n up to
-min(C(n, 2), STAR_ARB_EDGE_CAP), in steps of 2 and always including that
-largest m, times ``star_arboricity_exact`` on K seeded uniform G(n, m)
-graphs (default 3). Prints one line per (n, m) cell with the sa values
-and the median and worst time, then the slowest graph and the number of
-graphs over 1 s. Imports lapsum from CHECKOUT's ``src/`` (default: this
-tree), so two checkouts can be timed on the same graphs.
+For each n in 7..12 and each m from 2n up to min(C(n, 2),
+STAR_ARB_EDGE_CAP), in steps of 2 and always including that largest m,
+times ``star_arboricity_exact`` on three seeded uniform G(n, m) graphs.
+Prints one line per (n, m) cell with the sa values and the median and
+worst time, then the slowest graph and the number of graphs over 1 s.
+Imports lapsum from CHECKOUT's ``src/`` (default: this tree), so two
+checkouts can be timed on the same graphs.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import statistics
 import sys
@@ -21,9 +20,13 @@ import time
 from itertools import combinations
 from pathlib import Path
 
+SEED = 0
+PER_CELL = 3
+N_RANGE = range(7, 13)
 
-def cells(lo: int, hi: int, cap: int):
-    for n in range(lo, hi + 1):
+
+def cells(cap: int):
+    for n in N_RANGE:
         top = min(n * (n - 1) // 2, cap)
         ms = list(range(2 * n, top + 1, 2))
         if top >= 2 * n and ms[-1] != top:
@@ -32,26 +35,21 @@ def cells(lo: int, hi: int, cap: int):
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("checkout", nargs="?", default=str(Path(__file__).resolve().parents[1]))
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--per-cell", type=int, default=3)
-    ap.add_argument("--n", default="7-12", help="vertex counts LO-HI")
-    args = ap.parse_args(argv)
-    src = str(Path(args.checkout).resolve() / "src")
+    argv = sys.argv[1:] if argv is None else argv
+    checkout = Path(argv[0]) if argv else Path(__file__).resolve().parents[1]
+    src = str(checkout.resolve() / "src")
     sys.path.insert(0, src)
     from lapsum.decomposition import STAR_ARB_EDGE_CAP, star_arboricity_exact
     from lapsum.graphs import graph_from_edges
 
-    lo, hi = map(int, args.n.split("-"))
-    print(f"lapsum from {src}; seed {args.seed}, {args.per_cell} graphs per cell")
+    print(f"lapsum from {src}; seed {SEED}, {PER_CELL} graphs per cell")
     print(f"{'n':>3} {'m':>3}  {'sa':<10} {'median_s':>9} {'worst_s':>9}")
     slowest, over = (0.0, (0, 0)), 0
-    for n, m in cells(lo, hi, STAR_ARB_EDGE_CAP):
-        rng = random.Random(f"{args.seed}/{n}/{m}")
+    for n, m in cells(STAR_ARB_EDGE_CAP):
+        rng = random.Random(f"{SEED}/{n}/{m}")
         pairs = list(combinations(range(n), 2))
         times, sas = [], []
-        for _ in range(args.per_cell):
+        for _ in range(PER_CELL):
             g = graph_from_edges(n, rng.sample(pairs, m))
             t0 = time.perf_counter()
             sas.append(star_arboricity_exact(g)[0])
