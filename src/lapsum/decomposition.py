@@ -380,23 +380,26 @@ def _fewest_fits(left: int, nofit, used: int) -> tuple[int, int]:
     """(k, low): the fewest k of the classes 0..used-1 that an edge of the
     mask ``left`` fits, and the mask of the edges that fit exactly k, where
     edge i fits class c iff bit i of nofit[c] is clear. One sweep settles
-    k < 2; only when every edge fits two or more classes are all counts
+    k < 3; only when every edge fits three or more classes are all counts
     taken."""
-    one = two = 0  # the edges that fit >= 1, >= 2 classes
+    one = two = three = 0  # the edges that fit >= 1, >= 2, >= 3 classes
     for c in range(used):
         fit = left & ~nofit[c]
+        three |= two & fit
         two |= one & fit
         one |= fit
     if one != left:
         return 0, left & ~one
     if two != left:
         return 1, left & ~two
+    if three != left:
+        return 2, left & ~three
     ge = [left] + [0] * (used + 1)  # ge[k]: the edges that fit >= k classes
     for c in range(used):
         fit = left & ~nofit[c]
         for k in range(c + 1, 0, -1):
             ge[k] |= ge[k - 1] & fit
-    k = 2
+    k = 3
     while ge[k + 1] == left:
         k += 1
     return k, left & ~ge[k + 1]

@@ -314,7 +314,7 @@ def bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
 
 
 def non_isolated_count(g: Graph) -> int:
-    return sum(1 for v in range(g.n) if g.degree(v) > 0)
+    return g.n - g.degrees().count(0)
 
 
 def is_forest(g: Graph) -> bool:
