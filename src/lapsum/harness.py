@@ -1,17 +1,19 @@
 """Bound scans over graph sources, tightness probes, and report serialization.
 
-A scan is a parallel map over graphs with a deterministic ordered merge:
+A scan cuts its source into work units, spreads them round-robin over this
+process and its workers, and merges the partial reports in source order:
 reports are byte-identical across worker counts (the ``runtime_ms`` field is
 the only nondeterministic entry). Scans and probes read one route: each stack
 of graphs on one n becomes a (bound, graph, k) table of stacked spectra, aux
-columns shared by all requested bounds, and right-hand sides; a probe's stack
-is one family graph. Size-cap failures become "skipped" records instead of
-aborting the run. ``spectrum_rows`` walks the same work units and stacks for
-the spectra alone.
+columns shared by all requested bounds, and right-hand sides; a work unit is
+one stack per n, and a probe's stack is one family graph. Size-cap failures
+become "skipped" records instead of aborting the run. ``spectrum_rows``
+walks the same work units and stacks for the spectra alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -44,9 +46,6 @@ from .spectral import STACK_ENTRIES, checked_spectra, stack_size
 
 #: equality examples recorded per (bound, k); totals are always exact
 EQUALITY_EXAMPLE_CAP = 10
-#: matrix entries (n^2 per graph) per parallel work unit: the entries of four
-#: stacked eigvalsh calls (see CHANGES.md for the measurement behind the value)
-TASK_ENTRIES = 4 * STACK_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -361,8 +360,9 @@ def _stacks(work):
 
     Graphs are grouped by n, and each group is cut into stacks of at most
     ``stack_size(n)`` graphs, one stacked eigvalsh call each; that stack also
-    bounds the group's other arrays. Yields ``(n, bits, positions)``: the edge
-    bit rows and, per row, the graph's index in the unit.
+    bounds the group's other arrays. A unit from ``_tasks`` fits one stack
+    per n. Yields ``(n, bits, positions)``: the edge bit rows and, per row,
+    the graph's index in the unit.
     """
     if isinstance(work, tuple):
         n, lo, hi = work
@@ -381,12 +381,11 @@ def _stacks(work):
             yield n, graph6_bits([work[p] for p in part]), part
 
 
-def _scan_chunk(args):
+def _scan_chunk(work, bounds, krange):
     """Evaluate the bounds over the stacks of one work unit. A Graph is built
     only where a bound needs an invariant beyond the degree rows. Returns a
     partial report (no source, no runtime) whose records are in source order.
     """
-    (work, bounds, krange) = args
     report = ScanReport("", bounds, krange)
     found: dict[str, list] = {"violations": [], "equalities": [], "skipped": []}
     kept: dict[int, np.ndarray] = {}
@@ -416,16 +415,17 @@ def _first_examples(equalities, counts: dict) -> list[dict]:
 def _tasks(src: GraphSource, strict: bool):
     """The work units of a scan in source order: (n, lo, hi) edge-mask ranges
     for an all-labeled source, lists of graph6 strings for any other. A unit
-    holds at most TASK_ENTRIES matrix entries, unless it is a single graph."""
+    holds at most STACK_ENTRIES matrix entries, unless it is a single graph,
+    so it is one stacked eigvalsh call per n."""
     if src.kind == "all-labeled":
         total = all_labeled_count(src.n)
-        step = TASK_ENTRIES // STACK_ENTRIES * stack_size(src.n)
+        step = stack_size(src.n)
         return [(src.n, lo, min(lo + step, total)) for lo in range(0, total, step)]
     return _graph6_tasks(graph6_stream(src, strict=strict))
 
 
 def _graph6_tasks(g6_stream):
-    """Consecutive graph6 strings cut greedily at TASK_ENTRIES entries. A
+    """Consecutive graph6 strings cut greedily at STACK_ENTRIES entries. A
     malformed string ends the units: the strings before it form the last
     one, and then its ``Graph6Error`` is raised."""
     task, entries = [], 0
@@ -433,7 +433,7 @@ def _graph6_tasks(g6_stream):
         for g6 in g6_stream:
             n = ord(g6[0]) - 63
             cost = max(1, n * n)
-            if task and entries + cost > TASK_ENTRIES:
+            if task and entries + cost > STACK_ENTRIES:
                 yield task
                 task, entries = [], 0
             task.append(g6)
@@ -446,6 +446,108 @@ def _graph6_tasks(g6_stream):
         yield task
 
 
+def _worker(conn, bounds, krange):
+    """A scan worker: the partial reports of the units that arrive on
+    ``conn`` until None, sent back in one list. A failed unit ends the list
+    with its exception, and the rest of the input is read and dropped."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
+    partials = []
+    try:
+        for work in iter(conn.recv, None):
+            partials.append(_scan_chunk(work, bounds, krange))
+    except Exception as exc:
+        partials.append(exc)
+        for _ in iter(conn.recv, None):
+            pass
+    conn.send(partials)
+
+
+def _start_worker(bounds, krange):
+    """A started ``_worker`` process of the default multiprocessing context,
+    and this process's end of its pipe."""
+    import multiprocessing
+
+    conn, child_conn = multiprocessing.Pipe()
+    proc = multiprocessing.Process(
+        target=_worker, args=(child_conn, bounds, krange), daemon=True
+    )
+    proc.start()
+    child_conn.close()
+    return proc, conn
+
+
+def _shares(tasks, bounds, krange, jobs):
+    """Run the work units in at most ``jobs`` processes: this one and one
+    worker per unit read ahead but the last, so a one-unit source starts none.
+
+    Units go round-robin in rounds of one per process; this process takes the
+    last unit of each round, after sending the round's other units down the
+    workers' pipes. Returns the lists of partial reports of each worker and
+    then of this process, a list ending early at a failed unit's exception,
+    and the error the source raised after its last unit (or None). The
+    workers are stopped and joined whatever happens.
+    """
+    units = iter(tasks)
+    head, error = [], None
+    try:
+        while len(head) < jobs and (work := next(units, None)) is not None:
+            head.append(work)
+    except Exception as exc:
+        units, error = iter(()), exc
+    procs = max(len(head), 1)
+    workers, own = [], []
+    try:
+        for _ in range(procs - 1):
+            workers.append(_start_worker(bounds, krange))
+        try:
+            for i, work in enumerate(itertools.chain(head, units)):
+                if i % procs < procs - 1:
+                    workers[i % procs][1].send(work)
+                    continue
+                try:
+                    own.append(_scan_chunk(work, bounds, krange))
+                except Exception as exc:
+                    own.append(exc)
+                    break
+        except Exception as exc:
+            error = exc
+        for _, conn in workers:
+            conn.send(None)
+        shares = []
+        for proc, conn in workers:
+            try:
+                shares.append(conn.recv())
+            except EOFError:
+                raise RuntimeError(f"scan worker {proc.pid} exited without its reports") from None
+        for proc, _ in workers:
+            proc.join()
+    finally:
+        for proc, conn in workers:
+            conn.close()
+            proc.terminate()  # a no-op once the worker is joined
+            proc.join()
+    return [*shares, own], error
+
+
+def _partials(tasks, bounds, krange, jobs):
+    """The partial reports of the work units in source order, run by
+    ``_shares``. The first failure in source order raises, as at jobs 1: a
+    unit's error, or the source's own error after its last unit."""
+    shares, error = _shares(tasks, bounds, krange, jobs)
+    procs = len(shares)
+    for i in itertools.count():
+        share, j = shares[i % procs], i // procs
+        if j == len(share):
+            break
+        if isinstance(share[j], Exception):
+            raise share[j]
+        yield share[j]
+    if error is not None:
+        raise error
+
+
 def scan(
     src: GraphSource,
     bounds,
@@ -453,7 +555,8 @@ def scan(
     jobs: int = 1,
     strict: bool = True,
 ) -> ScanReport:
-    """Evaluate the requested bounds over every graph of the source.
+    """Evaluate the requested bounds over every graph of the source, in at
+    most ``jobs`` processes (see ``_shares``).
 
     Results are merged in source order, so the report is identical for any
     worker count. Equality examples are capped per (bound, k) — the first
@@ -467,16 +570,8 @@ def scan(
     krange = ks or KRange("all")
     start = time.monotonic()
     report = ScanReport(src.describe(), bounds, krange)
-    tasks = ((work, bounds, krange) for work in _tasks(src, strict))
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            partials = list(pool.imap(_scan_chunk, tasks))
-    else:
-        partials = [_scan_chunk(t) for t in tasks]
     eq_counts: dict[tuple[str, int], int] = {}
-    for p in partials:
+    for p in _partials(_tasks(src, strict), bounds, krange, jobs):
         report.graphs += p.graphs
         report.checks += p.checks
         for key, agg in p.aggregates.items():

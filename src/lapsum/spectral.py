@@ -10,9 +10,10 @@ from .graphs import Graph, graph6_pairs, graph6_strings
 
 #: absolute eigenvalue tolerance for computed spectra
 SPECTRUM_TOL = 1e-9
-#: matrix entries per stacked ``eigvalsh`` call; it bounds the working set of
-#: a scan worker (see CHANGES.md for the measurement behind the value)
-STACK_ENTRIES = 1 << 14
+#: matrix entries per stacked ``eigvalsh`` call, and per scan work unit; it
+#: bounds the working set of a scan process (see CHANGES.md for the
+#: measurements behind the value)
+STACK_ENTRIES = 1 << 16
 
 
 class SpectralError(RuntimeError):

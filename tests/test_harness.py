@@ -1,7 +1,10 @@
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -55,7 +58,14 @@ from lapsum.matching import (
     matching_number,
     min_vertex_cover,
 )
-from lapsum.spectral import STACK_ENTRIES, SpectralError, eps_profile, spectrum, stack_size
+from lapsum.spectral import (
+    STACK_ENTRIES,
+    SpectralError,
+    eps_profile,
+    laplacian,
+    spectrum,
+    stack_size,
+)
 
 from conftest import class_masks
 from oracles import oracle_tau
@@ -441,12 +451,10 @@ class TestScan:
                 assert rep.graphs == 1 and _report_text(rep) == want
 
     def test_all_labeled_cap_raises_before_pool(self, monkeypatch):
-        import multiprocessing
+        def no_worker(*args, **kwargs):
+            raise AssertionError("a worker was started")
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(harness, "_start_worker", no_worker)
         with pytest.raises(GraphError, match="capped at n=7"):
             scan(GraphSource("all-labeled", n=8), ["brouwer"], jobs=2)
 
@@ -469,7 +477,7 @@ class TestScan:
                 entries = [sum((ord(g6[0]) - 63) ** 2 for g6 in task) for task in tasks]
                 sizes = [len(task) for task in tasks]
             for size, used in zip(sizes, entries):
-                assert used <= harness.TASK_ENTRIES or size == 1
+                assert used <= STACK_ENTRIES or size == 1
 
     def test_mask_range_records_name_their_graphs(self, monkeypatch, tmp_path):
         # brouwer violated everywhere (eps_k >= -|E|), both bounds skipped where
@@ -512,14 +520,14 @@ class TestScan:
         assert _report_text(rep) == _report_text(by_file)
 
     def test_mask_range_ending_mid_stack(self):
-        # masks 3..699 on 5 vertices: stacks of stack_size(5) = 655 start at
-        # 3 and the second one ends 42 masks in
-        assert stack_size(5) == 655
+        # masks 3..1999 on 6 vertices: stacks of stack_size(6) = 1820 start at
+        # 3 and the second one ends 177 masks in
+        assert stack_size(6) == 1820
         tags, krange = tuple(BOUND_TAGS), KRange("all")
-        by_mask = harness._scan_chunk(((5, 3, 700), tags, krange))
-        g6s = list(itertools.islice(all_labeled_graph6(5), 3, 700))
-        assert by_mask == harness._scan_chunk((g6s, tags, krange))
-        assert by_mask.graphs == 697 and by_mask.equality_examples
+        by_mask = harness._scan_chunk((6, 3, 2000), tags, krange)
+        g6s = list(itertools.islice(all_labeled_graph6(6), 3, 2000))
+        assert by_mask == harness._scan_chunk(g6s, tags, krange)
+        assert by_mask.graphs == 1997 and by_mask.equality_examples
 
     @pytest.mark.parametrize(
         "krange", [KRange("all"), KRange("nminus2"), KRange("list", (1, 3, 9, 41))]
@@ -626,9 +634,10 @@ class TestScan:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        rep = scan(GraphSource("gnp", n=40, p=0.3, count=25, seed=1), ["brouwer"])
-        assert rep.graphs == 25
-        assert sum(s[0] for s in shapes) == 25
+        rep = scan(GraphSource("gnp", n=40, p=0.3, count=100, seed=1), ["brouwer"])
+        assert rep.graphs == 100
+        # one stacked call per work unit: 2^16 entries hold 40 graphs on 40 vertices
+        assert shapes == [(40, 40, 40), (40, 40, 40), (20, 40, 40)]
         assert all(s[0] * s[1] * s[2] <= STACK_ENTRIES for s in shapes)
 
     def test_sa_skip_record_for_large_graphs(self):
@@ -679,6 +688,109 @@ class TestScan:
         rep = scan(GraphSource("all-labeled", n=3), ["bai", "cover"], KRange("all"))
         assert rep.violations == []
         assert all(a.min_slack >= -1e-6 for a in rep.aggregates.values())
+
+
+def _counting_starts(monkeypatch) -> list:
+    """Record each worker start of the scans that follow."""
+    starts = []
+    real = harness._start_worker
+
+    def counting(*args):
+        starts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_start_worker", counting)
+    return starts
+
+
+def _g40_file(tmp_path, count, tail=""):
+    """A graph6 file of ``count`` G(40, 0.3) graphs, 40 to a work unit, then
+    the lines ``tail``."""
+    path = tmp_path / "g40.g6"
+    graphs = gnp_graphs(40, 0.3, count, 5)
+    path.write_text("".join(encode_graph6(g) + "\n" for g in graphs) + tail)
+    return str(path)
+
+
+class TestWorkers:
+    """The worker route: this process plus up to jobs - 1 workers."""
+
+    def test_no_more_workers_than_units(self, monkeypatch, tmp_path):
+        starts = _counting_starts(monkeypatch)
+        src = single(parse_graph6("E?zw"))
+        want = _report_text(scan(src, ["brouwer"]))
+        assert _report_text(scan(src, ["brouwer"], jobs=4)) == want
+        assert starts == []
+        src = GraphSource("graph6-file", path=_g40_file(tmp_path, 41))
+        assert len(list(harness._tasks(src, strict=True))) == 2
+        want = _report_text(scan(src, ["brouwer"]))
+        assert _report_text(scan(src, ["brouwer"], jobs=3)) == want
+        assert len(starts) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "masks, named",
+        [((9, 1830), 9), ((1830, 5000), 1830), ((5000,), 5000)],
+    )
+    def test_failed_unit_raises_the_jobs_1_error(self, monkeypatch, masks, named):
+        # all-labeled:6 is 19 units of 1820 masks: at jobs 2 a worker runs
+        # units 0, 2, 4, ... and this process 1, 3, ...; at jobs 3 this
+        # process runs units 2, 5, ...
+        n = 6
+        bad = np.stack([laplacian(bits_graph(n, mask_bits(n, m, m + 1)[0])) for m in masks])
+        original = np.linalg.eigvalsh
+
+        def perturbed(a, *args, **kwargs):
+            vals = original(a, *args, **kwargs)
+            if a.ndim == 3:
+                hit = (a[:, None] == bad[None]).all(axis=(2, 3)).any(axis=1)
+                vals[hit, -1] += 1.0  # the largest eigenvalue: the sum check fails
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        g6 = encode_graph6(bits_graph(n, mask_bits(n, named, named + 1)[0]))
+        for jobs in (1, 2, 3):
+            with pytest.raises(SpectralError, match=f"^graph6 {re.escape(g6)}: "):
+                scan(GraphSource("all-labeled", n=n), ["brouwer"], jobs=jobs)
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("line", [2, 101])
+    def test_strict_graph6_error_names_its_line(self, tmp_path, line):
+        path = _g40_file(tmp_path, line - 1, "B!\nBw\n")
+        for jobs in (1, 2, 3):
+            with pytest.raises(Graph6Error, match=f"{re.escape(path)}:{line}: "):
+                scan(GraphSource("graph6-file", path=path), ["brouwer"], jobs=jobs)
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_parent_error_stops_the_workers(self, monkeypatch, error):
+        starts = _counting_starts(monkeypatch)
+        parent, real = os.getpid(), harness._scan_chunk
+
+        def failing(*args):
+            if os.getpid() == parent:
+                raise error("stop")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_scan_chunk", failing)
+        for jobs in (2, 3):
+            with pytest.raises(error, match="stop"):
+                scan(GraphSource("all-labeled", n=6), ["brouwer"], jobs=jobs)
+            assert multiprocessing.active_children() == []
+        assert len(starts) == 3
+
+    def test_worker_exit_raises(self, monkeypatch):
+        parent, real = os.getpid(), harness._scan_chunk
+
+        def exiting(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_scan_chunk", exiting)
+        with pytest.raises((RuntimeError, OSError)):
+            scan(GraphSource("all-labeled", n=6), ["brouwer"], jobs=2)
+        assert multiprocessing.active_children() == []
 
 
 #: README's three tightness tables: (bound, families, k range)
