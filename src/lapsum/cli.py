@@ -20,15 +20,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from . import harness
 from .bounds import BOUND_TAGS, CONJECTURE_TAGS, THEOREM_TAGS
-from .decomposition import (
-    AssignmentExhausted,
-    arboricity_value,
-    sa_upper_bound_pipeline,
-    star_arboricity_exact,
-    structure_decomposition,
-)
 from .density import (
     OrientationInfeasible,
     SizeCapError,
@@ -47,7 +39,6 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .matching import maximum_matching, min_vertex_cover, odd_set_cover
 from .spectral import eps_profile
 
 EXIT_OK = 0
@@ -161,9 +152,13 @@ def _fmt_value(v) -> str:
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns its exit code and its output. A
-# single-graph query takes the graph and returns its payload.
+# single-graph query takes the graph and returns its payload. A handler
+# imports the layers it needs beyond graphs, spectral, density and bounds,
+# so a command loads only its own.
 
 def _cmd_spectrum(args):
+    from . import harness
+
     return EXIT_OK, harness.spectrum_rows(_source(args))
 
 
@@ -200,16 +195,22 @@ def _orient(g, args):
 
 
 def _match(g, args):
+    from .matching import maximum_matching
+
     mm = maximum_matching(g)
     return {"nu": mm.nu, "pairs": [list(e) for e in mm.pairs]}
 
 
 def _cover(g, args):
+    from .matching import min_vertex_cover
+
     cov = min_vertex_cover(g)
     return {"tau": len(cov), "cover": cov}
 
 
 def _oddcover(g, args):
+    from .matching import odd_set_cover
+
     cov = odd_set_cover(g)
     return {
         "weight": cov.weight,
@@ -219,11 +220,15 @@ def _oddcover(g, args):
 
 
 def _arbor(g, args):
+    from .decomposition import arboricity_value
+
     a, wit = arboricity_value(g)
     return {"arboricity": a, "witness": wit if wit is not None else []}
 
 
 def _stararbor(g, args):
+    from .decomposition import star_arboricity_exact
+
     sa, sfd = star_arboricity_exact(g)
     if not args.classes:
         return sa
@@ -231,11 +236,15 @@ def _stararbor(g, args):
 
 
 def _structure(g, args):
+    from .decomposition import structure_decomposition
+
     sd = structure_decomposition(g, args.k, parden_mode=args.parden_mode)
     return {"k": args.k, "U": sd.U, "C": sd.C, "I": sd.I}
 
 
 def _pipeline(g, args):
+    from .decomposition import AssignmentExhausted, sa_upper_bound_pipeline
+
     res = sa_upper_bound_pipeline(g, args.k, seed=args.seed, parden_mode=args.parden_mode)
     payload = {"k": res.k, "route": res.route, "bound_claimed": res.bound_claimed}
     if res.route == "2a":
@@ -257,6 +266,8 @@ _BOUND_GROUPS = {"theorem": THEOREM_TAGS, "conjecture": CONJECTURE_TAGS, "all": 
 
 
 def _cmd_scan(args):
+    from . import harness
+
     ids = [b.strip() for b in args.bound.split(",") if b.strip()]
     bounds = list(dict.fromkeys(t for b in ids for t in _BOUND_GROUPS.get(b, (b,))))
     ks = harness.parse_krange(args.k)
@@ -266,6 +277,8 @@ def _cmd_scan(args):
 
 
 def _cmd_probe(args):
+    from . import harness
+
     ks = harness.parse_krange(args.k)
     rows = harness.tightness_probe(args.family, args.bound, ks)
     if args.format == "json":

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import K_MAX, aux_requirements, bound_spec, rhs_table, verdict
-from .decomposition import STAR_ARB_EDGE_CAP, star_arboricity_exact
+from .density import SizeCapError
 from .graphs import (
     FamilyId,
     Graph6Error,
@@ -41,7 +41,6 @@ from .graphs import (
     make_family,
     mask_bits,
 )
-from .matching import SizeCapError, VERTEX_COVER_NU_CAP, _cover_at_nu, matching_number
 from .spectral import STACK_ENTRIES, checked_spectra, stack_size
 
 #: equality examples recorded per (bound, k); totals are always exact
@@ -199,6 +198,11 @@ def _aux_columns(n: int, bits: np.ndarray, needs: set[str]):
             cols["non_isolated"] = (degs > 0).sum(axis=1, dtype=np.int64)[:, None]
     if "tau" in needs:
         needs = needs | {"nu"}
+    # the matching and decomposition layers load only for a scan that needs them
+    if "nu" in needs:
+        from .matching import VERTEX_COVER_NU_CAP, _cover_at_nu, matching_number
+    if "sa" in needs:
+        from .decomposition import STAR_ARB_EDGE_CAP, star_arboricity_exact
     keys = [q for q in ("bipartite", "n_prime", "nu", "tau", "sa") if q in needs]
     values = np.zeros((len(bits), len(keys)), dtype=np.int64)
     for i in range(len(bits)) if keys else ():
