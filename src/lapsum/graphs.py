@@ -474,6 +474,8 @@ def gnp_graphs(n: int, p: float, count: int, seed: int) -> Iterator[Graph]:
     """Reproducible G(n,p) samples from a seeded generator."""
     if not 0 <= p <= 1:
         raise GraphError(f"p must be in [0,1], got {p}")
+    if count < 0:
+        raise GraphError(f"count must be at least 0, got {count}")
     rng = random.Random(seed)
     pairs = _pairs(n)
     for _ in range(count):

@@ -1,7 +1,8 @@
 """Bound scans over graph sources, tightness probes, and report serialization.
 
-A scan cuts its source into work units, spreads them round-robin over this
-process and its workers, and merges the partial reports in source order:
+A scan spreads the work units of its source round-robin over this process
+and its workers; each process folds its units into one partial report whose
+records carry their place in the source, and the merge sorts them on it:
 reports are byte-identical across worker counts (the ``runtime_ms`` field is
 the only nondeterministic entry). Scans and probes read one route: each stack
 of graphs on one n becomes a (bound, graph, k) table of stacked spectra, aux
@@ -129,6 +130,17 @@ class ScanReport:
     skipped: list[dict] = field(default_factory=list)
     max_eps_over_k2: float = -math.inf
     runtime_ms: int = 0
+
+    def add(self, other: ScanReport):
+        """Fold in the counts, aggregates and records of another report."""
+        self.graphs += other.graphs
+        self.checks += other.checks
+        for key, agg in other.aggregates.items():
+            self.aggregates.setdefault(key, BoundKAggregate()).add(agg)
+        self.violations += other.violations
+        self.equality_examples += other.equality_examples
+        self.skipped += other.skipped
+        self.max_eps_over_k2 = max(self.max_eps_over_k2, other.max_eps_over_k2)
 
     @property
     def violation_count(self) -> int:
@@ -296,15 +308,15 @@ def _witness_record(check: dict, t: _Table, i: int) -> dict:
     return rec
 
 
-def _scan_group(n, bits, positions, bounds, krange, report, found, kept):
-    """Evaluate the bounds on graphs with one n, given by their edge bit rows,
-    into the partial ``report``; records go to ``found`` keyed by (position in
-    the work unit, bound index, k index).
+def _scan_group(unit, n, bits, positions, bounds, krange, report, kept):
+    """Evaluate the bounds on graphs with one n of work unit ``unit``, given by
+    their edge bit rows, into the partial ``report``; records go in keyed by
+    (unit index, position in the unit, bound index, k index).
 
     Equality examples beyond the first EQUALITY_EXAMPLE_CAP per (n, bound, k)
-    of the work unit are counted but not recorded; ``kept`` maps n to the
-    examples recorded so far per (bound, k). graph6 strings are encoded only
-    for the rows of records.
+    of the units a process runs are counted but not recorded; ``kept`` maps n
+    to the examples recorded so far per (bound, k). graph6 strings are encoded
+    only for the rows of records.
     """
     ks = krange.values(n)
     t = _table(n, bits, bounds, ks)
@@ -338,8 +350,8 @@ def _scan_group(n, bits, positions, bounds, krange, report, found, kept):
     named = sorted(named)
     g6 = dict(zip(named, graph6_strings(n, bits[named])))
     for i, b, reason in t.skips:
-        found["skipped"].append(
-            ((positions[i], b, 0), {"graph6": g6[i], "bound": bounds[b], "reason": reason})
+        report.skipped.append(
+            ((unit, positions[i], b, 0), {"graph6": g6[i], "bound": bounds[b], "reason": reason})
         )
     for kind, flats in hits.items():
         for flat in flats:
@@ -354,8 +366,9 @@ def _scan_group(n, bits, positions, bounds, krange, report, found, kept):
                 "slack": float(slack[b, i, j]),
             }
             if kind == "violations":
-                check = _witness_record(check, t, i)
-            found[kind].append(((positions[i], b, j), check))
+                report.violations.append(((unit, positions[i], b, j), _witness_record(check, t, i)))
+            else:
+                report.equality_examples.append(((unit, positions[i], b, j), check))
 
 
 def _stacks(work):
@@ -385,33 +398,24 @@ def _stacks(work):
             yield n, graph6_bits([work[p] for p in part]), part
 
 
-def _scan_chunk(work, bounds, krange):
-    """Evaluate the bounds over the stacks of one work unit. A Graph is built
-    only where a bound needs an invariant beyond the degree rows. Returns a
-    partial report (no source, no runtime) whose records are in source order.
-    """
+def _scan_chunk(unit, work, bounds, krange, kept):
+    """The partial report (no source, no runtime) of work unit number ``unit``
+    over its stacks, with a process's ``kept`` (see ``_scan_group``). A Graph
+    is built only where a bound needs an invariant beyond the degree rows."""
     report = ScanReport("", bounds, krange)
-    found: dict[str, list] = {"violations": [], "equalities": [], "skipped": []}
-    kept: dict[int, np.ndarray] = {}
     for n, bits, positions in _stacks(work):
-        _scan_group(n, bits, positions, bounds, krange, report, found, kept)
+        _scan_group(unit, n, bits, positions, bounds, krange, report, kept)
     report.graphs = work[2] - work[1] if isinstance(work, tuple) else len(work)
-    for records in found.values():
-        records.sort(key=lambda item: item[0])
-    report.violations = [rec for _, rec in found["violations"]]
-    report.equality_examples = [rec for _, rec in found["equalities"]]
-    report.skipped = [rec for _, rec in found["skipped"]]
     return report
 
 
-def _first_examples(equalities, counts: dict) -> list[dict]:
-    """The equality examples within EQUALITY_EXAMPLE_CAP per (bound, k), given
-    the ``counts`` kept so far (updated in place)."""
-    kept = []
+def _first_examples(equalities) -> list[dict]:
+    """The first EQUALITY_EXAMPLE_CAP equality examples per (bound, k)."""
+    counts, kept = {}, []
     for eq in equalities:
         key = (eq["bound"], eq["k"])
-        if counts.get(key, 0) < EQUALITY_EXAMPLE_CAP:
-            counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + 1
+        if counts[key] <= EQUALITY_EXAMPLE_CAP:
             kept.append(eq)
     return kept
 
@@ -450,22 +454,30 @@ def _graph6_tasks(g6_stream):
         yield task
 
 
+def _fold(units, bounds, krange):
+    """One partial report of the (unit index, work unit) pairs ``units``, and
+    the failure that ends it early: (unit index, exception), or None."""
+    report, kept = ScanReport("", bounds, krange), {}
+    for index, work in units:
+        try:
+            report.add(_scan_chunk(index, work, bounds, krange, kept))
+        except Exception as exc:
+            return report, (index, exc)
+    return report, None
+
+
 def _worker(conn, bounds, krange):
-    """A scan worker: the partial reports of the units that arrive on
-    ``conn`` until None, sent back in one list. A failed unit ends the list
-    with its exception, and the rest of the input is read and dropped."""
+    """A scan worker: the ``_fold`` of the (unit index, work unit) pairs that
+    arrive on ``conn`` until None, sent back in one message. After a failed
+    unit, the rest of the input is read and dropped."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
-    partials = []
-    try:
-        for work in iter(conn.recv, None):
-            partials.append(_scan_chunk(work, bounds, krange))
-    except Exception as exc:
-        partials.append(exc)
-        for _ in iter(conn.recv, None):
-            pass
-    conn.send(partials)
+    units = iter(conn.recv, None)
+    share = _fold(units, bounds, krange)
+    for _ in units:
+        pass
+    conn.send(share)
 
 
 def _start_worker(bounds, krange):
@@ -488,35 +500,37 @@ def _shares(tasks, bounds, krange, jobs):
 
     Units go round-robin in rounds of one per process; this process takes the
     last unit of each round, after sending the round's other units down the
-    workers' pipes. Returns the lists of partial reports of each worker and
-    then of this process, a list ending early at a failed unit's exception,
-    and the error the source raised after its last unit (or None). The
-    workers are stopped and joined whatever happens.
+    workers' pipes. Returns the ``_fold`` pair of each worker and then of this
+    process. The source's own error comes after its last unit, so it is this
+    process's failure at index ``math.inf``. The workers are stopped and
+    joined whatever happens.
     """
-    units = iter(tasks)
+    units = enumerate(tasks)
     head, error = [], None
     try:
-        while len(head) < jobs and (work := next(units, None)) is not None:
-            head.append(work)
+        while len(head) < jobs and (unit := next(units, None)) is not None:
+            head.append(unit)
     except Exception as exc:
         units, error = iter(()), exc
     procs = max(len(head), 1)
-    workers, own = [], []
+    workers = []
+
+    def own_units():
+        for index, work in itertools.chain(head, units):
+            if index % procs < procs - 1:
+                workers[index % procs][1].send((index, work))
+            else:
+                yield index, work
+        if error is not None:
+            raise error
+
     try:
         for _ in range(procs - 1):
             workers.append(_start_worker(bounds, krange))
         try:
-            for i, work in enumerate(itertools.chain(head, units)):
-                if i % procs < procs - 1:
-                    workers[i % procs][1].send(work)
-                    continue
-                try:
-                    own.append(_scan_chunk(work, bounds, krange))
-                except Exception as exc:
-                    own.append(exc)
-                    break
-        except Exception as exc:
-            error = exc
+            own = _fold(own_units(), bounds, krange)
+        except Exception as exc:  # the source's own error, or a closed worker pipe
+            own = ScanReport("", bounds, krange), (math.inf, exc)
         for _, conn in workers:
             conn.send(None)
         shares = []
@@ -524,7 +538,7 @@ def _shares(tasks, bounds, krange, jobs):
             try:
                 shares.append(conn.recv())
             except EOFError:
-                raise RuntimeError(f"scan worker {proc.pid} exited without its reports") from None
+                raise RuntimeError(f"scan worker {proc.pid} exited without its report") from None
         for proc, _ in workers:
             proc.join()
     finally:
@@ -532,24 +546,7 @@ def _shares(tasks, bounds, krange, jobs):
             conn.close()
             proc.terminate()  # a no-op once the worker is joined
             proc.join()
-    return [*shares, own], error
-
-
-def _partials(tasks, bounds, krange, jobs):
-    """The partial reports of the work units in source order, run by
-    ``_shares``. The first failure in source order raises, as at jobs 1: a
-    unit's error, or the source's own error after its last unit."""
-    shares, error = _shares(tasks, bounds, krange, jobs)
-    procs = len(shares)
-    for i in itertools.count():
-        share, j = shares[i % procs], i // procs
-        if j == len(share):
-            break
-        if isinstance(share[j], Exception):
-            raise share[j]
-        yield share[j]
-    if error is not None:
-        raise error
+    return [*shares, own]
 
 
 def scan(
@@ -562,28 +559,30 @@ def scan(
     """Evaluate the requested bounds over every graph of the source, in at
     most ``jobs`` processes (see ``_shares``).
 
-    Results are merged in source order, so the report is identical for any
-    worker count. Equality examples are capped per (bound, k) — the first
-    few in source order — while the aggregate counts stay exact.
+    Records are sorted into source order, so the report and the failure that
+    raises are those of jobs 1. Equality examples are capped per (bound, k) —
+    the first few in source order — while the aggregate counts stay exact.
     """
     bounds = tuple(bounds)
     if not bounds:
         raise ValueError("bounds must be non-empty")
     for tag in bounds:
         bound_spec(tag)  # validates the id early
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     krange = ks or KRange("all")
     start = time.monotonic()
     report = ScanReport(src.describe(), bounds, krange)
-    eq_counts: dict[tuple[str, int], int] = {}
-    for p in _partials(_tasks(src, strict), bounds, krange, jobs):
-        report.graphs += p.graphs
-        report.checks += p.checks
-        for key, agg in p.aggregates.items():
-            report.aggregates.setdefault(key, BoundKAggregate()).add(agg)
-        report.violations.extend(p.violations)
-        report.equality_examples.extend(_first_examples(p.equality_examples, eq_counts))
-        report.skipped.extend(p.skipped)
-        report.max_eps_over_k2 = max(report.max_eps_over_k2, p.max_eps_over_k2)
+    shares = _shares(_tasks(src, strict), bounds, krange, jobs)
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    for share, _ in shares:
+        report.add(share)
+    for records in (report.violations, report.equality_examples, report.skipped):
+        records.sort(key=lambda item: item[0])
+        records[:] = [rec for _, rec in records]
+    report.equality_examples = _first_examples(report.equality_examples)
     report.runtime_ms = int((time.monotonic() - start) * 1000)
     return report
 

@@ -243,6 +243,18 @@ class TestScanCommand:
         assert doc["bounds"] == list(THEOREM_TAGS) + ["brouwer"]
         assert doc["totals"]["checks"] == 8 * (len(THEOREM_TAGS) + 1)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--all-labeled", "3", "--jobs", "0"], "jobs must be at least 1, got 0"),
+            (["--all-labeled", "3", "--jobs", "-3"], "jobs must be at least 1, got -3"),
+            (["--gnp", "5", "0.5", "-3", "1"], "count must be at least 0, got -3"),
+        ],
+    )
+    def test_scan_out_of_range_input_exit_2(self, capsys, args, message):
+        code, out, err = run(capsys, "scan", *args, "--bound", "brouwer")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_scan_bad_bound(self, capsys):
         code, _, err = run(
             capsys, "scan", "--all-labeled", "3", "--bound", "nope"

@@ -431,10 +431,12 @@ class TestScan:
             if agg.min_slack != float("inf"):
                 assert agg.min_slack >= -1e-6
 
-    def test_deterministic_across_worker_counts(self, mixed_g6_file):
+    def test_deterministic_across_worker_counts(self, mixed_g6_file, tmp_path):
         cases = [(GraphSource("all-labeled", n=n), list(BOUND_TAGS)) for n in range(6)]
         cases.append((GraphSource("all-labeled", n=6), ["brouwer"]))
         cases.append((GraphSource("graph6-file", path=mixed_g6_file), list(BOUND_TAGS)))
+        # three units with skip and equality records, merged across processes
+        cases.append((GraphSource("graph6-file", path=_g40_file(tmp_path, 100)), list(BOUND_TAGS)))
         for src, tags in cases:
             a, b, c = (_report_text(scan(src, tags, KRange("all"), jobs=j)) for j in (1, 2, 3))
             assert a == b == c, src
@@ -524,9 +526,9 @@ class TestScan:
         # 3 and the second one ends 177 masks in
         assert stack_size(6) == 1820
         tags, krange = tuple(BOUND_TAGS), KRange("all")
-        by_mask = harness._scan_chunk((6, 3, 2000), tags, krange)
+        by_mask = harness._scan_chunk(0, (6, 3, 2000), tags, krange, {})
         g6s = list(itertools.islice(all_labeled_graph6(6), 3, 2000))
-        assert by_mask == harness._scan_chunk(g6s, tags, krange)
+        assert by_mask == harness._scan_chunk(0, g6s, tags, krange, {})
         assert by_mask.graphs == 1997 and by_mask.equality_examples
 
     @pytest.mark.parametrize(
@@ -726,6 +728,15 @@ class TestWorkers:
         want = _report_text(scan(src, ["brouwer"]))
         assert _report_text(scan(src, ["brouwer"], jobs=3)) == want
         assert len(starts) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_each_process_sends_one_folded_report(self):
+        # all-labeled:6 is 19 units: two workers and this process, one pair each
+        src = GraphSource("all-labeled", n=6)
+        shares = harness._shares(harness._tasks(src, strict=True), ("brouwer",), KRange("all"), 3)
+        assert len(shares) == 3
+        assert all(isinstance(report, ScanReport) and failure is None for report, failure in shares)
+        assert sum(report.graphs for report, _ in shares) == 32768
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(

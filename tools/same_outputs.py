@@ -33,6 +33,7 @@ CASES = [
     ("all-labeled:6 theorem", ["--all-labeled", "6", "--bound", "theorem"]),
     ("all-labeled:6 brouwer", ["--all-labeled", "6", "--bound", "brouwer"]),
     ("gnp40 file brouwer", ["--file", "{g40}", "--bound", "brouwer"]),
+    ("gnp40 file all", ["--file", "{g40}", "--bound", "all"]),
     ("mixed-n file all", ["--file", "{mixed}", "--bound", "all"]),
     ("gnp 12 0.5 200 3 nminus2", ["--gnp", "12", "0.5", "200", "3", "--bound", "all",
                                   "--k", "nminus2"]),
