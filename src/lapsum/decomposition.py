@@ -532,32 +532,31 @@ class KCAssignment:
     lists: tuple[frozenset[int], ...]
 
     def validate(self, ori: Orientation):
-        palette = set(range(1, self.k + self.c + 1))
-        for lst in self.lists:
-            if len(lst) > self.c or not lst <= palette:
-                raise AlgorithmError("color list outside [k+c] or too large")
-        missing = _without_transversal(self.lists, ori.in_neighbors(), self.k + self.c)
+        missing = self.without_transversal(ori.in_neighbors())
         if missing:
             raise AlgorithmError(f"in-neighborhood of {missing[0]} has no transversal")
+
+    def without_transversal(self, ins) -> list[int]:
+        """The vertices v whose in-neighbors u in ins[v] cannot take pairwise
+        distinct colors, each from its own lists[u]: each in-neighbor is
+        assigned one color, each of the colors 1..k+c at most once (bin c is
+        color c; bin 0 has no room). Raises AlgorithmError on a list that
+        is not a set of at most c colors from 1..k+c."""
+        palette = set(range(1, self.k + self.c + 1))
+        if any(len(lst) > self.c or not palette.issuperset(lst) for lst in self.lists):
+            raise AlgorithmError("color list outside [k+c] or too large")
+        colors = [0] + [1] * (self.k + self.c)
+        return [
+            v
+            for v, nbrs in enumerate(ins)
+            if assign([1] * len(nbrs), colors, [self.lists[u] for u in nbrs]).total < len(nbrs)
+        ]
 
 
 @dataclass(frozen=True, slots=True)
 class AssignmentExhausted:
     tries: int
     failure_counts: dict[int, int] = field(hash=False)
-
-
-def _without_transversal(lists, ins, ncolors: int) -> list[int]:
-    """The vertices v whose in-neighbors u in ins[v] cannot take pairwise
-    distinct colors, each from its own lists[u]: each in-neighbor is assigned
-    one color, each of the colors 1..ncolors at most once (bin c is color c;
-    bin 0 has no room)."""
-    colors = [0] + [1] * ncolors
-    return [
-        v
-        for v, nbrs in enumerate(ins)
-        if assign([1] * len(nbrs), colors, [lists[u] for u in nbrs]).total < len(nbrs)
-    ]
 
 
 def random_kc_assignment(
@@ -571,48 +570,43 @@ def random_kc_assignment(
     """Sample uniform c-subsets of [k+c] per vertex until every vertex's
     in-neighborhood list family has a transversal.
 
-    Only the lists of failed vertices' in-neighbors are resampled between
-    tries, and only the vertices with a resampled in-neighbor are checked
-    again. ``pinned`` fixes chosen lists on the first try (test hook).
+    Each try runs the certificate check (``KCAssignment.without_transversal``)
+    once on every vertex and returns the checked assignment if no vertex
+    fails; otherwise the lists of the failed vertices' in-neighbors are
+    resampled. ``pinned`` fixes chosen lists on the first try (test hook).
     Returns (result, tries); exhaustion is reported, not raised.
     """
     if ori.max_indegree() > k:
         raise GraphError("orientation is not a k-orientation")
     if c < 1 or k < 1:
         raise ValueError("k and c must be >= 1")
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     n = ori.base.n
-    rng = random.Random(seed)
     palette = list(range(1, k + c + 1))
+    pinned = pinned or {}
+    for v, lst in pinned.items():
+        if not (0 <= v < n and len(lst) <= c and set(palette).issuperset(lst)):
+            raise ValueError(f"pinned[{v}] is not a vertex's list of at most {c} of 1..{k + c}")
+    rng = random.Random(seed)
 
     def sample() -> frozenset[int]:
         return frozenset(rng.sample(palette, c))
 
     lists = [sample() for _ in range(n)]
-    if pinned:
-        for v, lst in pinned.items():
-            lists[v] = frozenset(lst)
+    for v, lst in pinned.items():
+        lists[v] = frozenset(lst)
     ins = ori.in_neighbors()
-    outs: list[list[int]] = [[] for _ in range(n)]
-    for v, nbrs in enumerate(ins):
-        for u in nbrs:
-            outs[u].append(v)
     failure_counts: dict[int, int] = {}
-    stale = range(n)  # the vertices whose in-neighbors' lists changed
     for attempt in range(1, max_tries + 1):
-        stale_ins = [ins[v] for v in stale]
-        failed = [stale[i] for i in _without_transversal(lists, stale_ins, k + c)]
+        assignment = KCAssignment(k, c, tuple(lists))
+        failed = assignment.without_transversal(ins)
         if not failed:
-            assignment = KCAssignment(k, c, tuple(lists))
-            assignment.validate(ori)
             return assignment, attempt
-        resampled = set()
         for v in failed:
             failure_counts[v] = failure_counts.get(v, 0) + 1
             for u in ins[v]:
                 lists[u] = sample()
-                resampled.add(u)
-        # every other vertex passed with the lists it still sees
-        stale = sorted({w for u in resampled for w in outs[u]})
     return AssignmentExhausted(max_tries, failure_counts), max_tries
 
 
@@ -645,6 +639,8 @@ def sa_upper_bound_pipeline(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     check_partition_density_below(g, k, parden_mode)
     bound = k + 15 * math.log(k) + 65 if k > 1 else 66.0
     if k <= 100:

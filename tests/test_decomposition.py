@@ -1,11 +1,16 @@
 import importlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import lapsum
 from lapsum import decomposition
 from lapsum.decomposition import (
     STAR_ARB_EDGE_CAP,
@@ -13,7 +18,6 @@ from lapsum.decomposition import (
     KCAssignment,
     _star_assign,
     _star_plan,
-    _without_transversal,
     arboricity_value,
     build_assignment_aux,
     forest_decomposition,
@@ -26,7 +30,9 @@ from lapsum.decomposition import (
     structure_decomposition,
 )
 from lapsum.density import Orientation, SizeCapError, partition_density, random_k_orientation
+from lapsum.flow import assign
 from lapsum.graphs import (
+    AlgorithmError,
     Graph,
     GraphError,
     all_labeled_count,
@@ -330,8 +336,9 @@ def hall_condition(sets, ncolors):
 
 
 def has_transversal(sets, ncolors):
-    """The (k,c)-assignment check on one vertex whose in-neighbors hold ``sets``."""
-    return _without_transversal(sets, [range(len(sets))], ncolors) == []
+    """The (k,c)-assignment check on one vertex whose in-neighbors hold
+    ``sets``: k = 0 and c = ncolors admit every list of colors 1..ncolors."""
+    return KCAssignment(0, ncolors, tuple(sets)).without_transversal([range(len(sets))]) == []
 
 
 class TestTransversal:
@@ -468,8 +475,73 @@ class TestAssignments:
         g = graph_from_edges(3, [(0, 2), (1, 2)])
         ori = Orientation(g, (2, 2))
         bad = KCAssignment(2, 1, (frozenset({1}), frozenset({1}), frozenset({2})))
-        with pytest.raises(Exception):
+        with pytest.raises(AlgorithmError, match="of 2 has no transversal"):
             bad.validate(ori)
+
+    def test_validate_rejects_missing_transversal_under_optimize(self):
+        code = (
+            "from lapsum.decomposition import KCAssignment\n"
+            "from lapsum.density import Orientation\n"
+            "from lapsum.graphs import AlgorithmError, graph_from_edges\n"
+            "ori = Orientation(graph_from_edges(3, [(0, 2), (1, 2)]), (2, 2))\n"
+            "bad = KCAssignment(2, 1, (frozenset({1}), frozenset({1}), frozenset({2})))\n"
+            "try:\n"
+            "    bad.validate(ori)\n"
+            "except AlgorithmError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(lapsum.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert "raised: in-neighborhood of 2 has no transversal" in out.stdout
+
+    @pytest.mark.parametrize(
+        "max_tries, pinned",
+        [
+            (0, {}),
+            (-5, {}),
+            (50, {0: frozenset({4})}),  # outside 1..k+c = 1..3
+            (50, {0: frozenset({0})}),
+            (50, {0: frozenset({1, 2, 3})}),  # more than c = 2 colors
+            (50, {6: frozenset({1})}),  # cycle:6 has vertices 0..5
+            (50, {-1: frozenset({1})}),
+        ],
+    )
+    def test_rejects_bad_input_before_drawing(self, monkeypatch, max_tries, pinned):
+        ori = self.make_orientation()
+        drawn = []
+        recording = SimpleNamespace(Random=lambda s: RecordingRandom(s, drawn))
+        monkeypatch.setattr(decomposition, "random", recording)
+        with pytest.raises(ValueError):
+            random_kc_assignment(ori, 1, 2, seed=0, max_tries=max_tries, pinned=pinned)
+        assert drawn == []
+
+    @pytest.mark.parametrize("max_tries", [0, -5])
+    def test_pipeline_rejects_bad_max_tries(self, max_tries):
+        with pytest.raises(ValueError, match="max_tries"):
+            sa_upper_bound_pipeline(make_family("path:4"), 2, max_tries=max_tries)
+
+    def test_first_try_checks_each_vertex_once(self, monkeypatch):
+        # criterion 9's K_{101,151}: a first-try success is one assign call
+        # per vertex of the auxiliary graph, the certificate check included
+        k = 101
+        c = math.ceil(5 * math.log(k) + 20)
+        g = make_family(f"complete-bipartite:{k},{k + 50}")
+        aux, _, _ = build_assignment_aux(g, structure_decomposition(g, k, parden_mode="assume"), k)
+        ori = random_k_orientation(aux, k, seed=0)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return assign(*args)
+
+        monkeypatch.setattr(decomposition, "assign", counted)
+        res, tries = random_kc_assignment(ori, k, c, seed=0)
+        assert (c, aux.n) == (44, 253)
+        assert isinstance(res, KCAssignment) and tries == 1
+        assert len(calls) == aux.n
 
 
 class TestPipeline:

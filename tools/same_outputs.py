@@ -73,6 +73,11 @@ SINGLES = [
     ["stararbor"], ["stararbor", "--classes"], ["structure", "--k", "2"],
     ["pipeline", "--k", "2"],
 ]
+#: single-graph commands on their own graph: k > 100 takes the
+#: (k,c)-assignment route of the pipeline
+OWN_GRAPH = [
+    ["pipeline", "--family", "kbip:101,151", "--k", "101", "--parden-mode", "assume"],
+]
 JOBS = (1, 2, 3)
 FORMATS = ("json", "csv")
 
@@ -156,6 +161,11 @@ def main() -> int:
             (f"{' '.join(args)} --format {fmt}",
              [*args, "--graph6", SINGLE_GRAPH, "--format", fmt])
             for args in SINGLES
+            for fmt in ("text", "json")
+        ]
+        runs += [
+            (f"{' '.join(args)} --format {fmt}", [*args, "--format", fmt])
+            for args in OWN_GRAPH
             for fmt in ("text", "json")
         ]
         ours = run_tree(HERE, runs, tmp, "this")
