@@ -206,31 +206,16 @@ def _insert_edges(g: Graph, t: int):
 def forest_to_two_star_forests(n: int, forest_edges) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Split one forest into <= 2 star forests by parent-depth parity.
 
-    Each tree is rooted at its smallest vertex; an edge goes to class 0 or 1
-    according to the depth parity of its parent endpoint.
+    Each tree is rooted at its smallest vertex, as ``Graph.search`` roots it;
+    an edge goes to class 0 or 1 by the depth parity of its parent endpoint.
     """
     # ordered edge tuples are kept, not copied: the classes share them
-    edges = tuple(tuple(e) if e[0] < e[1] else (e[1], e[0]) for e in forest_edges)
-    if not is_forest(Graph(n, edges)):
+    forest = Graph(n, tuple(tuple(e) if e[0] < e[1] else (e[1], e[0]) for e in forest_edges))
+    if not is_forest(forest):
         raise GraphError("input edge set is not acyclic")
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    depth = [-1] * n
-    for root in range(n):
-        if depth[root] != -1 or not adj[root]:
-            continue
-        depth[root] = 0
-        q = deque([root])
-        while q:
-            x = q.popleft()
-            for y in adj[x]:
-                if depth[y] == -1:
-                    depth[y] = depth[x] + 1
-                    q.append(y)
+    depth = forest.search.depth
     classes: list[list[tuple[int, int]]] = [[], []]
-    for e in edges:
+    for e in forest.edges:
         u, v = e
         parent = u if depth[u] < depth[v] else v
         classes[depth[parent] % 2].append(e)

@@ -2,7 +2,8 @@
 
 Vertices are dense integers 0..n-1. Graphs are immutable after construction;
 every module reads adjacency through the same accessors (``Graph.edges`` for
-edge iteration, ``Graph.neighbors`` for per-vertex sorted neighbor lists).
+edge iteration, ``Graph.neighbors`` for per-vertex sorted neighbor lists), and
+components, bipartiteness and forest depths through one cached ``Graph.search``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +36,16 @@ class Graph6Error(ValueError):
         super().__init__(f"{reason} (byte offset {offset})")
         self.reason = reason
         self.offset = offset
+
+
+class Search(NamedTuple):
+    """``Graph.search``: the components in the order of their smallest
+    vertices, each vertex's distance from its component's smallest vertex,
+    and bipartiteness (an edge inside one distance layer closes an odd cycle)."""
+
+    components: tuple[frozenset[int], ...]
+    depth: tuple[int, ...]
+    bipartite: bool
 
 
 @dataclass(frozen=True)
@@ -86,6 +97,29 @@ class Graph:
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
+
+    @cached_property
+    def search(self) -> Search:
+        """Breadth-first search from the smallest vertex of each component."""
+        adj = self.adjacency
+        depth = [-1] * self.n
+        comps = []
+        bipartite = True
+        for root in range(self.n):
+            if depth[root] >= 0:
+                continue
+            depth[root] = 0
+            comp = [root]
+            for u in comp:  # comp is the queue: it grows while it is read
+                d = depth[u]
+                for w in adj[u]:
+                    if depth[w] < 0:
+                        depth[w] = d + 1
+                        comp.append(w)
+                    elif depth[w] == d:
+                        bipartite = False
+            comps.append(frozenset(comp))
+        return Search(tuple(comps), tuple(depth), bipartite)
 
 
 def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
@@ -206,25 +240,10 @@ def encode_graph6(g: Graph) -> str:
 # Structural helpers
 
 def components_info(g: Graph) -> tuple[list[frozenset[int]], int]:
-    """Connected components as vertex sets, plus the size of the largest one."""
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    n_prime = max((len(c) for c in comps), default=0)
-    return comps, n_prime
+    """Connected components as vertex sets, in the order of their smallest
+    vertices, plus the size of the largest one."""
+    comps = g.search.components
+    return list(comps), max(map(len, comps), default=0)
 
 
 def induced_subgraph(g: Graph, u: Iterable[int]) -> tuple[Graph, list[int]]:
@@ -289,28 +308,16 @@ def disjoint_union(*graphs: Graph) -> Graph:
 
 
 def is_bipartite(g: Graph) -> bool:
-    return bipartition(g) is not None
+    return g.search.bipartite
 
 
 def bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
-    """A 2-coloring (sides as sorted lists), or None if not bipartite."""
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    return None
-    a = [v for v in range(g.n) if color[v] == 0]
-    b = [v for v in range(g.n) if color[v] == 1]
-    return a, b
+    """A 2-coloring (sides as sorted lists), or None if not bipartite; the
+    smallest vertex of each component is on the first side."""
+    if not g.search.bipartite:
+        return None
+    depth = g.search.depth
+    return [v for v in range(g.n) if depth[v] % 2 == 0], [v for v in range(g.n) if depth[v] % 2]
 
 
 def non_isolated_count(g: Graph) -> int:
@@ -318,8 +325,7 @@ def non_isolated_count(g: Graph) -> int:
 
 
 def is_forest(g: Graph) -> bool:
-    comps, _ = components_info(g)
-    return g.m == g.n - len(comps)
+    return g.m == g.n - len(g.search.components)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +514,8 @@ def read_graph6_lines(path: str, strict: bool = True) -> Iterator[str]:
 def parse_edge_list(text: str) -> Graph:
     """Edge-list text format: first line ``n m``, then m lines ``u v`` (0-based).
 
-    Blank lines and ``#`` comments are skipped, as in graph6 files.
+    Blank lines and ``#`` comments are skipped, as in graph6 files. A pair
+    given twice, in either orientation, is an error.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
@@ -519,12 +526,15 @@ def parse_edge_list(text: str) -> Graph:
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise GraphError(f"header declares {m} edges but found {len(lines) - 1}")
-    edges = []
+    edges = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        u, v = sorted((int(parts[0]), int(parts[1])))
+        if (u, v) in edges:
+            raise GraphError(f"repeated edge ({u},{v}) in line {ln!r}")
+        edges.add((u, v))
     return graph_from_edges(n, edges)
 
 

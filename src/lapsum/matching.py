@@ -450,13 +450,16 @@ def hall_violator(g: Graph, side_a, side_b, ell: int) -> HallResult:
     at most once. The A-vertices reached by alternating paths from the ones
     left short form the violator, the smallest A' that maximizes
     ell |A'| - |N(A')|; it is empty exactly when A is saturated.
+
+    The sides must be disjoint with union 0..n-1, and every edge must cross
+    them; otherwise ``GraphError`` is raised before any neighbour is read.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     a_list = sorted(set(side_a))
     b_list = sorted(set(side_b))
     a_set, b_set = set(a_list), set(b_list)
-    if a_set & b_set or len(a_set) + len(b_set) != g.n:
+    if a_set & b_set or a_set | b_set != set(range(g.n)):
         raise GraphError("sides must partition the vertex set")
     for u, v in g.edges:
         if (u in a_set) == (v in a_set):

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from lapsum.graphs import Graph, all_labeled_graphs, graph6_pairs, graph_from_edges
+from lapsum.graphs import Graph, all_labeled_graphs, gnp_graphs, graph6_pairs, graph_from_edges
 
 
 def small_graphs(max_n: int = 5):
@@ -27,6 +27,16 @@ def sampled_graphs(count: int, max_n: int, seed: int):
         p = rng.random()
         edges = [e for e in combinations(range(n), 2) if rng.random() < p]
         yield graph_from_edges(n, edges)
+
+
+def search_graphs():
+    """Every labeled graph on 0..6 vertices, then seeded sparse G(n, p) with
+    n in 10, 20, 40 and mean degree 0.5 to 2.5: many components, many forests."""
+    for n in range(7):
+        yield from all_labeled_graphs(n)
+    for n in (10, 20, 40):
+        for seed in range(40):
+            yield from gnp_graphs(n, (0.5, 1.0, 1.5, 2.5)[seed % 4] / (n - 1), 1, seed)
 
 
 def class_masks(n, bits):

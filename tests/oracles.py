@@ -134,6 +134,77 @@ def loop_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+def _parity_union_find(g: Graph):
+    """Union-find over g's edges with each vertex's parity relative to its
+    root: ``(find, odd)``, where ``find(v)`` is (root, parity) and ``odd``
+    says whether some edge joins two vertices of one parity in one set."""
+    parent = list(range(g.n))
+    parity = [0] * g.n
+
+    def find(v):
+        p = 0
+        while parent[v] != v:
+            p ^= parity[v]
+            v = parent[v]
+        return v, p
+
+    odd = False
+    for u, v in g.edges:
+        (ru, pu), (rv, pv) = find(u), find(v)
+        if ru == rv:
+            odd = odd or pu == pv
+        else:
+            parent[ru], parity[ru] = rv, pu ^ pv ^ 1
+    return find, odd
+
+
+def oracle_components(g: Graph) -> list[frozenset[int]]:
+    """Connected components by union-find, in the order of their smallest vertices."""
+    find, _ = _parity_union_find(g)
+    groups: dict[int, set[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(find(v)[0], set()).add(v)
+    return sorted((frozenset(c) for c in groups.values()), key=min)
+
+
+def oracle_bipartition(g: Graph):
+    """Sides of the 2-coloring by union-find parity that puts the smallest
+    vertex of each component on the first side, or None if an edge closes
+    an odd cycle."""
+    find, odd = _parity_union_find(g)
+    if odd:
+        return None
+    color, first = [], {}
+    for v in range(g.n):  # ascending: the first vertex seen of a set is its smallest
+        root, p = find(v)
+        color.append(p ^ first.setdefault(root, p))
+    return [v for v in range(g.n) if color[v] == 0], [v for v in range(g.n) if color[v] == 1]
+
+
+def oracle_is_forest(g: Graph) -> bool:
+    """Every union-find component spans exactly one edge fewer than its vertices."""
+    return all(edges_inside(g, c) == len(c) - 1 for c in oracle_components(g))
+
+
+def oracle_two_star_split(g: Graph):
+    """The split of a forest into star forests by the depth parity of each
+    edge's upper endpoint, each tree rooted at its smallest vertex: depths by
+    relaxing the edge list until no vertex changes."""
+    depth = {min(c): 0 for c in oracle_components(g)}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in g.edges:
+            for a, b in ((u, v), (v, u)):
+                if a in depth and b not in depth:
+                    depth[b] = depth[a] + 1
+                    changed = True
+    classes = ([], [])
+    for u, v in g.edges:
+        classes[min(depth[u], depth[v]) % 2].append((u, v))
+    return tuple(tuple(sorted(c)) for c in classes if c)
+
+
 def oracle_nu(g: Graph) -> int:
     """Maximum matching size by recursion over the edge list."""
 

@@ -111,6 +111,14 @@ class TestSingleGraphCommands:
         code, out, _ = run(capsys, "match", "--file", str(p), "--format", "json")
         assert code == 0 and json.loads(out)["nu"] == 1
 
+    @pytest.mark.parametrize("argv", [["match"], ["scan", "--bound", "all"]])
+    def test_edge_list_repeated_pair_exit_2(self, tmp_path, capsys, argv):
+        p = tmp_path / "g.txt"
+        p.write_text("3 3\n0 1\n1 0\n1 2\n")
+        code, out, err = run(capsys, *argv, "--file", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: repeated edge (0,1)")
+
     def test_empty_file(self, tmp_path, capsys):
         p = tmp_path / "empty.g6"
         p.write_text("# nothing\n")

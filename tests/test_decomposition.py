@@ -43,8 +43,8 @@ from lapsum.graphs import (
 )
 from lapsum.matching import min_vertex_cover
 
-from conftest import class_masks, sampled_graphs, small_graphs
-from oracles import oracle_arboricity, oracle_sa, static_sa
+from conftest import class_masks, sampled_graphs, search_graphs, small_graphs
+from oracles import oracle_arboricity, oracle_is_forest, oracle_sa, oracle_two_star_split, static_sa
 
 
 class TestArboricity:
@@ -109,6 +109,18 @@ class TestStarForests:
         out = [e for cls in forest_to_two_star_forests(5, path) for e in cls]
         assert sorted(out) == [(0, 1), (1, 2), (2, 3), (3, 4)]
         assert {id(e) for e in out} & {id(e) for e in path} == {id(e) for e in path if e[0] < e[1]}
+
+    def test_split_matches_oracle(self):
+        for g in search_graphs():
+            if oracle_is_forest(g):
+                assert forest_to_two_star_forests(g.n, g.edges) == oracle_two_star_split(g), g
+            else:
+                with pytest.raises(GraphError, match="not acyclic"):
+                    forest_to_two_star_forests(g.n, g.edges)
+        for g in sampled_graphs(150, 12, seed=23):
+            for cls in forest_decomposition(g).classes:
+                want = oracle_two_star_split(Graph(g.n, cls))
+                assert forest_to_two_star_forests(g.n, cls) == want, (g, cls)
 
     def test_split_on_random_forests(self):
         for g in sampled_graphs(80, 7, seed=22):

@@ -43,7 +43,8 @@ from lapsum.graphs import (
     remove_edges,
 )
 
-from oracles import loop_graph6
+from conftest import search_graphs
+from oracles import loop_graph6, oracle_bipartition, oracle_components, oracle_is_forest
 
 
 def random_graph_strategy(max_n=8):
@@ -205,6 +206,20 @@ class TestStructuralHelpers:
         assert non_isolated_count(g) == 2
 
 
+class TestSearchReaders:
+    """Every reader of ``Graph.search`` against the union-find oracles."""
+
+    def test_readers_match_oracles(self):
+        for g in search_graphs():
+            comps, n_prime = components_info(g)
+            want = oracle_components(g)
+            assert comps == want, g
+            assert n_prime == max(map(len, want), default=0)
+            sides = oracle_bipartition(g)
+            assert bipartition(g) == sides and is_bipartite(g) == (sides is not None), g
+            assert is_forest(g) == oracle_is_forest(g), g
+
+
 class TestFamilies:
     def test_parse_family_forms(self):
         assert parse_family("star:6") == FamilyId("star", (6,))
@@ -279,6 +294,9 @@ class TestSources:
         assert g.edges == ((0, 1), (1, 2))
         with pytest.raises(GraphError):
             parse_edge_list("3 2\n0 1\n")
+        for text in ("3 3\n0 1\n1 0\n1 2\n", "3 3\n0 1\n1 2\n0 1\n"):
+            with pytest.raises(GraphError, match=r"repeated edge \(0,1\)"):
+                parse_edge_list(text)
 
     def test_graph6_file_stream(self, tmp_path):
         path = tmp_path / "graphs.g6"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -333,6 +334,22 @@ class TestAuxColumns:
         assert missing == {7: {None: "over the cap"}}
         assert cols["bipartite"][:, 0].tolist() == [1] * 7 + [0]
         assert cols["nu"][:, 0].tolist() == [0, 1, 1, 1, 1, 1, 1, 0]
+
+    def test_one_search_per_graph(self, monkeypatch):
+        # bipartiteness and n' both read the graph's one cached search
+        real = Graph.search.func
+        searched = []
+
+        def counted(g):
+            searched.append(g)
+            return real(g)
+
+        search = functools.cached_property(counted)
+        search.__set_name__(Graph, "search")
+        monkeypatch.setattr(Graph, "search", search)
+        bits = mask_bits(5, 0, all_labeled_count(5))
+        harness._aux_columns(5, bits, {"bipartite", "n_prime"})
+        assert len(searched) == 1024
 
     def test_brouwer_scan_computes_no_aux(self, monkeypatch):
         def no_aux(*args):

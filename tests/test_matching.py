@@ -292,6 +292,13 @@ class TestHallViolator:
         g2 = graph_from_edges(4, [(0, 1)])
         with pytest.raises(GraphError):
             hall_violator(g2, [0], [1, 2], 1)  # sides must cover V
+        # sizes that add up to n but name vertices outside 0..n-1
+        g3 = graph_from_edges(3, [(0, 1)])
+        for side_a in ([0, 5], [0, -1]):
+            with pytest.raises(GraphError, match="partition"):
+                hall_violator(g3, side_a, [1], 1)
+        with pytest.raises(GraphError, match="partition"):
+            hall_violator(graph_from_edges(3, [(0, 1), (1, 2)]), [1, 7], [0], 1)
 
     def test_branches_track_exact_nu_ell(self):
         # saturating iff a perfect A-saturating packing exists (checked by oracle count)

@@ -7,14 +7,15 @@ Runs one fixed list of cases through ``lapsum.cli.main`` in this tree and in
 PARENT_CHECKOUT, each tree in its own interpreter that imports lapsum from the
 tree's ``src/``. Every scan case runs at ``--jobs`` 1, 2 and 3, once with
 ``--format json`` and once with ``--format csv``; each single-graph case runs
-once as text and once as JSON; each probe case runs once, in the format it
-names, and each spectrum case once. The compared text is the exit code plus
-the output: scan JSON without ``runtime_ms`` (the one field that is not
-deterministic), everything else as written, so a capped probe, which writes
-nothing, compares by its exit code. Prints one line per case and exits 1 on
-any difference. The input files are written once, to a temporary directory,
-by this tree's lapsum; the mixed-n file is the one ``tests/test_harness.py``
-scans.
+once as text and once as JSON, and so does each of the commands that read
+components, bipartiteness or forest depths on two disconnected graphs; each
+probe case runs once, in the format it names, and each spectrum case once.
+The compared text is the exit code plus the output: scan JSON without
+``runtime_ms`` (the one field that is not deterministic), everything else as
+written, so a capped probe, which writes nothing, compares by its exit code.
+Prints one line per case and exits 1 on any difference. The input files are
+written once, to a temporary directory, by this tree's lapsum; the mixed-n
+file is the one ``tests/test_harness.py`` scans.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 
+#: two disconnected graphs: C5 + P4 + K1 (n' = 5) and C6 + P3 + K1 (bipartite)
+DISCONNECTED = ("Ihc?GC@??", "IhEG?C@??")
 #: (name, scan arguments); {g40} and {mixed} name the generated input files
 CASES = [
     *((f"all-labeled:{n} all", ["--all-labeled", str(n), "--bound", "all"]) for n in range(6)),
@@ -38,6 +41,8 @@ CASES = [
     ("gnp 12 0.5 200 3 nminus2", ["--gnp", "12", "0.5", "200", "3", "--bound", "all",
                                   "--k", "nminus2"]),
     ("graph6 E?zw theorem", ["--graph6", "E?zw", "--bound", "theorem"]),
+    *((f"graph6 {g6} half-component,bipartite-sq",
+       ["--graph6", g6, "--bound", "half-component,bipartite-sq"]) for g6 in DISCONNECTED),
 ]
 #: (name, probe arguments): README's three tightness tables, one of them also
 #: as JSON, a k list reaching past n, and a family over the exact-sa cap
@@ -72,6 +77,13 @@ SINGLES = [
     ["orient", "--k", "1"], ["match"], ["cover"], ["oddcover"], ["arbor"],
     ["stararbor"], ["stararbor", "--classes"], ["structure", "--k", "2"],
     ["pipeline", "--k", "2"],
+]
+#: the commands that read components, bipartiteness or forest depths, run on
+#: each DISCONNECTED graph; both have partition density 2, so k = 3 is the
+#: smallest k that pipeline and structure take
+DISCONNECTED_SINGLES = [
+    ["parden", "--bracket"], ["oddcover"], ["arbor"], ["pipeline", "--k", "3"],
+    ["structure", "--k", "3"],
 ]
 #: single-graph commands on their own graph: k > 100 takes the
 #: (k,c)-assignment route of the pipeline
@@ -161,6 +173,12 @@ def main() -> int:
             (f"{' '.join(args)} --format {fmt}",
              [*args, "--graph6", SINGLE_GRAPH, "--format", fmt])
             for args in SINGLES
+            for fmt in ("text", "json")
+        ]
+        runs += [
+            (f"{' '.join(args)} {g6} --format {fmt}", [*args, "--graph6", g6, "--format", fmt])
+            for g6 in DISCONNECTED
+            for args in DISCONNECTED_SINGLES
             for fmt in ("text", "json")
         ]
         runs += [
