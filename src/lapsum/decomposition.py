@@ -50,7 +50,7 @@ class ForestDecomposition:
     def validate(self, g: Graph):
         _check_edge_partition(g, self.classes)
         for cls in self.classes:
-            if not is_forest(Graph(self.n, cls)):
+            if not is_forest(Graph(self.n, tuple(sorted(cls)))):
                 raise AlgorithmError("forest class contains a cycle")
 
 
@@ -67,16 +67,10 @@ class StarForestDecomposition:
 
 
 def _check_edge_partition(g: Graph, classes):
-    seen: set[tuple[int, int]] = set()
-    for cls in classes:
-        for e in cls:
-            if e in seen:
-                raise AlgorithmError(f"edge {e} appears in two classes")
-            if e not in g.edge_set:
-                raise AlgorithmError(f"{e} is not an edge of the graph")
-            seen.add(e)
-    if len(seen) != g.m:
-        raise AlgorithmError("classes do not cover every edge")
+    """Each edge of g in exactly one class, as g writes it: with g's edges
+    strictly sorted, this rules out repeats, non-edges and reversed pairs."""
+    if sorted(e for cls in classes for e in cls) != list(g.edges):
+        raise AlgorithmError("classes do not partition the edges of the graph")
 
 
 def is_star_forest(n: int, edges) -> bool:
@@ -210,7 +204,9 @@ def forest_to_two_star_forests(n: int, forest_edges) -> tuple[tuple[tuple[int, i
     an edge goes to class 0 or 1 by the depth parity of its parent endpoint.
     """
     # ordered edge tuples are kept, not copied: the classes share them
-    forest = Graph(n, tuple(tuple(e) if e[0] < e[1] else (e[1], e[0]) for e in forest_edges))
+    forest = Graph(
+        n, tuple(sorted(tuple(e) if e[0] < e[1] else (e[1], e[0]) for e in forest_edges))
+    )
     if not is_forest(forest):
         raise GraphError("input edge set is not acyclic")
     depth = forest.search.depth
@@ -219,7 +215,7 @@ def forest_to_two_star_forests(n: int, forest_edges) -> tuple[tuple[tuple[int, i
         u, v = e
         parent = u if depth[u] < depth[v] else v
         classes[depth[parent] % 2].append(e)
-    out = tuple(tuple(sorted(cls)) for cls in classes if cls)
+    out = tuple(tuple(cls) for cls in classes if cls)
     for cls in out:
         if not is_star_forest(n, cls):
             raise AlgorithmError("parity split produced a non-star-forest class")
@@ -404,9 +400,7 @@ def sa_via_cover(g: Graph, cover) -> StarForestDecomposition:
             (order[w] for w in (u, v) if w in order),
         )
         classes[first].append((u, v))
-    out = StarForestDecomposition(
-        g.n, tuple(tuple(sorted(cls)) for cls in classes if cls)
-    )
+    out = StarForestDecomposition(g.n, tuple(tuple(cls) for cls in classes if cls))
     out.validate(g)
     return out
 

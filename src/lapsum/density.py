@@ -25,6 +25,7 @@ from .graphs import (
     GraphError,
     components_info,
     edge_subgraph,
+    graph_from_edges,
     remove_edges,
 )
 
@@ -173,7 +174,7 @@ def _edge_counts(g: Graph) -> np.ndarray:
     n = g.n
     lower = [0] * n  # lower[v]: neighbours of v below v
     for u, v in g.edges:
-        lower[max(u, v)] |= 1 << min(u, v)
+        lower[v] |= 1 << u
     pc = _popcounts(n)
     e = np.zeros(1 << n, dtype=np.int16)
     for v in range(n):
@@ -398,9 +399,7 @@ def random_k_orientation(g: Graph, k: int, seed: int) -> Orientation:
     inv = [0] * g.n
     for i, p in enumerate(perm):
         inv[p] = i
-    relabeled = Graph(
-        g.n, tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges))
-    )
+    relabeled = graph_from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges))
     ori = k_orientation(relabeled, k)
     if isinstance(ori, OrientationInfeasible):
         raise GraphError(f"graph is not {k}-orientable")

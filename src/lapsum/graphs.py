@@ -12,7 +12,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -50,7 +50,9 @@ class Search(NamedTuple):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on vertices 0..n-1 with a sorted edge tuple."""
+    """Undirected simple graph on vertices 0..n-1. ``edges`` holds each edge
+    once, as (u, v) with u < v, in strictly increasing lexicographic order,
+    so one labeled graph has one ``Graph``."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -58,15 +60,16 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise GraphError(f"negative vertex count {self.n}")
-        seen = set()
-        for u, v in self.edges:
+        prev = ()  # below every edge
+        for e in self.edges:
+            u, v = e
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < v < self.n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
-            if (u, v) in seen:
-                raise GraphError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
+            if e <= prev:
+                raise GraphError(f"{'repeated' if e == prev else 'unsorted'} edge ({u},{v})")
+            prev = e
 
     @property
     def m(self) -> int:
@@ -75,10 +78,10 @@ class Graph:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in self.edges:  # sorted edges give v its smaller neighbours, then its larger
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        return tuple(map(tuple, nbrs))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -123,9 +126,9 @@ class Graph:
 
 
 def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
-    """Build a Graph, normalizing edge endpoint order and sorting the edge list."""
-    norm = {(min(u, v), max(u, v)) for u, v in edges}
-    return Graph(n, tuple(sorted(norm)))
+    """Build a Graph from pairs in any order and orientation; a pair given
+    twice, in either orientation, raises ``GraphError``."""
+    return Graph(n, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +181,7 @@ def parse_graph6(text: str) -> Graph:
 
 def bits_graph(n: int, bits: np.ndarray) -> Graph:
     """The graph on n vertices whose edge bits, in graph6 order, are ``bits``."""
-    edges = graph6_pairs(n)[bits.astype(bool)].tolist()
-    return Graph(n, tuple(sorted(map(tuple, edges))))
+    return Graph(n, tuple(compress(_pairs(n), bits[_lex_positions(n)].tolist())))
 
 
 @cache
@@ -431,6 +433,14 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
+@cache
+def _lex_positions(n: int) -> np.ndarray:
+    """The graph6 bit position of each pair of ``_pairs(n)`` (read-only)."""
+    pos = np.array([v * (v - 1) // 2 + u for u, v in _pairs(n)], dtype=np.intp)
+    pos.setflags(write=False)
+    return pos
+
+
 def all_labeled_count(n: int) -> int:
     """The number 2^C(n,2) of labeled graphs on n vertices, the edge masks
     0..2^C(n,2)-1; raises ``GraphError`` beyond ``ALL_LABELED_CAP``."""
@@ -450,11 +460,10 @@ def mask_bits(n: int, lo: int, hi: int) -> np.ndarray:
     Bit i of a mask is the pair ``_pairs(n)[i]``; row r holds mask lo + r's
     bits in graph6 order, as ``graph6_bits`` returns them.
     """
-    pairs = _pairs(n)
-    g6_pos = np.array([v * (v - 1) // 2 + u for u, v in pairs], dtype=np.intp)
+    g6_pos = _lex_positions(n)
     masks = np.arange(lo, hi, dtype=np.int64)
-    bits = np.empty((len(masks), len(pairs)), dtype=np.uint8)
-    bits[:, g6_pos] = masks[:, None] >> np.arange(len(pairs), dtype=np.int64) & 1
+    bits = np.empty((len(masks), len(g6_pos)), dtype=np.uint8)
+    bits[:, g6_pos] = masks[:, None] >> np.arange(len(g6_pos), dtype=np.int64) & 1
     return bits
 
 
@@ -526,15 +535,12 @@ def parse_edge_list(text: str) -> Graph:
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise GraphError(f"header declares {m} edges but found {len(lines) - 1}")
-    edges = set()
+    edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"bad edge line {ln!r}")
-        u, v = sorted((int(parts[0]), int(parts[1])))
-        if (u, v) in edges:
-            raise GraphError(f"repeated edge ({u},{v}) in line {ln!r}")
-        edges.add((u, v))
+        edges.append((int(parts[0]), int(parts[1])))
     return graph_from_edges(n, edges)
 
 

@@ -134,6 +134,15 @@ def loop_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+def oracle_adjacency(g: Graph):
+    """Each vertex's neighbours in increasing order, by testing every vertex
+    pair against the edge list."""
+    es = set(g.edges)
+    return tuple(
+        tuple(w for w in range(g.n) if (min(v, w), max(v, w)) in es) for v in range(g.n)
+    )
+
+
 def _parity_union_find(g: Graph):
     """Union-find over g's edges with each vertex's parity relative to its
     root: ``(find, odd)``, where ``find(v)`` is (root, parity) and ``odd``

@@ -15,7 +15,9 @@ from lapsum import decomposition
 from lapsum.decomposition import (
     STAR_ARB_EDGE_CAP,
     AssignmentExhausted,
+    ForestDecomposition,
     KCAssignment,
+    StarForestDecomposition,
     _star_assign,
     _star_plan,
     arboricity_value,
@@ -67,6 +69,51 @@ class TestArboricity:
     def test_matches_oracle(self, exhaustive_n5):
         for g in exhaustive_n5:
             assert arboricity_value(g)[0] == oracle_arboricity(g)
+
+
+#: P4 and one valid star-forest split of it, then each partition fault:
+#: (name, classes)
+P4_SPLIT = (((0, 1), (2, 3)), ((1, 2),))
+PARTITION_FAULTS = [
+    ("edge in two classes", (((0, 1), (2, 3)), ((0, 1), (1, 2)))),
+    ("reversed edge", (((1, 0), (2, 3)), ((1, 2),))),
+    ("non-edge", (((0, 1), (2, 3)), ((0, 3), (1, 2)))),
+    ("missing edge", (((0, 1), (2, 3)),)),
+]
+
+
+class TestEdgePartitionCheck:
+    @pytest.mark.parametrize("kind", [ForestDecomposition, StarForestDecomposition])
+    @pytest.mark.parametrize("classes", [c for _, c in PARTITION_FAULTS],
+                             ids=[name for name, _ in PARTITION_FAULTS])
+    def test_faults_raise(self, kind, classes):
+        kind(4, P4_SPLIT).validate(make_family("path:4"))
+        with pytest.raises(AlgorithmError):
+            kind(4, classes).validate(make_family("path:4"))
+
+    def test_faults_raise_under_optimize(self):
+        code = (
+            "from lapsum.decomposition import ForestDecomposition, StarForestDecomposition\n"
+            "from lapsum.graphs import AlgorithmError, make_family\n"
+            f"faults = {[c for _, c in PARTITION_FAULTS]!r}\n"
+            "for kind in (ForestDecomposition, StarForestDecomposition):\n"
+            "    for classes in faults:\n"
+            "        try:\n"
+            "            kind(4, classes).validate(make_family('path:4'))\n"
+            "        except AlgorithmError:\n"
+            "            print('raised')\n"
+        )
+        src = str(Path(lapsum.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout == "raised\n" * (2 * len(PARTITION_FAULTS))
+
+    def test_classes_in_any_order_validate(self):
+        g = make_family("path:4")
+        ForestDecomposition(4, (((2, 3), (0, 1), (1, 2)),)).validate(g)
+        StarForestDecomposition(4, (((2, 3), (0, 1)), ((1, 2),))).validate(g)
 
 
 class TestForestDecomposition:

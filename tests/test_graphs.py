@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lapsum
 from lapsum.graphs import (
     ALL_LABELED_CAP,
     FamilyId,
@@ -44,7 +49,13 @@ from lapsum.graphs import (
 )
 
 from conftest import search_graphs
-from oracles import loop_graph6, oracle_bipartition, oracle_components, oracle_is_forest
+from oracles import (
+    loop_graph6,
+    oracle_adjacency,
+    oracle_bipartition,
+    oracle_components,
+    oracle_is_forest,
+)
 
 
 def random_graph_strategy(max_n=8):
@@ -66,8 +77,45 @@ class TestGraphBasics:
             Graph(3, ((1, 0),))  # endpoints must be ordered
         with pytest.raises(GraphError):
             Graph(2, ((0, 2),))
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"repeated edge \(0,1\)"):
             Graph(3, ((0, 1), (0, 1)))
+        with pytest.raises(GraphError, match=r"unsorted edge \(0,1\)"):
+            Graph(3, ((1, 2), (0, 1)))
+
+    def test_graph_from_edges_rejects_a_repeated_pair(self):
+        with pytest.raises(GraphError, match=r"repeated edge \(0,1\)"):
+            graph_from_edges(3, [(0, 1), (1, 0)])
+        assert graph_from_edges(3, [(1, 2), (1, 0)]) == Graph(3, ((0, 1), (1, 2)))
+
+    def test_bad_edges_raise_under_optimize(self):
+        code = (
+            "from lapsum.graphs import Graph, GraphError, graph_from_edges\n"
+            "for build in (lambda: Graph(3, ((1, 2), (0, 1))), lambda: Graph(3, ((0, 1), (0, 1))),\n"
+            "              lambda: graph_from_edges(3, [(0, 1), (1, 0)])):\n"
+            "    try:\n"
+            "        build()\n"
+            "    except GraphError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = str(Path(lapsum.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.splitlines() == [
+            "unsorted edge (0,1)", "repeated edge (0,1)", "repeated edge (0,1)"
+        ]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_canonical_from_bits_and_from_pairs(self, n):
+        # mask bits name the lexicographic pairs; the pairs go in reversed
+        # and flipped, so graph_from_edges has to normalize and sort them
+        pairs = list(combinations(range(n), 2))
+        for mask in range(2 ** len(pairs)):
+            given = [(v, u) for i, (u, v) in reversed(list(enumerate(pairs))) if mask >> i & 1]
+            g = bits_graph(n, mask_bits(n, mask, mask + 1)[0])
+            assert g == graph_from_edges(n, given), mask
+            assert g.adjacency == oracle_adjacency(g), mask
 
     def test_adjacency_and_degrees(self):
         g = graph_from_edges(4, [(2, 0), (0, 1)])

@@ -8,14 +8,17 @@ PARENT_CHECKOUT, each tree in its own interpreter that imports lapsum from the
 tree's ``src/``. Every scan case runs at ``--jobs`` 1, 2 and 3, once with
 ``--format json`` and once with ``--format csv``; each single-graph case runs
 once as text and once as JSON, and so does each of the commands that read
-components, bipartiteness or forest depths on two disconnected graphs; each
-probe case runs once, in the format it names, and each spectrum case once.
+components, bipartiteness or forest depths on two disconnected graphs, and
+so does each of the commands run on an edge-list file; each probe case runs
+once, in the format it names, and each spectrum case once.
 The compared text is the exit code plus the output: scan JSON without
 ``runtime_ms`` (the one field that is not deterministic), everything else as
 written, so a capped probe, which writes nothing, compares by its exit code.
 Prints one line per case and exits 1 on any difference. The input files are
 written once, to a temporary directory, by this tree's lapsum; the mixed-n
-file is the one ``tests/test_harness.py`` scans.
+file is the one ``tests/test_harness.py`` scans, and the edge-list file holds
+the edges of the single graph, each pair reversed and the lines in reverse
+order.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ HERE = Path(__file__).resolve().parents[1]
 
 #: two disconnected graphs: C5 + P4 + K1 (n' = 5) and C6 + P3 + K1 (bipartite)
 DISCONNECTED = ("Ihc?GC@??", "IhEG?C@??")
-#: (name, scan arguments); {g40} and {mixed} name the generated input files
+#: (name, scan arguments); {g40}, {mixed} and {edges} name the generated input files
 CASES = [
     *((f"all-labeled:{n} all", ["--all-labeled", str(n), "--bound", "all"]) for n in range(6)),
     ("all-labeled:6 theorem", ["--all-labeled", "6", "--bound", "theorem"]),
@@ -41,6 +44,7 @@ CASES = [
     ("gnp 12 0.5 200 3 nminus2", ["--gnp", "12", "0.5", "200", "3", "--bound", "all",
                                   "--k", "nminus2"]),
     ("graph6 E?zw theorem", ["--graph6", "E?zw", "--bound", "theorem"]),
+    ("edge-list E?zw all", ["--file", "{edges}", "--bound", "all"]),
     *((f"graph6 {g6} half-component,bipartite-sq",
        ["--graph6", g6, "--bound", "half-component,bipartite-sq"]) for g6 in DISCONNECTED),
 ]
@@ -90,6 +94,9 @@ DISCONNECTED_SINGLES = [
 OWN_GRAPH = [
     ["pipeline", "--family", "kbip:101,151", "--k", "101", "--parden-mode", "assume"],
 ]
+#: single-graph commands on the edge-list file: parse_edge_list and
+#: graph_from_edges have to put its pairs in order
+EDGE_LIST_SINGLES = [["arbor"], ["stararbor", "--classes"], ["pipeline", "--k", "2"]]
 JOBS = (1, 2, 3)
 FORMATS = ("json", "csv")
 
@@ -115,7 +122,7 @@ with open(out, "w") as fh:
 
 def write_inputs(tmp: Path) -> dict[str, str]:
     sys.path[:0] = [str(HERE / "src"), str(HERE / "tests")]
-    from lapsum.graphs import encode_graph6, gnp_graphs
+    from lapsum.graphs import encode_graph6, gnp_graphs, parse_graph6
     from test_harness import _mixed_graphs
 
     g40 = tmp / "gnp40.g6"
@@ -127,7 +134,10 @@ def write_inputs(tmp: Path) -> dict[str, str]:
     g40.write_text("\n".join(lines) + "\n")
     mixed = tmp / "mixed.g6"
     mixed.write_text("".join(encode_graph6(g) + "\n" for g in _mixed_graphs()))
-    return {"g40": str(g40), "mixed": str(mixed)}
+    edges = tmp / "edges.txt"
+    g = parse_graph6(SINGLE_GRAPH)
+    edges.write_text(f"{g.n} {g.m}\n" + "".join(f"{v} {u}\n" for u, v in reversed(g.edges)))
+    return {"g40": str(g40), "mixed": str(mixed), "edges": str(edges)}
 
 
 def deterministic(argv, result) -> str:
@@ -179,6 +189,12 @@ def main() -> int:
             (f"{' '.join(args)} {g6} --format {fmt}", [*args, "--graph6", g6, "--format", fmt])
             for g6 in DISCONNECTED
             for args in DISCONNECTED_SINGLES
+            for fmt in ("text", "json")
+        ]
+        runs += [
+            (f"{' '.join(args)} edge-list --format {fmt}",
+             [*args, "--file", files["edges"], "--format", fmt])
+            for args in EDGE_LIST_SINGLES
             for fmt in ("text", "json")
         ]
         runs += [
