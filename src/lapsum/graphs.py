@@ -134,6 +134,8 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
 # ---------------------------------------------------------------------------
 # graph6 codec (short form, n <= 62)
 
+#: the largest n of graph6's short form, whose first byte is n + 63
+GRAPH6_MAX_N = 62
 _G6_MIN, _G6_MAX = 63, 126
 _G6_BYTES = bytes(range(_G6_MIN, _G6_MAX + 1))
 #: place values of the six bits in one graph6 data byte
@@ -211,6 +213,8 @@ def graph6_bits(strings: Sequence[str]) -> np.ndarray:
 def graph6_strings(n: int, bits: np.ndarray) -> list[str]:
     """graph6 strings of graphs on n <= 62 vertices from their edge bit rows
     in graph6 order (the inverse of ``graph6_bits``), encoded together."""
+    if n > GRAPH6_MAX_N:
+        raise GraphError(f"graph6 short form supports n <= {GRAPH6_MAX_N}, got n={n}")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     padded = np.zeros((len(bits), 6 * nbytes), dtype=np.uint8)
@@ -226,15 +230,12 @@ def graph6_strings(n: int, bits: np.ndarray) -> list[str]:
 def graph_bits(g: Graph) -> np.ndarray:
     """The edge bits of g as one row in graph6 order (the inverse of ``bits_graph``)."""
     bits = np.zeros(g.n * (g.n - 1) // 2, dtype=np.uint8)
-    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
-    bits[v * (v - 1) // 2 + u] = 1
+    bits[[v * (v - 1) // 2 + u for u, v in g.edges]] = 1
     return bits
 
 
 def encode_graph6(g: Graph) -> str:
     """Encode a graph in canonical graph6 short form (requires n <= 62)."""
-    if g.n > 62:
-        raise GraphError(f"graph6 short form supports n <= 62, got n={g.n}")
     return graph6_strings(g.n, graph_bits(g)[None])[0]
 
 
@@ -265,15 +266,14 @@ def induced_subgraph(g: Graph, u: Iterable[int]) -> tuple[Graph, list[int]]:
 
 
 def edge_subgraph(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Spanning subgraph of g with only the given edges (vertex set unchanged)."""
-    es = set()
+    """Spanning subgraph of g with only the given edges (vertex set unchanged);
+    an edge given twice, in either orientation, raises ``GraphError``."""
+    es = []
     for u, v in edges:
-        if u > v:
-            u, v = v, u
-        if (u, v) not in g.edge_set:
-            raise GraphError(f"({u},{v}) is not an edge of the graph")
-        es.add((u, v))
-    return Graph(g.n, tuple(sorted(es)))
+        if not g.has_edge(u, v):
+            raise GraphError(f"({min(u, v)},{max(u, v)}) is not an edge of the graph")
+        es.append((u, v))
+    return graph_from_edges(g.n, es)
 
 
 def remove_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -293,10 +293,18 @@ def conjugate_rows(degs: np.ndarray) -> np.ndarray:
     return (degs[:, None, :] >= np.arange(1, n + 1)[:, None]).sum(axis=2, dtype=np.int64)
 
 
+@cache
+def _vertex_bits(n: int) -> np.ndarray:
+    """The graph6 bit positions of the n - 1 pairs at each vertex, as an (n, n - 1) array."""
+    w, x = np.nonzero(~np.eye(n, dtype=bool))  # row w: w's pairs {w, x} in order of x
+    lo, hi = np.minimum(w, x), np.maximum(w, x)
+    return (hi * (hi - 1) // 2 + lo).reshape(n, max(n - 1, 0))
+
+
 def degree_rows(n: int, bits: np.ndarray) -> np.ndarray:
-    """(R, n) vertex degrees of graphs on n vertices from their edge bit rows."""
-    ends = (graph6_pairs(n)[:, :, None] == np.arange(n)).any(axis=1)  # pair-vertex incidence
-    return bits.astype(np.int64) @ ends.astype(np.int64)
+    """(R, n) vertex degrees of graphs on n vertices from their edge bit rows, by a
+    gather: a BLAS product would start threads that slow the next ``eigvalsh``."""
+    return bits[:, _vertex_bits(n)].sum(axis=2, dtype=np.int64)
 
 
 def disjoint_union(*graphs: Graph) -> Graph:

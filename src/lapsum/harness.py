@@ -42,7 +42,7 @@ from .graphs import (
     make_family,
     mask_bits,
 )
-from .spectral import STACK_ENTRIES, checked_spectra, stack_size
+from .spectral import STACK_ENTRIES, checked_spectra, eps_rows, stack_size
 
 #: equality examples recorded per (bound, k); totals are always exact
 EQUALITY_EXAMPLE_CAP = 10
@@ -268,7 +268,7 @@ def _table(n: int, bits: np.ndarray, bounds, ks) -> _Table:
     columns, per-bound skips and right-hand sides of graphs on n vertices
     given by their edge bit rows, at the k values ``ks``."""
     ms, vals = checked_spectra(n, bits)
-    eps = np.cumsum(vals, axis=1) - ms[:, None]
+    eps = eps_rows(ms, vals)
     k_arr = np.array(ks, dtype=np.int64)
     lhs = np.repeat(ms[:, None].astype(float), len(ks), axis=1)  # |E| for k > n
     lhs[:, k_arr <= n] = eps[:, k_arr[k_arr <= n] - 1]

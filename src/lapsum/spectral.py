@@ -1,12 +1,15 @@
-"""Laplacian matrices, spectra, and the eigenvalue-sum excess profile."""
+"""Laplacian matrices, spectra, and the eigenvalue-sum excess profile, by one route
+(stacked edge bits, ``graph6_laplacians``, one ``eigvalsh``, ``spectrum_fault``,
+``eps_rows``); ``laplacian``, ``spectrum`` and ``eps_profile`` are one-row views."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .graphs import Graph, graph6_pairs, graph6_strings
+from .graphs import GRAPH6_MAX_N, Graph, degree_rows, graph6_pairs, graph6_strings, graph_bits
 
 #: absolute eigenvalue tolerance for computed spectra
 SPECTRUM_TOL = 1e-9
@@ -29,8 +32,7 @@ class Spectrum:
     def validate(self, g: Graph):
         if len(self.values) != g.n:
             raise SpectralError(f"expected {g.n} eigenvalues, got {len(self.values)}")
-        vals = np.array(self.values, dtype=float).reshape(1, g.n)
-        fault = spectrum_fault(vals, np.array([g.m]))
+        fault = spectrum_fault(np.array([self.values], dtype=float), np.array([g.m]))
         if fault is not None:
             raise SpectralError(fault[1])
 
@@ -46,11 +48,11 @@ def spectrum_fault(vals: np.ndarray, m: np.ndarray) -> tuple[int, str] | None:
     if n == 0:
         return None
     ntol = max(SPECTRUM_TOL * n, 1e-7)
-    total = np.cumsum(vals, axis=1)[:, -1]
+    total = vals.cumsum(axis=1)[:, -1]
     smallest = np.abs(vals[:, -1]) > ntol
     wrong_sum = np.abs(total - 2 * m) > ntol
     largest = vals[:, 0] > n + ntol
-    bad = np.flatnonzero(smallest | wrong_sum | largest)
+    bad = (smallest | wrong_sum | largest).nonzero()[0]
     if not bad.size:
         return None
     i = int(bad[0])
@@ -61,29 +63,6 @@ def spectrum_fault(vals: np.ndarray, m: np.ndarray) -> tuple[int, str] | None:
     return i, f"largest eigenvalue {float(vals[i, 0])} exceeds n = {n}"
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """Dense Laplacian: degree diagonal, -1 at edges."""
-    L = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        L[u, v] = L[v, u] = -1.0
-        L[u, u] += 1.0
-        L[v, v] += 1.0
-    return L
-
-
-def spectrum(g: Graph) -> Spectrum:
-    """Eigenvalues of the Laplacian, sorted non-increasing."""
-    if g.n == 0:
-        return Spectrum(())
-    try:
-        vals = np.linalg.eigvalsh(laplacian(g))
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"eigensolver failed: {exc}") from exc
-    spec = Spectrum(tuple(float(x) for x in vals[::-1]))
-    spec.validate(g)
-    return spec
-
-
 def stack_size(n: int) -> int:
     """Matrices of order n per stacked ``eigvalsh`` call: ``STACK_ENTRIES`` entries.
 
@@ -92,30 +71,31 @@ def stack_size(n: int) -> int:
     return max(1, STACK_ENTRIES // max(1, n * n))
 
 
-def graph6_spectra(n: int, bits: np.ndarray) -> np.ndarray:
-    """Laplacian eigenvalues of graphs on n vertices given by their graph6 edge bits.
+@cache
+def _laplacian_positions(n: int) -> np.ndarray:
+    """Flat positions of graph6's pairs (u, v), their (v, u) and the diagonal in n x n."""
+    u, v = graph6_pairs(n).T
+    return np.concatenate([u * n + v, v * n + u, np.arange(n) * (n + 1)])
 
-    ``bits`` is a (B, C(n,2)) array in graph6 order, from ``graphs.graph6_bits``
-    or ``graphs.mask_bits``, with B at most ``stack_size(n)``; the B Laplacians
-    go to one ``eigvalsh`` call. Row i of the result is graph i's spectrum,
-    non-increasing.
 
-    Every entry starts as +0.0, the diagonal of an isolated vertex included:
-    LAPACK's Householder reflector takes the sign of its pivot, so a -0.0
-    (as ``-A`` writes for each non-edge) moves the last bit of eigenvalues.
-    """
-    if n == 0:
-        return np.empty((len(bits), 0))
-    pairs = graph6_pairs(n)
-    u, v = pairs[:, 0], pairs[:, 1]
+def graph6_laplacians(n: int, bits: np.ndarray) -> np.ndarray:
+    """(B, n, n) Laplacians of graphs on n vertices from their graph6 edge bit rows
+    (``graphs.graph6_bits``, ``mask_bits`` or ``graph_bits``) by one flat-index
+    assignment. Every entry starts as +0.0, an isolated vertex's diagonal too:
+    LAPACK's Householder reflector takes the sign of its pivot, so a -0.0 (as
+    ``-A`` writes for each non-edge) moves the last bit of eigenvalues."""
     off = np.where(bits, -1.0, 0.0)
-    lap = np.zeros((len(bits), n, n))
-    lap[:, u, v] = off
-    lap[:, v, u] = off
-    diag = np.arange(n)
-    lap[:, diag, diag] = np.count_nonzero(lap, axis=2)
+    lap = np.zeros((len(bits), n * n))
+    lap[:, _laplacian_positions(n)] = np.concatenate([off, off, degree_rows(n, bits)], axis=1)
+    return lap.reshape(len(bits), n, n)
+
+
+def graph6_spectra(n: int, bits: np.ndarray) -> np.ndarray:
+    """Laplacian eigenvalues of graphs on n vertices given by their graph6 edge bits,
+    B rows with B at most ``stack_size(n)``: the B ``graph6_laplacians`` go to one
+    ``eigvalsh`` call. Row i of the result is graph i's spectrum, non-increasing."""
     try:
-        vals = np.linalg.eigvalsh(lap)
+        vals = np.linalg.eigvalsh(graph6_laplacians(n, bits))
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
     return vals[:, ::-1]
@@ -124,14 +104,33 @@ def graph6_spectra(n: int, bits: np.ndarray) -> np.ndarray:
 def checked_spectra(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edge counts and ``graph6_spectra`` of a stack, each row checked by
     ``spectrum_fault``; a failed check raises the ``SpectralError`` that names
-    the graph by its graph6 string."""
+    the graph by its graph6 string, or by n and m past graph6's n <= 62."""
     ms = bits.sum(axis=1, dtype=np.int64)
     vals = graph6_spectra(n, bits)
     fault = spectrum_fault(vals, ms)
     if fault is not None:
         row, reason = fault
-        raise SpectralError(f"graph6 {graph6_strings(n, bits[row : row + 1])[0]}: {reason}")
+        name = f"graph with n={n}, m={int(ms[row])}"
+        if n <= GRAPH6_MAX_N:
+            name = f"graph6 {graph6_strings(n, bits[row : row + 1])[0]}"
+        raise SpectralError(f"{name}: {reason}")
     return ms, vals
+
+
+def eps_rows(ms: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Excess rows of a stack: entry (i, k-1) is the sum of the k largest
+    eigenvalues of row i of ``vals`` (non-increasing) minus its edge count ``ms[i]``."""
+    return vals.cumsum(axis=1) - ms[:, None]
+
+
+def laplacian(g: Graph) -> np.ndarray:
+    """Dense Laplacian: degree diagonal, -1 at edges; row 0 of ``graph6_laplacians``."""
+    return graph6_laplacians(g.n, graph_bits(g)[None])[0]
+
+
+def spectrum(g: Graph) -> Spectrum:
+    """Laplacian eigenvalues, non-increasing: row 0 of ``checked_spectra``."""
+    return Spectrum(tuple(checked_spectra(g.n, graph_bits(g)[None])[1][0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -158,15 +157,12 @@ class EpsProfile:
 
 
 def eps_profile(g: Graph, spec: Spectrum | None = None) -> EpsProfile:
-    """Running-sum excess profile of the spectrum."""
+    """Running-sum excess profile of the spectrum: row 0 of ``eps_rows``."""
     if spec is None:
-        spec = spectrum(g)
-    running = 0.0
-    out = []
-    for lam in spec.values:
-        running += lam
-        out.append(running - g.m)
-    return EpsProfile(tuple(out), g.m)
+        ms, vals = checked_spectra(g.n, graph_bits(g)[None])
+    else:
+        ms, vals = np.array([g.m]), np.array([spec.values], dtype=float)
+    return EpsProfile(tuple(eps_rows(ms, vals)[0].tolist()), g.m)
 
 
 def eps(g: Graph, k: int) -> float:

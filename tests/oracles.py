@@ -552,13 +552,19 @@ def jacobi_eigenvalues(matrix, sweeps: int = 60, tol: float = 1e-12):
     return sorted((a[i][i] for i in range(n)), reverse=True)
 
 
-def jacobi_laplacian_spectrum(g: Graph):
+def oracle_laplacian(g: Graph) -> list[list[float]]:
+    """The Laplacian entry by entry, as a list of rows: +0.0 everywhere, then
+    -1.0 at each edge and each edge's 1.0 added to both diagonal entries."""
     mat = [[0.0] * g.n for _ in range(g.n)]
     for u, v in g.edges:
         mat[u][v] = mat[v][u] = -1.0
         mat[u][u] += 1.0
         mat[v][v] += 1.0
-    return jacobi_eigenvalues(mat)
+    return mat
+
+
+def jacobi_laplacian_spectrum(g: Graph):
+    return jacobi_eigenvalues(oracle_laplacian(g))
 
 
 def oracle_eps(g: Graph, k: int) -> float:

@@ -181,6 +181,9 @@ class TestGraph6:
             assert encode_graph6(g) == loop_graph6(g), g
         with pytest.raises(GraphError, match="n <= 62, got n=63"):
             encode_graph6(make_family("empty:63"))
+        for n in (63, 70, 200):  # past one data byte for n: no decode or overflow error
+            with pytest.raises(GraphError, match=f"n <= 62, got n={n}"):
+                graph6_strings(n, np.zeros((2, n * (n - 1) // 2), dtype=np.uint8))
 
     def test_graph_bits_inverts_bits_graph(self):
         for n in range(6):
@@ -231,6 +234,13 @@ class TestStructuralHelpers:
         assert left.m == 5 and not left.has_edge(0, 1)
         with pytest.raises(GraphError):
             edge_subgraph(sub, [(0, 2)])
+
+    def test_edge_subgraph_rejects_a_repeated_edge(self):
+        g = make_family("path:3")
+        for edges in ([(0, 1), (1, 0)], [(1, 2), (1, 2)]):
+            with pytest.raises(GraphError, match=r"repeated edge \((0,1|1,2)\)"):
+                edge_subgraph(g, edges)
+        assert edge_subgraph(g, [(2, 1), (1, 0)]).edges == ((0, 1), (1, 2))
 
     def test_conjugate_degrees_star(self):
         # star on 4 vertices: degrees (3,1,1,1)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapsum.graphs import disjoint_union, graph_from_edges, make_family, remove_edges
-from lapsum.graphs import encode_graph6, graph6_bits
+from lapsum.graphs import all_labeled_graphs, disjoint_union, gnp_graphs, graph_from_edges
+from lapsum.graphs import encode_graph6, graph6_bits, make_family, remove_edges
 from lapsum.spectral import (
     EpsProfile,
     SpectralError,
@@ -22,8 +22,40 @@ from lapsum.spectral import (
 )
 
 from conftest import sampled_graphs
-from oracles import jacobi_laplacian_spectrum
+from oracles import jacobi_laplacian_spectrum, oracle_laplacian
 from test_graphs import random_graph_strategy
+
+#: family graphs up to n = 150, most past graph6's n <= 62; with the seeded
+#: G(n, p) of ``large_graphs`` (isolated vertices at p = 0.05) they are the
+#: large graphs of the bit-for-bit checks
+LARGE_FAMILIES = ("star:70", "complete:80", "kbip:30,40", "split-s:60,10", "cycle:101",
+                  "path:150")
+
+
+def large_graphs():
+    for seed, n in enumerate((20, 40, 70, 100)):
+        for p in (0.05, 0.3, 0.9):
+            yield from gnp_graphs(n, p, 2, seed=seed)
+    yield from map(make_family, LARGE_FAMILIES)
+
+
+def oracle_spectrum(g) -> tuple[float, ...]:
+    """LAPACK's eigenvalues of the entry-by-entry Laplacian, non-increasing."""
+    mat = np.array(oracle_laplacian(g), dtype=float).reshape(g.n, g.n)
+    return tuple(np.linalg.eigvalsh(mat)[::-1].tolist())
+
+
+def assert_one_row_views_match_oracle(graphs):
+    """spectrum and eps_profile equal, bit for bit, the oracle spectrum and
+    its Python running sum minus |E|."""
+    for g in graphs:
+        ref = oracle_spectrum(g)
+        assert spectrum(g).values == ref, g
+        running, expected = 0.0, []
+        for lam in ref:
+            running += lam
+            expected.append(running - g.m)
+        assert eps_profile(g).eps == tuple(expected), g
 
 
 class TestSpectrum:
@@ -69,7 +101,21 @@ class TestSpectrum:
         for n, graphs in by_n.items():
             graphs = graphs[: stack_size(n)]
             vals = graph6_spectra(n, graph6_bits([encode_graph6(g) for g in graphs]))
-            assert [tuple(row) for row in vals.tolist()] == [spectrum(g).values for g in graphs]
+            assert [tuple(row) for row in vals.tolist()] == [oracle_spectrum(g) for g in graphs]
+
+    def test_one_row_views_equal_oracle_on_all_labeled_graphs(self):
+        assert_one_row_views_match_oracle(g for n in range(7) for g in all_labeled_graphs(n))
+
+    def test_one_row_views_equal_oracle_on_large_graphs(self):
+        assert_one_row_views_match_oracle(large_graphs())
+
+    def test_spectral_error_past_graph6_names_n_and_m(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + 1.0)
+        with pytest.raises(SpectralError, match=r"graph with n=70, m=69: smallest"):
+            spectrum(make_family("star:70"))
+        with pytest.raises(SpectralError, match=r"graph6 Bw: smallest"):
+            spectrum(make_family("complete:3"))
 
     def test_stacked_check_reports_first_bad_row(self):
         good = (3.0, 3.0, 0.0)
@@ -81,6 +127,14 @@ class TestSpectrum:
     def test_laplacian_entries(self):
         L = laplacian(graph_from_edges(3, [(0, 1)]))
         assert L[0][0] == 1 and L[0][1] == -1 and L[2][2] == 0
+
+    def test_laplacian_has_no_negative_zero(self):
+        # a -0.0 entry would move the last bit of LAPACK's eigenvalues
+        for g in [*all_labeled_graphs(4), *large_graphs()]:
+            L = laplacian(g)
+            assert L.shape == (g.n, g.n)
+            assert np.array_equal(np.signbit(L), L == -1.0), g
+            assert L.tolist() == oracle_laplacian(g), g
 
 
 class TestEps:

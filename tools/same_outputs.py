@@ -8,9 +8,11 @@ PARENT_CHECKOUT, each tree in its own interpreter that imports lapsum from the
 tree's ``src/``. Every scan case runs at ``--jobs`` 1, 2 and 3, once with
 ``--format json`` and once with ``--format csv``; each single-graph case runs
 once as text and once as JSON, and so does each of the commands that read
-components, bipartiteness or forest depths on two disconnected graphs, and
-so does each of the commands run on an edge-list file; each probe case runs
-once, in the format it names, and each spectrum case once.
+components, bipartiteness or forest depths on two disconnected graphs, each
+of the commands run on an edge-list file, and ``eps`` (``--k all`` and
+``--k 3``) on those inputs and on ``star:70`` and ``kbip:30,40``, past
+graph6's n <= 62; each probe case runs once, in the format it names, and
+each spectrum case once.
 The compared text is the exit code plus the output: scan JSON without
 ``runtime_ms`` (the one field that is not deterministic), everything else as
 written, so a capped probe, which writes nothing, compares by its exit code.
@@ -82,21 +84,24 @@ SINGLES = [
     ["stararbor"], ["stararbor", "--classes"], ["structure", "--k", "2"],
     ["pipeline", "--k", "2"],
 ]
+#: eps over its whole profile and at one k, on every graph input below
+EPS = [["eps", "--k", "all"], ["eps", "--k", "3"]]
 #: the commands that read components, bipartiteness or forest depths, run on
 #: each DISCONNECTED graph; both have partition density 2, so k = 3 is the
 #: smallest k that pipeline and structure take
 DISCONNECTED_SINGLES = [
     ["parden", "--bracket"], ["oddcover"], ["arbor"], ["pipeline", "--k", "3"],
-    ["structure", "--k", "3"],
+    ["structure", "--k", "3"], *EPS,
 ]
 #: single-graph commands on their own graph: k > 100 takes the
-#: (k,c)-assignment route of the pipeline
+#: (k,c)-assignment route of the pipeline; eps on graphs past graph6's n <= 62
 OWN_GRAPH = [
     ["pipeline", "--family", "kbip:101,151", "--k", "101", "--parden-mode", "assume"],
+    *([*args, "--family", fam] for fam in ("star:70", "kbip:30,40") for args in EPS),
 ]
 #: single-graph commands on the edge-list file: parse_edge_list and
 #: graph_from_edges have to put its pairs in order
-EDGE_LIST_SINGLES = [["arbor"], ["stararbor", "--classes"], ["pipeline", "--k", "2"]]
+EDGE_LIST_SINGLES = [["arbor"], ["stararbor", "--classes"], ["pipeline", "--k", "2"], *EPS]
 JOBS = (1, 2, 3)
 FORMATS = ("json", "csv")
 
