@@ -606,7 +606,7 @@ class PipelineResult:
 
 
 def sa_upper_bound_pipeline(
-    g: Graph, k: int, seed: int = 0, max_tries: int = 50, parden_mode: str = "exact"
+    g: Graph, k: int, seed: int = 0, parden_mode: str = "exact"
 ) -> PipelineResult:
     """Trace the constructive star-arboricity upper bound for parden < k.
 
@@ -618,8 +618,6 @@ def sa_upper_bound_pipeline(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if max_tries < 1:
-        raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     check_partition_density_below(g, k, parden_mode)
     bound = k + 15 * math.log(k) + 65 if k > 1 else 66.0
     if k <= 100:
@@ -636,7 +634,7 @@ def sa_upper_bound_pipeline(
     sd = structure_decomposition(g, k, parden_mode="assume")
     aux, labels, ori = build_assignment_aux(g, sd, k)
     c = math.ceil(5 * math.log(k) + 20)
-    assignment, tries = random_kc_assignment(ori, k, c, seed, max_tries=max_tries)
+    assignment, tries = random_kc_assignment(ori, k, c, seed)
     return PipelineResult(
         k,
         "assignment",

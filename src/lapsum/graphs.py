@@ -2,14 +2,13 @@
 
 Vertices are dense integers 0..n-1. Graphs are immutable after construction;
 every module reads adjacency through the same accessors (``Graph.edges`` for
-edge iteration, ``Graph.neighbors`` for per-vertex sorted neighbor lists), and
-components, bipartiteness and forest depths through one cached ``Graph.search``.
-"""
+edge iteration, ``Graph.neighbors`` for per-vertex sorted neighbor lists),
+components, bipartiteness and forest depths through one cached ``Graph.search``,
+and a graph6 string's n through one header reader, ``graph6_order``."""
 
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, compress
@@ -142,6 +141,15 @@ _G6_BYTES = bytes(range(_G6_MIN, _G6_MAX + 1))
 _G6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 
+def graph6_order(text: str) -> int:
+    """The n that the first byte of a graph6 string gives; the extended-length
+    form, which starts with ``~``, raises ``Graph6Error``."""
+    n = ord(text[0]) - 63
+    if n > GRAPH6_MAX_N:
+        raise Graph6Error("extended-length graph6 forms are not supported", 0)
+    return n
+
+
 def check_graph6(text: str) -> str:
     """Validate a one-line graph6 string (header-free short form); return it stripped.
 
@@ -160,9 +168,7 @@ def check_graph6(text: str) -> str:
         for i, b in enumerate(data):
             if not (_G6_MIN <= b <= _G6_MAX):
                 raise Graph6Error(f"character {chr(b)!r} outside graph6 range 63..126", i)
-    if data[0] == 126:
-        raise Graph6Error("extended-length graph6 forms are not supported", 0)
-    n = data[0] - 63
+    n = graph6_order(text)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - 1 != nbytes:
@@ -178,7 +184,7 @@ def check_graph6(text: str) -> str:
 def parse_graph6(text: str) -> Graph:
     """Decode a one-line graph6 string (header-free short form)."""
     text = check_graph6(text)
-    return bits_graph(ord(text[0]) - 63, graph6_bits([text])[0])
+    return bits_graph(graph6_order(text), graph6_bits([text])[0])
 
 
 def bits_graph(n: int, bits: np.ndarray) -> Graph:
@@ -202,7 +208,7 @@ def graph6_bits(strings: Sequence[str]) -> np.ndarray:
     Row i holds string i's C(n,2) bits in graph6 order, the pairs of
     ``graph6_pairs(n)``.
     """
-    n = ord(strings[0][0]) - 63
+    n = graph6_order(strings[0])
     nbits = n * (n - 1) // 2
     raw = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8)
     data = raw.reshape(len(strings), -1)[:, 1:] - 63
@@ -475,22 +481,27 @@ def mask_bits(n: int, lo: int, hi: int) -> np.ndarray:
     return bits
 
 
-def all_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs on n vertices (n <= 7), decoded from
-    ``all_labeled_graph6(n)`` in its edge-mask order."""
-    return map(parse_graph6, all_labeled_graph6(n))
-
-
-#: edge masks turned into graph6 strings per numpy block
+#: edge masks turned into bit rows per numpy block
 _MASK_BLOCK = 4096
+
+
+def _mask_blocks(n: int) -> Iterator[np.ndarray]:
+    """The ``mask_bits`` of all edge masks on n vertices, a block at a time."""
+    total = all_labeled_count(n)
+    for start in range(0, total, _MASK_BLOCK):
+        yield mask_bits(n, start, min(start + _MASK_BLOCK, total))
+
+
+def all_labeled_graphs(n: int) -> Iterator[Graph]:
+    """All 2^C(n,2) labeled graphs on n vertices (n <= 7), in edge-mask
+    order, built by ``bits_graph`` from the ``_mask_blocks`` rows."""
+    return (bits_graph(n, row) for bits in _mask_blocks(n) for row in bits)
 
 
 def all_labeled_graph6(n: int) -> Iterator[str]:
     """graph6 strings of all 2^C(n,2) labeled graphs on n vertices, in
-    edge-mask order, encoded from ``mask_bits`` a block of masks at a time."""
-    total = all_labeled_count(n)
-    for start in range(0, total, _MASK_BLOCK):
-        yield from graph6_strings(n, mask_bits(n, start, min(start + _MASK_BLOCK, total)))
+    edge-mask order, encoded from the ``_mask_blocks``."""
+    return (g6 for bits in _mask_blocks(n) for g6 in graph6_strings(n, bits))
 
 
 def gnp_graphs(n: int, p: float, count: int, seed: int) -> Iterator[Graph]:
@@ -506,11 +517,11 @@ def gnp_graphs(n: int, p: float, count: int, seed: int) -> Iterator[Graph]:
         yield Graph(n, edges)
 
 
-def read_graph6_lines(path: str, strict: bool = True) -> Iterator[str]:
+def read_graph6_lines(path: str) -> Iterator[str]:
     """The validated graph6 lines of a file, stripped, without decoding them.
 
-    Blank lines and ``#`` comments are skipped. Malformed lines raise (strict)
-    or are reported to stderr and skipped.
+    Blank lines and ``#`` comments are skipped. A malformed line raises
+    ``Graph6Error`` naming ``path:line``.
     """
     # a non-ASCII byte reads as U+FFFD, which check_graph6 rejects at its offset
     with open(path, encoding="ascii", errors="replace") as fh:
@@ -521,10 +532,7 @@ def read_graph6_lines(path: str, strict: bool = True) -> Iterator[str]:
             try:
                 line = check_graph6(line)
             except Graph6Error as exc:
-                if strict:
-                    raise Graph6Error(f"{path}:{lineno}: {exc.reason}", exc.offset) from exc
-                print(f"error: {path}:{lineno}: {exc}", file=sys.stderr)
-                continue
+                raise Graph6Error(f"{path}:{lineno}: {exc.reason}", exc.offset) from exc
             yield line
 
 
@@ -588,13 +596,13 @@ class GraphSource:
         return encode_graph6(self.graph)
 
 
-def graph_stream(src: GraphSource, strict: bool = True) -> Iterator[Graph]:
+def graph_stream(src: GraphSource) -> Iterator[Graph]:
     """Deterministic iterator of graphs for the given source: the strings of
-    ``graph6_stream(src, strict)``, decoded."""
-    return map(parse_graph6, graph6_stream(src, strict=strict))
+    ``graph6_stream(src)``, decoded."""
+    return map(parse_graph6, graph6_stream(src))
 
 
-def graph6_stream(src: GraphSource, strict: bool = True) -> Iterator[str]:
+def graph6_stream(src: GraphSource) -> Iterator[str]:
     """The graphs of a source as graph6 strings, in source order; the one
     dispatch over source kinds.
 
@@ -603,7 +611,7 @@ def graph6_stream(src: GraphSource, strict: bool = True) -> Iterator[str]:
     if src.kind == "all-labeled":
         return all_labeled_graph6(src.n)
     if src.kind == "graph6-file":
-        return read_graph6_lines(src.path, strict=strict)
+        return read_graph6_lines(src.path)
     if src.kind == "gnp":
         return map(encode_graph6, gnp_graphs(src.n, src.p, src.count, src.seed))
     if src.kind == "single":

@@ -7,9 +7,10 @@ reports are byte-identical across worker counts (the ``runtime_ms`` field is
 the only nondeterministic entry). Scans and probes read one route: each stack
 of graphs on one n becomes a (bound, graph, k) table of stacked spectra, aux
 columns shared by all requested bounds, and right-hand sides; a work unit is
-one stack per n, and a probe's stack is one family graph. Size-cap failures
-become "skipped" records instead of aborting the run. ``spectrum_rows``
-walks the same work units and stacks for the spectra alone.
+one stack per n, and a probe's stack is one family graph. Only ``_tasks`` and
+``_stacks`` know the two unit shapes. Size-cap failures become "skipped"
+records instead of aborting the run. ``spectrum_rows`` walks the same work
+units and stacks for the spectra alone.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .graphs import (
     degree_rows,
     encode_graph6,
     graph6_bits,
+    graph6_order,
     graph6_stream,
     graph6_strings,
     graph_bits,
@@ -390,7 +392,7 @@ def _stacks(work):
         return
     groups: dict[int, list[int]] = {}
     for pos, g6 in enumerate(work):
-        groups.setdefault(ord(g6[0]) - 63, []).append(pos)
+        groups.setdefault(graph6_order(g6), []).append(pos)
     for n, positions in groups.items():
         step = stack_size(n)
         for start in range(0, len(positions), step):
@@ -405,7 +407,7 @@ def _scan_chunk(unit, work, bounds, krange, kept):
     report = ScanReport("", bounds, krange)
     for n, bits, positions in _stacks(work):
         _scan_group(unit, n, bits, positions, bounds, krange, report, kept)
-    report.graphs = work[2] - work[1] if isinstance(work, tuple) else len(work)
+        report.graphs += len(bits)
     return report
 
 
@@ -420,7 +422,7 @@ def _first_examples(equalities) -> list[dict]:
     return kept
 
 
-def _tasks(src: GraphSource, strict: bool):
+def _tasks(src: GraphSource):
     """The work units of a scan in source order: (n, lo, hi) edge-mask ranges
     for an all-labeled source, lists of graph6 strings for any other. A unit
     holds at most STACK_ENTRIES matrix entries, unless it is a single graph,
@@ -429,7 +431,7 @@ def _tasks(src: GraphSource, strict: bool):
         total = all_labeled_count(src.n)
         step = stack_size(src.n)
         return [(src.n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    return _graph6_tasks(graph6_stream(src, strict=strict))
+    return _graph6_tasks(graph6_stream(src))
 
 
 def _graph6_tasks(g6_stream):
@@ -439,8 +441,7 @@ def _graph6_tasks(g6_stream):
     task, entries = [], 0
     try:
         for g6 in g6_stream:
-            n = ord(g6[0]) - 63
-            cost = max(1, n * n)
+            cost = max(1, graph6_order(g6) ** 2)
             if task and entries + cost > STACK_ENTRIES:
                 yield task
                 task, entries = [], 0
@@ -554,7 +555,6 @@ def scan(
     bounds,
     ks: KRange | None = None,
     jobs: int = 1,
-    strict: bool = True,
 ) -> ScanReport:
     """Evaluate the requested bounds over every graph of the source, in at
     most ``jobs`` processes (see ``_shares``).
@@ -573,7 +573,7 @@ def scan(
     krange = ks or KRange("all")
     start = time.monotonic()
     report = ScanReport(src.describe(), bounds, krange)
-    shares = _shares(_tasks(src, strict), bounds, krange, jobs)
+    shares = _shares(_tasks(src), bounds, krange, jobs)
     failures = [failure for _, failure in shares if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
@@ -592,16 +592,14 @@ def spectrum_rows(src: GraphSource):
     string per scan work unit, in source order.
 
     The eigenvalues are the stacked, checked spectra a scan computes, equal
-    to ``spectrum(g).values``; each graph is named by its unit's graph6 string.
+    to ``spectrum(g).values``; each graph is named by ``graph6_strings`` of its
+    bit row, a graph6 line by itself (a validated line re-encodes to itself).
     """
-    for work in _tasks(src, strict=True):
+    for work in _tasks(src):
         rows = {}
         for n, bits, positions in _stacks(work):
             ms, vals = checked_spectra(n, bits)
-            if isinstance(work, tuple):
-                names = graph6_strings(n, bits)
-            else:
-                names = [work[p] for p in positions]
+            names = graph6_strings(n, bits)
             for pos, g6, m, row in zip(positions, names, ms.tolist(), vals.tolist()):
                 rows[pos] = ",".join([g6, str(n), str(m), *map(repr, row)]) + "\n"
         yield "".join(rows[pos] for pos in sorted(rows))

@@ -247,11 +247,12 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
     comps_local, _ = components_info(gd)
     comps = tuple(sorted((frozenset(labels[i] for i in c) for c in comps_local), key=min))
     ge = GallaiEdmonds(D, A, C, comps)
-    _verify_gallai_edmonds(g, ge, mm.nu)
+    _verify_gallai_edmonds(g, ge, mm)
     return ge
 
 
-def _verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds, nu: int):
+def _verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds, mm: MatchingResult):
+    """Re-check ``ge`` against ``mm``, which by Gallai-Edmonds matches G[C] perfectly."""
     for comp in ge.d_components:
         if len(comp) % 2 == 0:
             raise AlgorithmError(f"component {sorted(comp)} of G[D] has even order")
@@ -263,16 +264,12 @@ def _verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds, nu: int):
                 raise AlgorithmError(
                     f"component {sorted(comp)} of G[D] is not factor-critical"
                 )
-    gc, _ = induced_subgraph(g, sorted(ge.C))
-    if len(ge.C) % 2 != 0 or matching_number(gc) != len(ge.C) // 2:
-        raise AlgorithmError("G[C] has no perfect matching")
-    total = (
-        len(ge.A)
-        + sum((len(c) - 1) // 2 for c in ge.d_components)
-        + len(ge.C) // 2
-    )
-    if total != nu:
-        raise AlgorithmError(f"Gallai-Edmonds count {total} != nu {nu}")
+    in_c = [w for e in mm.pairs if ge.C.issuperset(e) and g.has_edge(*e) for w in e]
+    if sorted(in_c) != sorted(ge.C):
+        raise AlgorithmError("the maximum matching does not match G[C] perfectly")
+    total = len(ge.A) + sum((len(c) - 1) // 2 for c in ge.d_components) + len(ge.C) // 2
+    if total != mm.nu:
+        raise AlgorithmError(f"Gallai-Edmonds count {total} != nu {mm.nu}")
 
 
 # ---------------------------------------------------------------------------

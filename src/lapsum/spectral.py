@@ -156,12 +156,9 @@ class EpsProfile:
         return self.eps[k - 1]
 
 
-def eps_profile(g: Graph, spec: Spectrum | None = None) -> EpsProfile:
+def eps_profile(g: Graph) -> EpsProfile:
     """Running-sum excess profile of the spectrum: row 0 of ``eps_rows``."""
-    if spec is None:
-        ms, vals = checked_spectra(g.n, graph_bits(g)[None])
-    else:
-        ms, vals = np.array([g.m]), np.array([spec.values], dtype=float)
+    ms, vals = checked_spectra(g.n, graph_bits(g)[None])
     return EpsProfile(tuple(eps_rows(ms, vals)[0].tolist()), g.m)
 
 

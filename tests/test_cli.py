@@ -155,6 +155,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "parden", "--family", "complete:21")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["probe", "--bound", "brouwer"], ["scan", "--bound", "brouwer"], ["spectrum"]],
+    )
+    def test_graph6_named_output_past_n_62_exit_2(self, capsys, argv):
+        # probe, scan and spectrum name each graph in graph6 short form
+        code, out, err = run(capsys, *argv, "--family", "star:70")
+        assert (code, out) == (2, "")
+        assert err == "error: graph6 short form supports n <= 62, got n=70\n"
+
 
 class TestScanCommand:
     def test_scan_clean_exit_0(self, capsys):

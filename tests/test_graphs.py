@@ -29,6 +29,7 @@ from lapsum.graphs import (
     encode_graph6,
     gnp_graphs,
     graph6_bits,
+    graph6_order,
     graph6_pairs,
     graph6_stream,
     graph6_strings,
@@ -164,6 +165,13 @@ class TestGraph6:
         assert str(exc.value) == (
             f"character {shown} outside graph6 range 63..126 (byte offset {at})"
         )
+
+    def test_order_reads_the_first_byte(self):
+        for g6 in ("?", "@", "A_", "Bw", "E?zw"):
+            assert graph6_order(g6) == parse_graph6(g6).n
+        assert graph6_order(encode_graph6(make_family("empty:62"))) == 62
+        with pytest.raises(Graph6Error, match="extended-length"):
+            graph6_order("~???")
 
     def test_bits_decode_a_group_at_once(self):
         graphs = list(gnp_graphs(9, 0.5, 20, seed=2)) + [make_family("empty:9")]
@@ -310,6 +318,16 @@ class TestSources:
         with pytest.raises(GraphError):
             next(all_labeled_graphs(ALL_LABELED_CAP + 1))
 
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_all_labeled_graphs_are_the_mask_rows(self, monkeypatch, n):
+        def no_codec(*args):
+            raise AssertionError("all_labeled_graphs went through graph6")
+
+        monkeypatch.setattr("lapsum.graphs.parse_graph6", no_codec)
+        monkeypatch.setattr("lapsum.graphs.check_graph6", no_codec)
+        bits = mask_bits(n, 0, 2 ** (n * (n - 1) // 2))
+        assert list(all_labeled_graphs(n)) == [bits_graph(n, row) for row in bits]
+
     @pytest.mark.parametrize("n", range(0, 6))
     def test_all_labeled_graph6_follows_all_labeled_graphs(self, n):
         assert list(all_labeled_graph6(n)) == [
@@ -364,14 +382,15 @@ class TestSources:
         assert [g.n for g in gs] == [2, 3]
 
     def test_graph6_file_strict_vs_lenient(self, tmp_path, capsys):
+        # there is no lenient mode: a malformed line raises, naming its line,
+        # from both streams, and nothing is printed
         path = tmp_path / "bad.g6"
         path.write_text("A_\nB\n")
         src = GraphSource("graph6-file", path=str(path))
-        with pytest.raises(Graph6Error):
-            list(graph_stream(src))
-        gs = list(graph_stream(src, strict=False))
-        assert len(gs) == 1
-        assert "error:" in capsys.readouterr().err
+        for stream in (graph_stream, graph6_stream):
+            with pytest.raises(Graph6Error, match=f"{path}:2: expected 1 data bytes"):
+                list(stream(src))
+        assert capsys.readouterr() == ("", "")
 
     def test_graph6_file_rejects_non_ascii(self, tmp_path, capsys):
         path = tmp_path / "bad.g6"
@@ -382,8 +401,7 @@ class TestSources:
                 list(stream(src))
             assert str(exc.value).count("byte offset") == 1
             assert exc.value.offset == 1
-        assert list(graph6_stream(src, strict=False)) == ["A_", "Bw"]
-        assert f"error: {path}:2:" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "")
 
     def test_describe(self):
         assert GraphSource("all-labeled", n=5).describe() == "all-labeled:5"

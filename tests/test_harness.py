@@ -483,7 +483,7 @@ class TestScan:
         sources.append(GraphSource("gnp", n=40, p=0.3, count=100, seed=2))
         sources.append(GraphSource("single", graph=make_family("complete:62")))
         for src in sources:
-            tasks = list(harness._tasks(src, strict=True))
+            tasks = list(harness._tasks(src))
             if src.kind == "all-labeled":
                 n = src.n
                 assert [lo for _, lo, _ in tasks] == [0] + [hi for _, _, hi in tasks[:-1]]
@@ -574,14 +574,13 @@ class TestScan:
             assert e["lhs"].hex() == lhs.hex()
 
     def test_lenient_scan_skips_non_ascii_line(self, tmp_path, capsys):
+        # there is no lenient scan: the non-ASCII line raises and nothing is printed
         path = tmp_path / "mixed.g6"
         path.write_bytes(b"A_\nB\xe9\nBw\n")  # one non-ASCII byte
         src = GraphSource("graph6-file", path=str(path))
-        rep = scan(src, ["brouwer"], KRange("all"), strict=False)
-        assert rep.graphs == 2
-        assert f"error: {path}:2:" in capsys.readouterr().err
-        with pytest.raises(Graph6Error, match=f"{path}:2: "):
+        with pytest.raises(Graph6Error, match=f"{path}:2: .*byte offset 1"):
             scan(src, ["brouwer"], KRange("all"))
+        assert capsys.readouterr() == ("", "")
 
     def test_violation_witness_records(self, monkeypatch, tmp_path):
         spec = bounds.bound_spec("brouwer")
@@ -741,7 +740,7 @@ class TestWorkers:
         assert _report_text(scan(src, ["brouwer"], jobs=4)) == want
         assert starts == []
         src = GraphSource("graph6-file", path=_g40_file(tmp_path, 41))
-        assert len(list(harness._tasks(src, strict=True))) == 2
+        assert len(list(harness._tasks(src))) == 2
         want = _report_text(scan(src, ["brouwer"]))
         assert _report_text(scan(src, ["brouwer"], jobs=3)) == want
         assert len(starts) == 1
@@ -750,7 +749,7 @@ class TestWorkers:
     def test_each_process_sends_one_folded_report(self):
         # all-labeled:6 is 19 units: two workers and this process, one pair each
         src = GraphSource("all-labeled", n=6)
-        shares = harness._shares(harness._tasks(src, strict=True), ("brouwer",), KRange("all"), 3)
+        shares = harness._shares(harness._tasks(src), ("brouwer",), KRange("all"), 3)
         assert len(shares) == 3
         assert all(isinstance(report, ScanReport) and failure is None for report, failure in shares)
         assert sum(report.graphs for report, _ in shares) == 32768
@@ -785,9 +784,13 @@ class TestWorkers:
     @pytest.mark.parametrize("line", [2, 101])
     def test_strict_graph6_error_names_its_line(self, tmp_path, line):
         path = _g40_file(tmp_path, line - 1, "B!\nBw\n")
+        src = GraphSource("graph6-file", path=path)
+        for stream in (graph6_stream, graph_stream):
+            with pytest.raises(Graph6Error, match=f"{re.escape(path)}:{line}: "):
+                list(stream(src))
         for jobs in (1, 2, 3):
             with pytest.raises(Graph6Error, match=f"{re.escape(path)}:{line}: "):
-                scan(GraphSource("graph6-file", path=path), ["brouwer"], jobs=jobs)
+                scan(src, ["brouwer"], jobs=jobs)
             assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])

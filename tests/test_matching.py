@@ -13,6 +13,7 @@ from lapsum.matching import (
     AlgorithmError,
     MatchingResult,
     SizeCapError,
+    _verify_gallai_edmonds,
     gallai_edmonds,
     greedy_cover_2approx,
     hall_violator,
@@ -128,6 +129,33 @@ class TestGallaiEdmonds:
         monkeypatch.setattr(mod, "maximum_matching", lambda g: MatchingResult(()))
         with pytest.raises(AlgorithmError, match="augmenting path"):
             gallai_edmonds(make_family("path:4"))
+
+    # path:4 has C = {0, 1, 2, 3}: pairs that are not edges, a pair given
+    # twice, and a matching that leaves two C vertices exposed
+    @pytest.mark.parametrize("pairs", [((0, 2), (1, 3)), ((0, 1), (0, 1)), ((0, 1),)])
+    def test_matching_not_perfect_on_c_raises(self, pairs):
+        g = make_family("path:4")
+        ge = gallai_edmonds(g)
+        assert ge.C == frozenset(range(4))
+        with pytest.raises(AlgorithmError, match=r"does not match G\[C\] perfectly"):
+            _verify_gallai_edmonds(g, ge, MatchingResult(pairs))
+
+    def test_matching_not_perfect_on_c_raises_under_optimize(self):
+        code = (
+            "from lapsum.graphs import AlgorithmError, make_family\n"
+            "from lapsum.matching import MatchingResult, _verify_gallai_edmonds, gallai_edmonds\n"
+            "g = make_family('path:4')\n"
+            "try:\n"
+            "    _verify_gallai_edmonds(g, gallai_edmonds(g), MatchingResult(((0, 1),)))\n"
+            "except AlgorithmError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(lapsum.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert "raised: the maximum matching does not match G[C] perfectly" in out.stdout
 
     def test_dropped_even_vertex_raises_under_optimize(self):
         code = (

@@ -20,7 +20,9 @@ Prints one line per case and exits 1 on any difference. The input files are
 written once, to a temporary directory, by this tree's lapsum; the mixed-n
 file is the one ``tests/test_harness.py`` scans, and the edge-list file holds
 the edges of the single graph, each pair reversed and the lines in reverse
-order.
+order; the commented file holds the mixed-n graphs with ``#`` comment lines,
+blank lines and lines padded with spaces, and this tree's spectrum rows of it
+must also be named by its stripped graph6 lines, in order.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ HERE = Path(__file__).resolve().parents[1]
 
 #: two disconnected graphs: C5 + P4 + K1 (n' = 5) and C6 + P3 + K1 (bipartite)
 DISCONNECTED = ("Ihc?GC@??", "IhEG?C@??")
-#: (name, scan arguments); {g40}, {mixed} and {edges} name the generated input files
+#: (name, scan arguments); {g40}, {mixed}, {commented} and {edges} name the
+#: generated input files
 CASES = [
     *((f"all-labeled:{n} all", ["--all-labeled", str(n), "--bound", "all"]) for n in range(6)),
     ("all-labeled:6 theorem", ["--all-labeled", "6", "--bound", "theorem"]),
@@ -43,6 +46,7 @@ CASES = [
     ("gnp40 file brouwer", ["--file", "{g40}", "--bound", "brouwer"]),
     ("gnp40 file all", ["--file", "{g40}", "--bound", "all"]),
     ("mixed-n file all", ["--file", "{mixed}", "--bound", "all"]),
+    ("commented file all", ["--file", "{commented}", "--bound", "all"]),
     ("gnp 12 0.5 200 3 nminus2", ["--gnp", "12", "0.5", "200", "3", "--bound", "all",
                                   "--k", "nminus2"]),
     ("graph6 E?zw theorem", ["--graph6", "E?zw", "--bound", "theorem"]),
@@ -73,6 +77,7 @@ SPECTRA = [
     *((f"all-labeled:{n}", ["--all-labeled", str(n)]) for n in range(7)),
     ("gnp40 file", ["--file", "{g40}"]),
     ("mixed-n file", ["--file", "{mixed}"]),
+    ("commented file", ["--file", "{commented}"]),
     ("gnp 12 0.5 200 3", ["--gnp", "12", "0.5", "200", "3"]),
 ]
 #: every single-graph command, with the arguments it needs, on one graph;
@@ -139,10 +144,19 @@ def write_inputs(tmp: Path) -> dict[str, str]:
     g40.write_text("\n".join(lines) + "\n")
     mixed = tmp / "mixed.g6"
     mixed.write_text("".join(encode_graph6(g) + "\n" for g in _mixed_graphs()))
+    commented = tmp / "commented.g6"
+    body = ["# mixed-n graphs with comments and blank lines\n", "\n"]
+    for i, g in enumerate(_mixed_graphs()):
+        body.append(f"  {encode_graph6(g)} \n" if i % 5 == 0 else encode_graph6(g) + "\n")
+        if i % 7 == 0:
+            body.append(f"\n# after graph {i}\n")
+    commented.write_text("".join(body))
     edges = tmp / "edges.txt"
     g = parse_graph6(SINGLE_GRAPH)
     edges.write_text(f"{g.n} {g.m}\n" + "".join(f"{v} {u}\n" for u, v in reversed(g.edges)))
-    return {"g40": str(g40), "mixed": str(mixed), "edges": str(edges)}
+    return {
+        "g40": str(g40), "mixed": str(mixed), "commented": str(commented), "edges": str(edges)
+    }
 
 
 def deterministic(argv, result) -> str:
@@ -209,13 +223,18 @@ def main() -> int:
         ]
         ours = run_tree(HERE, runs, tmp, "this")
         theirs = run_tree(parent, runs, tmp, "parent")
+        _, rows = ours[[argv for _, argv in runs].index(["spectrum", "--file", files["commented"]])]
+        lines = [ln.strip() for ln in Path(files["commented"]).read_text().splitlines()]
+        named = [row.split(",", 1)[0] for row in rows.splitlines()]
+        names_ok = named == [ln for ln in lines if ln and not ln.startswith("#")]
+    print(f"{'same' if names_ok else 'DIFFERENT'}  spectrum rows and stripped commented-file lines")
     differ = 0
     for (name, argv), a, b in zip(runs, ours, theirs):
         same = deterministic(argv, a) == deterministic(argv, b)
         differ += not same
         print(f"{'same' if same else 'DIFFERENT'}  {name}")
     print(f"{len(runs) - differ} of {len(runs)} cases the same")
-    return 1 if differ else 0
+    return 1 if differ or not names_ok else 0
 
 
 if __name__ == "__main__":
