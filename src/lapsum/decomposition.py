@@ -386,25 +386,6 @@ def _fewest_fits(left: int, nofit, used: int) -> tuple[int, int]:
     return k, left & ~ge[k + 1]
 
 
-def sa_via_cover(g: Graph, cover) -> StarForestDecomposition:
-    """Star-forest classes from a vertex cover: class i takes the edges whose
-    first cover vertex (in list order) is cover[i]."""
-    cover = list(cover)
-    cset = set(cover)
-    if any(u not in cset and v not in cset for u, v in g.edges):
-        raise GraphError("given vertex list is not a vertex cover")
-    order = {v: i for i, v in enumerate(cover)}
-    classes: list[list[tuple[int, int]]] = [[] for _ in cover]
-    for u, v in g.edges:
-        first = min(
-            (order[w] for w in (u, v) if w in order),
-        )
-        classes[first].append((u, v))
-    out = StarForestDecomposition(g.n, tuple(tuple(cls) for cls in classes if cls))
-    out.validate(g)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Structure decomposition
 
@@ -599,7 +580,6 @@ class PipelineResult:
     bound_claimed: float
     star_classes: StarForestDecomposition | None = None
     aux_graph: Graph | None = None
-    aux_labels: tuple[int, ...] | None = None
     orientation: Orientation | None = None
     assignment: KCAssignment | AssignmentExhausted | None = None
     tries: int = 0
@@ -632,7 +612,7 @@ def sa_upper_bound_pipeline(
         return PipelineResult(k, "2a", bound, star_classes=sfd)
 
     sd = structure_decomposition(g, k, parden_mode="assume")
-    aux, labels, ori = build_assignment_aux(g, sd, k)
+    aux, _, ori = build_assignment_aux(g, sd, k)
     c = math.ceil(5 * math.log(k) + 20)
     assignment, tries = random_kc_assignment(ori, k, c, seed)
     return PipelineResult(
@@ -640,7 +620,6 @@ def sa_upper_bound_pipeline(
         "assignment",
         bound,
         aux_graph=aux,
-        aux_labels=tuple(labels),
         orientation=ori,
         assignment=assignment,
         tries=tries,

@@ -85,9 +85,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def degrees(self) -> list[int]:
         return [len(a) for a in self.adjacency]
 
@@ -288,11 +285,6 @@ def remove_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(g.n, tuple(e for e in g.edges if e not in drop))
 
 
-def conjugate_degrees(g: Graph) -> list[int]:
-    """Conjugate degree sequence: entry i-1 counts vertices of degree >= i."""
-    return conjugate_rows(np.array(g.degrees(), dtype=np.int64).reshape(1, g.n))[0].tolist()
-
-
 def conjugate_rows(degs: np.ndarray) -> np.ndarray:
     """Conjugate degree sequences of the rows of an (R, n) degree block."""
     n = degs.shape[1]
@@ -325,15 +317,6 @@ def disjoint_union(*graphs: Graph) -> Graph:
 
 def is_bipartite(g: Graph) -> bool:
     return g.search.bipartite
-
-
-def bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
-    """A 2-coloring (sides as sorted lists), or None if not bipartite; the
-    smallest vertex of each component is on the first side."""
-    if not g.search.bipartite:
-        return None
-    depth = g.search.depth
-    return [v for v in range(g.n) if depth[v] % 2 == 0], [v for v in range(g.n) if depth[v] % 2]
 
 
 def non_isolated_count(g: Graph) -> int:

@@ -84,12 +84,12 @@ def parse_krange(text: str) -> KRange:
     text = text.strip().lower()
     if text == "all":
         return KRange("all")
-    if text in ("nminus2", "n-2"):
+    if text == "nminus2":
         return KRange("nminus2")
     try:
         ks = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ValueError(f"bad k range {text!r}; expected 'all' or a list") from None
+        raise ValueError(f"bad k range {text!r}; expected 'all', 'nminus2' or a list like 1,2,3") from None
     return KRange("list", ks)
 
 

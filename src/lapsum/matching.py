@@ -309,49 +309,6 @@ def odd_set_cover(g: Graph) -> OddSetCover:
     return cover
 
 
-def normalize_odd_set_cover(
-    g: Graph, vertices, odd_sets
-) -> OddSetCover:
-    """Disjointify a raw odd set cover without increasing its weight.
-
-    Intersecting pairs merge when the union is odd; when even, the union
-    minus one vertex (largest index, an artifact tie-break) becomes the set
-    and the removed vertex becomes a cover vertex.
-    """
-    vs = [int(v) for v in vertices]
-    sets = [frozenset(s) for s in odd_sets]
-    for s in sets:
-        if len(s) % 2 == 0:
-            raise GraphError(f"odd set {sorted(s)} has even size")
-    raw = OddSetCover(tuple(vs), tuple(sets))
-    if not raw.covers(g):
-        raise GraphError("input is not an odd set cover of the graph")
-    start_weight = raw.weight
-    while True:
-        hit = None
-        for i, j in combinations(range(len(sets)), 2):
-            if sets[i] & sets[j]:
-                hit = (i, j)
-                break
-        if hit is None:
-            break
-        i, j = hit
-        union = sets[i] | sets[j]
-        rest = [s for idx, s in enumerate(sets) if idx not in (i, j)]
-        if len(union) % 2 == 1:
-            sets = rest + [union]
-        else:
-            v = max(union)
-            sets = rest + [union - {v}]
-            vs.append(v)
-    out = OddSetCover(tuple(vs), tuple(s for s in sets if len(s) >= 1))
-    if out.weight > start_weight:
-        raise AlgorithmError("normalization increased the cover weight")
-    if not out.covers(g) or not out.is_disjoint():
-        raise AlgorithmError("normalized cover fails coverage/disjointness")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # ell-star packings
 

@@ -1,6 +1,6 @@
 """Laplacian matrices, spectra, and the eigenvalue-sum excess profile, by one route
 (stacked edge bits, ``graph6_laplacians``, one ``eigvalsh``, ``spectrum_fault``,
-``eps_rows``); ``laplacian``, ``spectrum`` and ``eps_profile`` are one-row views."""
+``eps_rows``); ``spectrum`` and ``eps_profile`` are one-row views."""
 
 from __future__ import annotations
 
@@ -121,11 +121,6 @@ def eps_rows(ms: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Excess rows of a stack: entry (i, k-1) is the sum of the k largest
     eigenvalues of row i of ``vals`` (non-increasing) minus its edge count ``ms[i]``."""
     return vals.cumsum(axis=1) - ms[:, None]
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    """Dense Laplacian: degree diagonal, -1 at edges; row 0 of ``graph6_laplacians``."""
-    return graph6_laplacians(g.n, graph_bits(g)[None])[0]
 
 
 def spectrum(g: Graph) -> Spectrum:

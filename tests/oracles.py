@@ -143,6 +143,16 @@ def oracle_adjacency(g: Graph):
     )
 
 
+def oracle_conjugate_degrees(g: Graph) -> list[int]:
+    """Entry i-1 counts the vertices of degree >= i, for i = 1..n, with each
+    degree counted off the edge list."""
+    deg = [0] * g.n
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return [sum(d >= i for d in deg) for i in range(1, g.n + 1)]
+
+
 def _parity_union_find(g: Graph):
     """Union-find over g's edges with each vertex's parity relative to its
     root: ``(find, odd)``, where ``find(v)`` is (root, parity) and ``odd``

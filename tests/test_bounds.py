@@ -19,7 +19,6 @@ from lapsum.graphs import (
     all_labeled_count,
     bits_graph,
     components_info,
-    conjugate_degrees,
     is_bipartite,
     make_family,
     mask_bits,
@@ -29,13 +28,13 @@ from lapsum.matching import matching_number, min_vertex_cover
 from lapsum.spectral import eps_profile
 
 from conftest import class_masks
-from oracles import oracle_eps, oracle_rhs
+from oracles import oracle_conjugate_degrees, oracle_eps, oracle_rhs
 
 
 def full_aux(g):
     return {
         "eps": eps_profile(g),
-        "conj_degrees": conjugate_degrees(g),
+        "conj_degrees": oracle_conjugate_degrees(g),
         "bipartite": is_bipartite(g),
         "n_prime": components_info(g)[1],
         "non_isolated": non_isolated_count(g),
@@ -72,13 +71,13 @@ class TestRhsFormulas:
 
     def test_bai_rhs_uses_conjugate_degrees(self):
         g = make_family("star:4")
-        aux = {"conj_degrees": conjugate_degrees(g)}
+        aux = {"conj_degrees": oracle_conjugate_degrees(g)}
         res = evaluate_bound("bai", g, 2, aux)
         assert res.rhs == (4 + 1) - 3
 
     def test_bai_k_beyond_n(self):
         g = make_family("complete:3")
-        aux = {"conj_degrees": conjugate_degrees(g)}
+        aux = {"conj_degrees": oracle_conjugate_degrees(g)}
         res = evaluate_bound("bai", g, 5, aux)
         assert res.rhs == g.m and res.lhs == g.m
 

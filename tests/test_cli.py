@@ -165,6 +165,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: graph6 short form supports n <= 62, got n=70\n"
 
+    @pytest.mark.parametrize("argv", [["scan", "--graph6", "E?zw"], ["probe", "--family", "star:4"]])
+    def test_unknown_bound_exit_2(self, capsys, argv):
+        # the message itself, not str() of the KeyError, which quotes it
+        code, out, err = run(capsys, *argv, "--bound", "nope")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown bound id 'nope'\n"
+
+    def test_k_range_names_every_form(self, capsys):
+        # "n-2" is not a spelling of nminus2
+        code, out, err = run(capsys, "scan", "--graph6", "E?zw", "--bound", "brouwer", "--k", "n-2")
+        assert (code, out) == (2, "")
+        assert err == "error: bad k range 'n-2'; expected 'all', 'nminus2' or a list like 1,2,3\n"
+
 
 class TestScanCommand:
     def test_scan_clean_exit_0(self, capsys):

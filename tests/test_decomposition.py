@@ -27,7 +27,6 @@ from lapsum.decomposition import (
     is_star_forest,
     random_kc_assignment,
     sa_upper_bound_pipeline,
-    sa_via_cover,
     star_arboricity_exact,
     structure_decomposition,
 )
@@ -43,7 +42,6 @@ from lapsum.graphs import (
     make_family,
     mask_bits,
 )
-from lapsum.matching import min_vertex_cover
 
 from conftest import class_masks, sampled_graphs, search_graphs, small_graphs
 from oracles import oracle_arboricity, oracle_is_forest, oracle_sa, oracle_two_star_split, static_sa
@@ -330,15 +328,6 @@ class TestStarArboricity:
     def test_edge_cap(self):
         with pytest.raises(SizeCapError):
             star_arboricity_exact(make_family("complete:9"))
-
-    def test_cover_route(self):
-        g = make_family("complete:4")
-        cover = sorted(min_vertex_cover(g))
-        sfd = sa_via_cover(g, cover)
-        sfd.validate(g)
-        assert len(sfd.classes) <= len(cover)
-        with pytest.raises(GraphError):
-            sa_via_cover(g, [0])  # not a cover
 
 
 class TestStructureDecomposition:
@@ -638,6 +627,6 @@ class TestPipeline:
         aux, labels, ori = build_assignment_aux(g, sd, k)
         assert aux.n == len(sd.U | sd.C) + 1
         apex = aux.n - 1
-        apex_deg = aux.degree(apex)
+        apex_deg = len(aux.neighbors(apex))
         assert apex_deg == len(sd.C)
         assert ori.max_indegree() <= k

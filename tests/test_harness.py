@@ -31,7 +31,6 @@ from lapsum.graphs import (
     all_labeled_graphs,
     bits_graph,
     components_info,
-    conjugate_degrees,
     encode_graph6,
     gnp_graphs,
     graph6_stream,
@@ -63,13 +62,13 @@ from lapsum.spectral import (
     STACK_ENTRIES,
     SpectralError,
     eps_profile,
-    laplacian,
+    graph6_laplacians,
     spectrum,
     stack_size,
 )
 
 from conftest import class_masks
-from oracles import oracle_tau
+from oracles import oracle_conjugate_degrees, oracle_tau
 
 
 def single(g):
@@ -124,7 +123,7 @@ def _oracle_aux(g, needs):
     the skip reason of each quantity over its exact cap (nu comes with tau)."""
     aux, unavailable = {}, {}
     if "conj_degrees" in needs:
-        aux["conj_degrees"] = conjugate_degrees(g)
+        aux["conj_degrees"] = oracle_conjugate_degrees(g)
     if "bipartite" in needs:
         aux["bipartite"] = is_bipartite(g)
     if "n_prime" in needs:
@@ -221,6 +220,9 @@ class TestKRange:
         assert parse_krange("1,3") == KRange("list", (1, 3))
         with pytest.raises(ValueError):
             parse_krange("1,x")
+        message = "bad k range 'n-2'; expected 'all', 'nminus2' or a list like 1,2,3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_krange("n-2")
 
 
 class TestStackAux:
@@ -231,11 +233,7 @@ class TestStackAux:
             cols, missing = harness._aux_columns(n, bits, {"conj_degrees", "non_isolated"})
             assert not missing
             conj = cols["conj_degrees"].tolist()
-            assert conj == [conjugate_degrees(g) for g in graphs]
-            # by definition, entry i-1 counts the vertices of degree >= i
-            assert conj == [
-                [sum(d >= i for d in g.degrees()) for i in range(1, n + 1)] for g in graphs
-            ]
+            assert conj == [oracle_conjugate_degrees(g) for g in graphs]
             assert cols["non_isolated"][:, 0].tolist() == [non_isolated_count(g) for g in graphs]
 
     def test_degree_bounds_build_no_graph(self, monkeypatch):
@@ -293,7 +291,7 @@ class TestAuxColumns:
             assert not missing and set(cols) == needs
             graphs = [bits_graph(n, row) for row in bits]
             want = {
-                "conj_degrees": [conjugate_degrees(g) for g in graphs],
+                "conj_degrees": [oracle_conjugate_degrees(g) for g in graphs],
                 "bipartite": [[int(is_bipartite(g))] for g in graphs],
                 "n_prime": [[components_info(g)[1]] for g in graphs],
                 "non_isolated": [[non_isolated_count(g)] for g in graphs],
@@ -764,7 +762,7 @@ class TestWorkers:
         # units 0, 2, 4, ... and this process 1, 3, ...; at jobs 3 this
         # process runs units 2, 5, ...
         n = 6
-        bad = np.stack([laplacian(bits_graph(n, mask_bits(n, m, m + 1)[0])) for m in masks])
+        bad = graph6_laplacians(n, np.concatenate([mask_bits(n, m, m + 1) for m in masks]))
         original = np.linalg.eigvalsh
 
         def perturbed(a, *args, **kwargs):

@@ -20,7 +20,6 @@ from lapsum.matching import (
     matching_number,
     maximum_matching,
     min_vertex_cover,
-    normalize_odd_set_cover,
     nu_ell,
     nu_ell_value,
     odd_set_cover,
@@ -213,47 +212,6 @@ class TestOddSetCover:
             assert all(u in cov.vertices or v in cov.vertices for u, v in g.edges)
             big_c += len(gallai_edmonds(g).C) >= 4
         assert big_c >= 10
-
-    def test_normalize_merges_overlaps(self):
-        # two triangles sharing vertex 2; union has 5 vertices (odd) -> one set
-        g = graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-        out = normalize_odd_set_cover(g, [], [{0, 1, 2}, {2, 3, 4}])
-        assert out.is_disjoint() and out.covers(g)
-        assert out.odd_sets == (frozenset(range(5)),)
-
-    def test_normalize_even_union_drops_largest_vertex(self):
-        # K4 minus the (0,3) edge; overlapping triangles with even union
-        g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-        out = normalize_odd_set_cover(g, [], [{0, 1, 2}, {1, 2, 3}])
-        assert out.is_disjoint() and out.covers(g)
-        assert 3 in out.vertices
-        assert out.odd_sets == (frozenset({0, 1, 2}),)
-        assert out.weight <= 1 + 1
-
-    def test_normalize_rejects_even_sets_and_non_covers(self):
-        g = make_family("complete:4")
-        with pytest.raises(GraphError):
-            normalize_odd_set_cover(g, [], [{0, 1}])
-        with pytest.raises(GraphError):
-            normalize_odd_set_cover(g, [0], [])
-
-    def test_normalize_never_increases_weight(self):
-        import random
-
-        rng = random.Random(5)
-        for g in sampled_graphs(30, 6, seed=13):
-            if g.m == 0:
-                continue
-            # raw cover: all vertices plus random odd sets
-            sets = []
-            for _ in range(rng.randint(0, 2)):
-                size = rng.choice([1, 3])
-                if size <= g.n:
-                    sets.append(set(rng.sample(range(g.n), size)))
-            raw_vertices = list(range(g.n))
-            out = normalize_odd_set_cover(g, raw_vertices, sets)
-            raw_weight = len(raw_vertices) + sum((len(s) - 1) // 2 for s in sets)
-            assert out.weight <= raw_weight
 
 
 class TestStarPackings:

@@ -36,11 +36,11 @@ def test_result_objects_have_no_instance_dict():
 EXPORTS = {
     "graphs": [
         "AlgorithmError", "FamilyId", "Graph", "Graph6Error", "GraphError", "GraphSource",
-        "all_labeled_graphs", "conjugate_degrees", "disjoint_union", "encode_graph6",
+        "all_labeled_graphs", "disjoint_union", "encode_graph6",
         "gnp_graphs", "graph_from_edges", "graph_stream", "induced_subgraph",
         "make_family", "parse_edge_list", "parse_family", "parse_graph6",
     ],
-    "spectral": ["EpsProfile", "Spectrum", "eps", "eps_profile", "laplacian", "spectrum"],
+    "spectral": ["EpsProfile", "Spectrum", "eps", "eps_profile", "spectrum"],
     "density": [
         "DensityWitness", "Orientation", "OrientationInfeasible", "PartitionWitness",
         "PeelStep", "SizeCapError", "density", "k_orientation", "partition_density",
@@ -54,14 +54,14 @@ EXPORTS = {
     "matching": [
         "GallaiEdmonds", "HallResult", "MatchingResult", "OddSetCover", "StarPacking",
         "gallai_edmonds", "greedy_cover_2approx", "hall_violator", "matching_number",
-        "maximum_matching", "min_vertex_cover", "normalize_odd_set_cover", "nu_ell",
+        "maximum_matching", "min_vertex_cover", "nu_ell",
         "nu_ell_value", "odd_set_cover",
     ],
     "decomposition": [
         "AssignmentExhausted", "ForestDecomposition", "KCAssignment", "PipelineResult",
         "StarForestDecomposition", "StructureDecomposition", "arboricity_value",
         "forest_decomposition", "forest_to_two_star_forests", "is_star_forest",
-        "random_kc_assignment", "sa_upper_bound_pipeline", "sa_via_cover",
+        "random_kc_assignment", "sa_upper_bound_pipeline",
         "star_arboricity_exact", "structure_decomposition",
     ],
     "harness": ["KRange", "ProbeRow", "ScanReport", "scan", "tightness_probe"],
