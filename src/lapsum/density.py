@@ -121,7 +121,9 @@ def _excess_test(g: Graph, lam: Fraction):
 
 
 def density(g: Graph) -> DensityWitness:
-    """Exact density max |E(G[U])| / |U| with its largest achieving subset.
+    """Exact density max |E(G[U])| / |U| with its largest achieving subset;
+    an edgeless graph, where every nonempty subset has density 0, reports
+    the subset {0}.
 
     Newton (Dinkelbach) iteration: from lam = m/n, each excess test that
     leaves edges short yields a strictly denser, strictly smaller U, and lam
@@ -372,8 +374,6 @@ def k_orientation(g: Graph, k: int) -> Orientation | OrientationInfeasible:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     m, n = g.m, g.n
-    if m == 0:
-        return Orientation(g, ())
     res = assign([1] * m, [k] * n, g.edges)
     if res.total == m:
         ori = Orientation(g, tuple(h for load in res.load for h in load))

@@ -8,9 +8,10 @@ the only nondeterministic entry). Scans and probes read one route: each stack
 of graphs on one n becomes a (bound, graph, k) table of stacked spectra, aux
 columns shared by all requested bounds, and right-hand sides; a work unit is
 one stack per n, and a probe's stack is one family graph. Only ``_tasks`` and
-``_stacks`` know the two unit shapes. Size-cap failures become "skipped"
-records instead of aborting the run. ``spectrum_rows`` walks the same work
-units and stacks for the spectra alone.
+``_stacks`` know the two unit shapes. An exact invariant over its size cap
+becomes a "skipped" record of the bounds that need it, instead of aborting
+the run. ``spectrum_rows`` walks the same work units and stacks for the
+spectra alone.
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ class BoundKAggregate:
 class ScanReport:
     source: str
     bounds: tuple[str, ...]
-    krange: KRange
     graphs: int = 0
     checks: int = 0
     aggregates: dict[tuple[str, int], BoundKAggregate] = field(default_factory=dict)
@@ -198,10 +198,11 @@ def _aux_columns(n: int, bits: np.ndarray, needs: set[str]):
 
     ``conj_degrees`` and ``non_isolated`` come from the degree rows, the rest
     from one Graph per row; ν is computed whenever ν or τ is needed, and τ
-    reuses its maximum matching. Returns ``(cols, missing)``: int64 columns
-    ((R, n) for ``conj_degrees``), 0 where a row lacks the quantity, and per
-    row the skip reason of each quantity it lacks, under None for a graph a
-    ``SizeCapError`` skips whole.
+    reuses its maximum matching. The exact τ and sa own their size caps: the
+    ``SizeCapError`` one of them raises skips that quantity alone. Returns
+    ``(cols, missing)``: int64 columns ((R, n) for ``conj_degrees``), 0 where
+    a row lacks the quantity, and per row the skip reason of each quantity it
+    lacks.
     """
     cols, missing = {}, {}
     if "conj_degrees" in needs or "non_isolated" in needs:
@@ -214,32 +215,31 @@ def _aux_columns(n: int, bits: np.ndarray, needs: set[str]):
         needs = needs | {"nu"}
     # the matching and decomposition layers load only for a scan that needs them
     if "nu" in needs:
-        from .matching import VERTEX_COVER_NU_CAP, _cover_at_nu, matching_number
+        from .matching import _cover_at_nu, matching_number
     if "sa" in needs:
-        from .decomposition import STAR_ARB_EDGE_CAP, star_arboricity_exact
+        from .decomposition import star_arboricity_exact
     keys = [q for q in ("bipartite", "n_prime", "nu", "tau", "sa") if q in needs]
     values = np.zeros((len(bits), len(keys)), dtype=np.int64)
     for i in range(len(bits)) if keys else ():
         g = bits_graph(n, bits[i])
         row, lacks = {}, {}
-        try:
-            if "bipartite" in needs:
-                row["bipartite"] = is_bipartite(g)
-            if "n_prime" in needs:
-                row["n_prime"] = components_info(g)[1]
-            if "nu" in needs:
-                row["nu"] = nu = matching_number(g)
-            if "tau" in needs and nu > VERTEX_COVER_NU_CAP:
-                lacks["tau"] = f"nu={nu} exceeds exact-cover cap"
-            elif "tau" in needs:
+        if "bipartite" in needs:
+            row["bipartite"] = is_bipartite(g)
+        if "n_prime" in needs:
+            row["n_prime"] = components_info(g)[1]
+        if "nu" in needs:
+            row["nu"] = nu = matching_number(g)
+        if "tau" in needs:
+            try:
                 row["tau"] = len(_cover_at_nu(g, nu))
-            if "sa" in needs and g.m > STAR_ARB_EDGE_CAP:
-                lacks["sa"] = f"|E|={g.m} exceeds exact star-arboricity cap"
-            elif "sa" in needs:
+            except SizeCapError:
+                lacks["tau"] = f"nu={nu} exceeds exact-cover cap"
+        if "sa" in needs:
+            try:
                 row["sa"] = star_arboricity_exact(g)[0]
-            values[i] = [row.get(q, 0) for q in keys]
-        except SizeCapError as exc:
-            lacks = {None: str(exc)}
+            except SizeCapError:
+                lacks["sa"] = f"|E|={g.m} exceeds exact star-arboricity cap"
+        values[i] = [row.get(q, 0) for q in keys]
         if lacks:
             missing[i] = lacks
     cols.update((q, values[:, j : j + 1]) for j, q in enumerate(keys))
@@ -250,8 +250,10 @@ def _aux_columns(n: int, bits: np.ndarray, needs: set[str]):
 class _Table:
     """The (bound, graph, k) checks of a stack of graphs on one n: ``lhs`` is
     (R, K), ``rhs`` (B, R, K) and NaN where a bound is not applicable or is
-    skipped; ``live`` marks the graphs no ``SizeCapError`` skipped, ``checked``
-    counts the graphs per bound, ``skips`` lists (row, bound index, reason)."""
+    skipped; ``missing`` holds per row the skip reason of each aux quantity
+    over its exact cap, which skips the bounds that need it and no other;
+    ``checked`` counts the graphs per bound, ``skips`` lists (row, bound
+    index, reason)."""
 
     ms: np.ndarray
     vals: np.ndarray
@@ -259,7 +261,6 @@ class _Table:
     lhs: np.ndarray
     cols: dict
     missing: dict
-    live: np.ndarray
     rhs: np.ndarray
     checked: list
     skips: list
@@ -275,22 +276,20 @@ def _table(n: int, bits: np.ndarray, bounds, ks) -> _Table:
     lhs = np.repeat(ms[:, None].astype(float), len(ks), axis=1)  # |E| for k > n
     lhs[:, k_arr <= n] = eps[:, k_arr[k_arr <= n] - 1]
     cols, missing = _aux_columns(n, bits, aux_requirements(bounds))
-    live = np.ones(len(bits), dtype=bool)
-    live[[i for i, lacks in missing.items() if None in lacks]] = False
     rhs = np.full((len(bounds), len(bits), len(ks)), math.nan)
     checked, skips = [], []
     for b, tag in enumerate(bounds):
         spec = bound_spec(tag)
-        rows = live.copy()
+        rows = np.ones(len(bits), dtype=bool)
         for i, lacks in missing.items():
-            reasons = [lacks[q] for q in (None, *spec.needs) if q in lacks]
+            reasons = [lacks[q] for q in spec.needs if q in lacks]
             if reasons:
                 rows[i] = False
                 skips.append((i, b, reasons[0]))
         if rows.any():
             np.copyto(rhs[b], rhs_table(spec, ms[:, None], k_arr, cols), where=rows[:, None])
         checked.append(int(rows.sum()))
-    return _Table(ms, vals, eps, lhs, cols, missing, live, rhs, checked, skips)
+    return _Table(ms, vals, eps, lhs, cols, missing, rhs, checked, skips)
 
 
 def _witness_record(check: dict, t: _Table, i: int) -> dict:
@@ -323,8 +322,8 @@ def _scan_group(unit, n, bits, positions, bounds, krange, report, kept):
     ks = krange.values(n)
     t = _table(n, bits, bounds, ks)
     lhs, rhs = t.lhs, t.rhs
-    if ks and t.live.any():
-        ratio = (lhs[t.live] / (np.array(ks, dtype=np.int64) ** 2)).max()
+    if ks:
+        ratio = (lhs / (np.array(ks, dtype=np.int64) ** 2)).max()
         report.max_eps_over_k2 = max(report.max_eps_over_k2, float(ratio))
     report.checks += sum(t.checked) * len(ks)
     slack = rhs - lhs
@@ -377,34 +376,28 @@ def _stacks(work):
     """The stacks of one work unit: an (n, lo, hi) range of all-labeled edge
     masks, or a list of validated graph6 strings.
 
-    Graphs are grouped by n, and each group is cut into stacks of at most
-    ``stack_size(n)`` graphs, one stacked eigvalsh call each; that stack also
-    bounds the group's other arrays. A unit from ``_tasks`` fits one stack
-    per n. Yields ``(n, bits, positions)``: the edge bit rows and, per row,
+    The graphs are grouped by n, one stack per group, so one stacked eigvalsh
+    call each. ``_tasks`` alone applies the entry budget: a unit from it
+    holds at most STACK_ENTRIES entries, which also bounds each stack's other
+    arrays. Yields ``(n, bits, positions)``: the edge bit rows and, per row,
     the graph's index in the unit.
     """
     if isinstance(work, tuple):
         n, lo, hi = work
-        step = stack_size(n)
-        for start in range(lo, hi, step):
-            end = min(start + step, hi)
-            yield n, mask_bits(n, start, end), range(start - lo, end - lo)
+        yield n, mask_bits(n, lo, hi), range(hi - lo)
         return
     groups: dict[int, list[int]] = {}
     for pos, g6 in enumerate(work):
         groups.setdefault(graph6_order(g6), []).append(pos)
     for n, positions in groups.items():
-        step = stack_size(n)
-        for start in range(0, len(positions), step):
-            part = positions[start : start + step]
-            yield n, graph6_bits([work[p] for p in part]), part
+        yield n, graph6_bits([work[p] for p in positions]), positions
 
 
 def _scan_chunk(unit, work, bounds, krange, kept):
     """The partial report (no source, no runtime) of work unit number ``unit``
     over its stacks, with a process's ``kept`` (see ``_scan_group``). A Graph
     is built only where a bound needs an invariant beyond the degree rows."""
-    report = ScanReport("", bounds, krange)
+    report = ScanReport("", bounds)
     for n, bits, positions in _stacks(work):
         _scan_group(unit, n, bits, positions, bounds, krange, report, kept)
         report.graphs += len(bits)
@@ -424,9 +417,10 @@ def _first_examples(equalities) -> list[dict]:
 
 def _tasks(src: GraphSource):
     """The work units of a scan in source order: (n, lo, hi) edge-mask ranges
-    for an all-labeled source, lists of graph6 strings for any other. A unit
-    holds at most STACK_ENTRIES matrix entries, unless it is a single graph,
-    so it is one stacked eigvalsh call per n."""
+    for an all-labeled source, lists of graph6 strings for any other. This is
+    the one place the entry budget is applied: a unit holds at most
+    STACK_ENTRIES matrix entries, unless it is a single graph, so it is one
+    stacked eigvalsh call per n."""
     if src.kind == "all-labeled":
         total = all_labeled_count(src.n)
         step = stack_size(src.n)
@@ -458,7 +452,7 @@ def _graph6_tasks(g6_stream):
 def _fold(units, bounds, krange):
     """One partial report of the (unit index, work unit) pairs ``units``, and
     the failure that ends it early: (unit index, exception), or None."""
-    report, kept = ScanReport("", bounds, krange), {}
+    report, kept = ScanReport("", bounds), {}
     for index, work in units:
         try:
             report.add(_scan_chunk(index, work, bounds, krange, kept))
@@ -531,7 +525,7 @@ def _shares(tasks, bounds, krange, jobs):
         try:
             own = _fold(own_units(), bounds, krange)
         except Exception as exc:  # the source's own error, or a closed worker pipe
-            own = ScanReport("", bounds, krange), (math.inf, exc)
+            own = ScanReport("", bounds), (math.inf, exc)
         for _, conn in workers:
             conn.send(None)
         shares = []
@@ -572,7 +566,7 @@ def scan(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     krange = ks or KRange("all")
     start = time.monotonic()
-    report = ScanReport(src.describe(), bounds, krange)
+    report = ScanReport(src.describe(), bounds)
     shares = _shares(_tasks(src), bounds, krange, jobs)
     failures = [failure for _, failure in shares if failure is not None]
     if failures:

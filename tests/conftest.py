@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from lapsum.graphs import Graph, all_labeled_graphs, gnp_graphs, graph6_pairs, graph_from_edges
+from lapsum.graphs import all_labeled_graphs, gnp_graphs, graph6_pairs, graph_from_edges
 
 
 def small_graphs(max_n: int = 5):

@@ -10,8 +10,6 @@ import json
 import math
 from pathlib import Path
 
-import pytest
-
 import lapsum as L
 from lapsum.decomposition import build_assignment_aux
 from lapsum.graphs import GraphSource

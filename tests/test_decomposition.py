@@ -43,7 +43,7 @@ from lapsum.graphs import (
     mask_bits,
 )
 
-from conftest import class_masks, sampled_graphs, search_graphs, small_graphs
+from conftest import class_masks, sampled_graphs, search_graphs
 from oracles import oracle_arboricity, oracle_is_forest, oracle_sa, oracle_two_star_split, static_sa
 
 

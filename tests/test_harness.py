@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -10,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from lapsum import bounds, harness, matching
+from lapsum import bounds, decomposition, harness, matching
 from lapsum.bounds import (
     BOUND_TAGS,
     EQUALITY_TOL,
@@ -318,20 +319,21 @@ class TestAuxColumns:
         cols, missing = harness._aux_columns(32, graph_bits(pm)[None], {"tau"})
         assert missing == {0: {"tau": "nu=16 exceeds exact-cover cap"}}
         assert cols["nu"].tolist() == [[16]] and cols["tau"].tolist() == [[0]]
-        # a SizeCapError from a per-graph function skips the whole graph
-        real = harness.is_bipartite
+        # the exact invariant owns its cap: its SizeCapError skips sa alone
+        real = decomposition.star_arboricity_exact
 
         def capped(g):
             if g.m == 3:
                 raise SizeCapError("over the cap")
             return real(g)
 
-        monkeypatch.setattr(harness, "is_bipartite", capped)
+        monkeypatch.setattr(decomposition, "star_arboricity_exact", capped)
         bits = mask_bits(3, 0, all_labeled_count(3))
-        cols, missing = harness._aux_columns(3, bits, {"bipartite", "nu"})
-        assert missing == {7: {None: "over the cap"}}
+        cols, missing = harness._aux_columns(3, bits, {"bipartite", "nu", "sa"})
+        assert missing == {7: {"sa": "|E|=3 exceeds exact star-arboricity cap"}}
         assert cols["bipartite"][:, 0].tolist() == [1] * 7 + [0]
-        assert cols["nu"][:, 0].tolist() == [0, 1, 1, 1, 1, 1, 1, 0]
+        assert cols["nu"][:, 0].tolist() == [0] + [1] * 7
+        assert cols["sa"][:, 0].tolist() == [0] + [1] * 6 + [0]
 
     def test_one_search_per_graph(self, monkeypatch):
         # bipartiteness and n' both read the graph's one cached search
@@ -497,48 +499,50 @@ class TestScan:
                 assert used <= STACK_ENTRIES or size == 1
 
     def test_mask_range_records_name_their_graphs(self, monkeypatch, tmp_path):
-        # brouwer violated everywhere (eps_k >= -|E|), both bounds skipped where
+        # brouwer violated everywhere (eps_k >= -|E|), star-arb skipped where
         # |E| = 3 (mod 4): every record names its graph by the graph6 of the
-        # mask's edges. The cap goes in through components_info, which the
-        # scan calls for half-component's n_prime
+        # mask's edges. The cap goes in through star_arboricity_exact, which
+        # the scan calls for star-arb's sa
         spec = bounds.bound_spec("brouwer")
         monkeypatch.setitem(
             bounds._REGISTRY,
             "brouwer",
             BoundSpec("brouwer", (), lambda size, k, aux: -100, spec.applicable, True),
         )
-        real = harness.components_info
+        real = decomposition.star_arboricity_exact
 
         def capped(g):
             if g.m % 4 == 3:
                 raise SizeCapError("over the cap")
             return real(g)
 
-        monkeypatch.setattr(harness, "components_info", capped)
+        monkeypatch.setattr(decomposition, "star_arboricity_exact", capped)
         n = 5
         pairs = list(itertools.combinations(range(n), 2))
         names = [
             encode_graph6(Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1)))
             for mask in range(2 ** len(pairs))
         ]
-        live = [g6 for g6 in names if parse_graph6(g6).m % 4 != 3]
-        rep = scan(GraphSource("all-labeled", n=n), ["half-component", "brouwer"], KRange("all"))
-        assert [v["graph6"] for v in rep.violations] == [g6 for g6 in live for _ in range(n)]
-        assert [(s["graph6"], s["bound"]) for s in rep.skipped] == [
-            (g6, tag) for g6 in names if g6 not in live for tag in ("half-component", "brouwer")
+        capped_m = [g6 for g6 in names if parse_graph6(g6).m % 4 == 3]
+        rep = scan(GraphSource("all-labeled", n=n), ["star-arb", "brouwer"], KRange("all"))
+        assert [v["graph6"] for v in rep.violations] == [g6 for g6 in names for _ in range(n)]
+        assert [(s["graph6"], s["bound"], s["reason"]) for s in rep.skipped] == [
+            (g6, "star-arb", f"|E|={parse_graph6(g6).m} exceeds exact star-arboricity cap")
+            for g6 in capped_m
         ]
         # equality examples: the same as a scan of those graph6 strings
         path = tmp_path / "al5.g6"
         path.write_text("".join(g6 + "\n" for g6 in names))
         by_file = scan(
-            GraphSource("graph6-file", path=str(path)), ["half-component", "brouwer"], KRange("all")
+            GraphSource("graph6-file", path=str(path)), ["star-arb", "brouwer"], KRange("all")
         )
         assert rep.equality_examples and rep.equality_examples == by_file.equality_examples
         assert _report_text(rep) == _report_text(by_file)
 
     def test_mask_range_ending_mid_stack(self):
-        # masks 3..1999 on 6 vertices: stacks of stack_size(6) = 1820 start at
-        # 3 and the second one ends 177 masks in
+        # masks 3..1999 on 6 vertices, off the stack_size(6) = 1820 grid of
+        # _tasks and longer than its units: _stacks does not cut a unit, so
+        # this is one stack, as the same graphs given as graph6 strings are
         assert stack_size(6) == 1820
         tags, krange = tuple(BOUND_TAGS), KRange("all")
         by_mask = harness._scan_chunk(0, (6, 3, 2000), tags, krange, {})
@@ -605,24 +609,6 @@ class TestScan:
                 assert parse_graph6(v["graph6"]) == g
                 assert (v["n"], v["m"], v["rhs"]) == (g.n, g.m, -1.0)
 
-    def test_size_cap_error_skips_every_bound_of_the_graph(self, monkeypatch):
-        real = harness.components_info
-
-        def capped(g):
-            if g.m == 3:
-                raise SizeCapError("over the cap")
-            return real(g)
-
-        monkeypatch.setattr(harness, "components_info", capped)
-        # half-component's n' comes from components_info, called for every graph
-        rep = scan(GraphSource("all-labeled", n=3), ["half-component", "brouwer"], KRange("all"))
-        k3 = encode_graph6(make_family("complete:3"))
-        assert rep.skipped == [
-            {"graph6": k3, "bound": tag, "reason": "over the cap"}
-            for tag in ("half-component", "brouwer")
-        ]
-        assert (rep.graphs, rep.checks) == (8, 7 * 3 * 2)
-
     def test_failed_stacked_check_names_graph(self, monkeypatch):
         graphs = list(all_labeled_graphs(4))
         original = np.linalg.eigvalsh
@@ -641,7 +627,7 @@ class TestScan:
             scan(GraphSource("all-labeled", n=4), ["brouwer"], KRange("all"))
         assert calls == [(64, 4, 4)]
 
-    def test_stacks_stay_within_entry_budget(self, monkeypatch):
+    def test_stacks_stay_within_entry_budget(self, monkeypatch, mixed_g6_file):
         original = np.linalg.eigvalsh
         shapes = []
 
@@ -654,6 +640,17 @@ class TestScan:
         assert rep.graphs == 100
         # one stacked call per work unit: 2^16 entries hold 40 graphs on 40 vertices
         assert shapes == [(40, 40, 40), (40, 40, 40), (20, 40, 40)]
+        assert all(s[0] * s[1] * s[2] <= STACK_ENTRIES for s in shapes)
+        # a mixed-n file: one call per (unit, n) group, in the unit's order of n
+        shapes.clear()
+        src = GraphSource("graph6-file", path=mixed_g6_file)
+        rep = scan(src, ["brouwer"])
+        groups = []
+        for task in harness._tasks(src):
+            counts = collections.Counter(ord(g6[0]) - 63 for g6 in task)
+            groups.extend((count, n, n) for n, count in counts.items())
+        assert len(groups) > 2 and shapes == groups
+        assert sum(s[0] for s in shapes) == rep.graphs == len(_mixed_graphs())
         assert all(s[0] * s[1] * s[2] <= STACK_ENTRIES for s in shapes)
 
     def test_sa_skip_record_for_large_graphs(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lapsum
-from lapsum.graphs import GraphError, disjoint_union, graph_from_edges, make_family
+from lapsum.graphs import GraphError, graph_from_edges, make_family
 from lapsum.matching import (
     AlgorithmError,
     MatchingResult,
@@ -25,7 +25,7 @@ from lapsum.matching import (
     odd_set_cover,
 )
 
-from conftest import sampled_graphs, small_graphs
+from conftest import sampled_graphs
 from oracles import (
     oracle_gallai_edmonds,
     oracle_min_maximizer,

@@ -20,6 +20,36 @@ def test_no_assert_in_package():
     assert not found, found
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """The names bound by the module-level imports of one file that the file
+    never reads (an argument of that name counts: pytest passes fixtures so)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg):
+            used.add(node.arg)
+    return [f"{path.name}:{line}: {name}" for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    paths = [Path(lapsum.__file__).resolve().parent, root / "tests", root / "tools"]
+    found = []
+    for path in sorted(p for d in paths for p in d.glob("*.py") if p.name != "__init__.py"):
+        found += _unused_imports(path)
+    assert not found, found
+
+
 def test_result_objects_have_no_instance_dict():
     # callers that keep many results (a certify loop) pay per instance
     names = [
