@@ -599,7 +599,7 @@ def sa_upper_bound_pipeline(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     check_partition_density_below(g, k, parden_mode)
-    bound = k + 15 * math.log(k) + 65 if k > 1 else 66.0
+    bound = k + 15 * math.log(k) + 65
     if k <= 100:
         fd = forest_decomposition(g)
         classes: list[tuple[tuple[int, int], ...]] = []

@@ -11,6 +11,7 @@ caps at once (3^n time, n <= 20), and checks its witness against the graph.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,9 +25,7 @@ from .graphs import (
     Graph,
     GraphError,
     components_info,
-    edge_subgraph,
     graph_from_edges,
-    remove_edges,
 )
 
 PARTITION_EXACT_CAP = 20
@@ -290,15 +289,30 @@ def _partition_parts(f: np.ndarray, e: np.ndarray, n: int, s: int) -> list[froze
     return parts
 
 
+def _edges_within_parts(g: Graph, parts) -> tuple[tuple[int, int], ...]:
+    """The edges of g with both ends in one of ``parts``, in g.edges order,
+    found in one pass over the edges; raises unless the parts partition V."""
+    part_of = [-1] * g.n
+    for i, part in enumerate(parts):
+        for v in part:
+            if part_of[v] >= 0:
+                raise AlgorithmError("partition density parts do not partition the vertices")
+            part_of[v] = i
+    if -1 in part_of:
+        raise AlgorithmError("partition density parts do not partition the vertices")
+    return tuple(e for e in g.edges if part_of[e[0]] == part_of[e[1]])
+
+
 def partition_density(g: Graph) -> PartitionWitness:
     """Exact partition density with an optimal partition (n <= 20).
 
     One subset DP (``_partition_table``) gives, for every part-size cap s,
     the most edges a partition with parts of size <= s keeps inside its
     parts; the answer is the best ratio best(s)/s, at the smallest s that
-    attains it. The parts are rebuilt from the table and checked against
-    the graph itself: they partition V, and their edges, recounted from
-    g.edges, over the largest part size give the value.
+    attains it. The parts are rebuilt from the table, in the order of their
+    smallest vertices, and checked against the graph itself in one pass
+    over g.edges: they partition V, and the edges inside them, over the
+    largest part size, give the value.
     """
     if g.n < 1:
         raise GraphError("partition density needs at least one vertex")
@@ -321,12 +335,9 @@ def partition_density(g: Graph) -> PartitionWitness:
             best_edges, best_s = edges, s
     best_value = Fraction(best_edges, best_s)
     parts = _partition_parts(f, e, n, best_s)
-    parts.sort(key=min)
-    if sorted(v for part in parts for v in part) != list(range(n)):
-        raise AlgorithmError("partition density parts do not partition the vertices")
-    attained = max(len(p) for p in parts)
-    total_inside = sum(_edges_inside(g, p) for p in parts)
-    if Fraction(total_inside, attained) != best_value:
+    inside = _edges_within_parts(g, parts)
+    attained = max(map(len, parts))
+    if Fraction(len(inside), attained) != best_value:
         raise AlgorithmError(f"partition density witness does not attain {best_value}")
     return PartitionWitness(best_value, tuple(parts), attained)
 
@@ -334,30 +345,26 @@ def partition_density(g: Graph) -> PartitionWitness:
 def partition_density_bracket(g: Graph) -> tuple[Fraction, Fraction]:
     """[lower, upper] bounds on the partition density for graphs beyond the cap.
 
-    Lower: best of a few explicit partitions (whole set, connected
-    components). Upper: per-cap relaxation using the exact density rho
-    (each part T carries at most min(rho*|T|, C(|T|,2)) edges).
+    Lower: m/n', from the connected components taken as parts (every edge
+    is inside one, and the largest has n' vertices). Upper: per-cap
+    relaxation using the exact density rho (each part T carries at most
+    min(rho*|T|, C(|T|,2)) edges).
     """
     if g.n < 1:
         raise GraphError("partition density needs at least one vertex")
     n, m = g.n, g.m
     if m == 0:
         return Fraction(0), Fraction(0)
-    comps, n_prime = components_info(g)
-    lower = max(Fraction(m, n), Fraction(m, n_prime))
+    lower = Fraction(m, components_info(g)[1])
     rho = density(g).value
     upper = lower
     for s in range(2, n + 1):
         parts = -(-n // s)
-        ub = min(m, _floor_frac(rho * n), s * (s - 1) // 2 * parts)
+        ub = min(m, math.floor(rho * n), s * (s - 1) // 2 * parts)
         upper = max(upper, Fraction(ub, s))
     if lower > upper:
         raise AlgorithmError(f"partition density bracket [{lower},{upper}] is empty")
     return lower, upper
-
-
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +432,8 @@ def peel_to_low_partition_density(g: Graph, k: int) -> tuple[Graph, list[PeelSte
     """Delete witness subgraphs with |E(H)| >= k * n'(H) until parden < k.
 
     Each step takes the exact partition-density witness (when its value is
-    >= k the intra-part edges form such an H) and removes those edges only;
+    >= k the intra-part edges form such an H), reads the edges inside its
+    parts in one pass over the current edges, and removes those edges only;
     vertices stay so excess comparisons are over a fixed vertex set.
     """
     if k < 1:
@@ -436,14 +444,11 @@ def peel_to_low_partition_density(g: Graph, k: int) -> tuple[Graph, list[PeelSte
         wit = partition_density(cur)
         if wit.value < k:
             return cur, log
-        h_edges = []
-        for part in wit.parts:
-            s = set(part)
-            h_edges.extend(e for e in cur.edges if e[0] in s and e[1] in s)
-        h = edge_subgraph(cur, h_edges)
+        h = Graph(cur.n, _edges_within_parts(cur, wit.parts))
         # H has an edge, so its isolated vertices cannot be its largest component
         h_nprime = components_info(h)[1]
-        if len(h_edges) < k * h_nprime:
-            raise AlgorithmError(f"peel step of {len(h_edges)} edges is below {k} * n'")
-        log.append(PeelStep(tuple(sorted(h_edges)), h_nprime, wit.value))
-        cur = remove_edges(cur, h_edges)
+        if h.m < k * h_nprime:
+            raise AlgorithmError(f"peel step of {h.m} edges is below {k} * n'")
+        log.append(PeelStep(h.edges, h_nprime, wit.value))
+        removed = set(h.edges)
+        cur = Graph(cur.n, tuple(e for e in cur.edges if e not in removed))

@@ -268,23 +268,6 @@ def induced_subgraph(g: Graph, u: Iterable[int]) -> tuple[Graph, list[int]]:
     return graph_from_edges(len(verts), edges), verts
 
 
-def edge_subgraph(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Spanning subgraph of g with only the given edges (vertex set unchanged);
-    an edge given twice, in either orientation, raises ``GraphError``."""
-    es = []
-    for u, v in edges:
-        if not g.has_edge(u, v):
-            raise GraphError(f"({min(u, v)},{max(u, v)}) is not an edge of the graph")
-        es.append((u, v))
-    return graph_from_edges(g.n, es)
-
-
-def remove_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Graph with the given edges deleted; vertices stay in place."""
-    drop = {(min(u, v), max(u, v)) for u, v in edges}
-    return Graph(g.n, tuple(e for e in g.edges if e not in drop))
-
-
 def conjugate_rows(degs: np.ndarray) -> np.ndarray:
     """Conjugate degree sequences of the rows of an (R, n) degree block."""
     n = degs.shape[1]

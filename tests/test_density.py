@@ -36,6 +36,7 @@ from conftest import sampled_graphs, small_graphs
 from oracles import (
     edges_inside,
     loop_partition_witness,
+    oracle_components,
     oracle_density,
     oracle_max_densest_set,
     oracle_min_maximizer,
@@ -60,6 +61,13 @@ def _overstate_full_set(g):
     e = _true_edge_counts(g)
     e[-1] += 1
     return e
+
+
+def _partition_faults():
+    # _partition_parts wrapped to give a vertex twice, then to drop vertex 3
+    true_parts = importlib.import_module("lapsum.density")._partition_parts
+    yield lambda *args: true_parts(*args) + [frozenset({3})]
+    yield lambda *args: [p - {3} for p in true_parts(*args)]
 
 
 def _expected_witness(g):
@@ -198,9 +206,10 @@ class TestPartitionDensity:
             covered = sum(edges_inside(g, p) for p in wit.parts)
             assert Fraction(covered, wit.attained_part_size) == wit.value
 
-    def test_witness_matches_loop_reference(self):
-        # the same value, parts and part size as one loop DP per cap
-        for g in sampled_graphs(40, 9, seed=10):
+    def test_witness_matches_loop_reference(self, exhaustive_n5):
+        # the same value, parts (in the order of their smallest vertices) and
+        # part size as one loop DP per cap
+        for g in [*exhaustive_n5, *sampled_graphs(40, 9, seed=10)]:
             wit = partition_density(g)
             assert (wit.value, wit.parts, wit.attained_part_size) == loop_partition_witness(g)
 
@@ -249,6 +258,35 @@ class TestPartitionDensity:
         )
         assert "does not attain" in out.stdout
 
+    def test_parts_that_do_not_partition_raise(self, monkeypatch):
+        density_module = importlib.import_module("lapsum.density")
+        for fault in _partition_faults():
+            monkeypatch.setattr(density_module, "_partition_parts", fault)
+            with pytest.raises(AlgorithmError, match="do not partition"):
+                partition_density(make_family("complete:4"))
+
+    def test_parts_that_do_not_partition_raise_under_optimize(self):
+        code = (
+            "import importlib\n"
+            "from lapsum.graphs import AlgorithmError, make_family\n"
+            "from test_density import _partition_faults\n"
+            "mod = importlib.import_module('lapsum.density')\n"
+            "for fault in _partition_faults():\n"
+            "    mod._partition_parts = fault\n"
+            "    try:\n"
+            "        mod.partition_density(make_family('complete:4'))\n"
+            "    except AlgorithmError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = str(Path(lapsum.__file__).resolve().parents[1])
+        tests = str(Path(__file__).resolve().parent)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests))),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.count("do not partition") == 2
+
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
             partition_density(Graph(21, ()))
@@ -258,6 +296,8 @@ class TestPartitionDensity:
             lo, hi = partition_density_bracket(g)
             exact = partition_density(g).value
             assert lo <= exact <= hi
+            # the components taken as parts
+            assert lo == Fraction(g.m, max(map(len, oracle_components(g))))
 
 
 class TestOrientation:
@@ -365,6 +405,52 @@ class TestPeeling:
                     assert step.value >= k
                 # vertices never removed
                 assert h.n == g.n
+
+    def test_steps_match_their_definition(self, exhaustive_n5):
+        # each step removes the edges inside its graph's witness parts, n' is
+        # the largest component of the removed subgraph, and the final graph
+        # is g less every removed edge
+        for g in exhaustive_n5:
+            for k in (1, 2, 3):
+                h, log = peel_to_low_partition_density(g, k)
+                cur = g
+                for step in log:
+                    wit = partition_density(cur)
+                    assert step.value == wit.value
+                    parts = wit.parts
+                    removed = [e for e in cur.edges if any(set(e) <= p for p in parts)]
+                    assert list(step.removed_edges) == removed
+                    assert len(removed) == sum(edges_inside(cur, p) for p in parts)
+                    sub = Graph(g.n, step.removed_edges)
+                    assert step.n_prime == max(map(len, oracle_components(sub)))
+                    cur = graph_from_edges(g.n, set(cur.edges) - set(removed))
+                assert h == cur
+                assert h.edges == tuple(
+                    e for e in g.edges if all(e not in s.removed_edges for s in log)
+                )
+
+    def test_thin_step_raises_under_optimize(self):
+        # a witness whose parts hold fewer than k * n' edges: P3 as one part
+        # has 2 edges and n' = 3, below k = 1 times n'
+        code = (
+            "import importlib\n"
+            "from fractions import Fraction\n"
+            "from lapsum.graphs import AlgorithmError, make_family\n"
+            "mod = importlib.import_module('lapsum.density')\n"
+            "mod.partition_density = lambda g: mod.PartitionWitness(\n"
+            "    Fraction(1), (frozenset(range(g.n)),), g.n\n"
+            ")\n"
+            "try:\n"
+            "    mod.peel_to_low_partition_density(make_family('path:3'), 1)\n"
+            "except AlgorithmError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(lapsum.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert "peel step of 2 edges is below 1 * n'" in out.stdout
 
     def test_peeled_nu_ell_is_bounded(self):
         for g in small_graphs(4):

@@ -25,7 +25,6 @@ from lapsum.graphs import (
     conjugate_rows,
     degree_rows,
     disjoint_union,
-    edge_subgraph,
     encode_graph6,
     gnp_graphs,
     graph6_bits,
@@ -46,7 +45,6 @@ from lapsum.graphs import (
     parse_family,
     parse_graph6,
     read_graph6_lines,
-    remove_edges,
 )
 
 from conftest import search_graphs
@@ -271,22 +269,6 @@ class TestStructuralHelpers:
         sub, labels = induced_subgraph(g, [4, 0, 1])
         assert labels == [0, 1, 4]
         assert sub.edges == ((0, 1), (0, 2))
-
-    def test_edge_and_removed_subgraphs(self):
-        g = make_family("complete:4")
-        sub = edge_subgraph(g, [(0, 1), (2, 3)])
-        assert sub.edges == ((0, 1), (2, 3)) and sub.n == 4
-        left = remove_edges(g, [(0, 1)])
-        assert left.m == 5 and not left.has_edge(0, 1)
-        with pytest.raises(GraphError):
-            edge_subgraph(sub, [(0, 2)])
-
-    def test_edge_subgraph_rejects_a_repeated_edge(self):
-        g = make_family("path:3")
-        for edges in ([(0, 1), (1, 0)], [(1, 2), (1, 2)]):
-            with pytest.raises(GraphError, match=r"repeated edge \((0,1|1,2)\)"):
-                edge_subgraph(g, edges)
-        assert edge_subgraph(g, [(2, 1), (1, 0)]).edges == ((0, 1), (1, 2))
 
     def test_conjugate_degrees_star(self):
         # star on 4 vertices: degrees (3,1,1,1)
