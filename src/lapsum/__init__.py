@@ -15,6 +15,7 @@ import importlib
 _EXPORTS = {
     "graphs": (
         "AlgorithmError", "FamilyId", "Graph", "Graph6Error", "GraphError", "GraphSource",
+        "SizeCapError",
         "all_labeled_graphs", "disjoint_union", "encode_graph6",
         "gnp_graphs", "graph_from_edges", "graph_stream", "induced_subgraph",
         "make_family", "parse_edge_list", "parse_family", "parse_graph6",
@@ -22,7 +23,7 @@ _EXPORTS = {
     "spectral": ("EpsProfile", "Spectrum", "eps", "eps_profile", "spectrum"),
     "density": (
         "DensityWitness", "Orientation", "OrientationInfeasible", "PartitionWitness",
-        "PeelStep", "SizeCapError", "density", "k_orientation", "partition_density",
+        "PeelStep", "density", "k_orientation", "partition_density",
         "partition_density_bracket", "peel_to_low_partition_density",
         "random_k_orientation",
     ),

@@ -23,7 +23,6 @@ from fractions import Fraction
 from .bounds import BOUND_TAGS, CONJECTURE_TAGS, THEOREM_TAGS
 from .density import (
     OrientationInfeasible,
-    SizeCapError,
     density,
     k_orientation,
     partition_density,
@@ -34,6 +33,7 @@ from .graphs import (
     Graph6Error,
     GraphError,
     GraphSource,
+    SizeCapError,
     graph_stream,
     make_family,
     parse_edge_list,

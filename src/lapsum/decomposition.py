@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from .density import (
     Orientation,
     OrientationInfeasible,
-    SizeCapError,
     _edges_inside,
     k_orientation,
     partition_density,
@@ -29,6 +28,7 @@ from .graphs import (
     AlgorithmError,
     Graph,
     GraphError,
+    SizeCapError,
     graph_from_edges,
     induced_subgraph,
     is_forest,
@@ -464,9 +464,7 @@ def structure_decomposition(
         sd.validate(g)
         return sd
     s_set = set(s_cover)
-    cross = graph_from_edges(
-        g.n, (e for e in g.edges if (e[0] in s_set) != (e[1] in s_set))
-    )
+    cross = Graph(g.n, tuple(e for e in g.edges if (e[0] in s_set) != (e[1] in s_set)))
     res = hall_violator(cross, s_cover, sorted(set(range(g.n)) - s_set), k)
     if res.saturating:
         raise AlgorithmError(
@@ -636,8 +634,7 @@ def build_assignment_aux(
     assignment test (``k_orientation``); every apex edge is oriented into
     the apex (its degree is |C| <= k).
     """
-    core = sorted(sd.U | sd.C)
-    sub, labels = induced_subgraph(g, core)
+    sub, labels = induced_subgraph(g, sd.U | sd.C)
     apex = sub.n
     pos = {v: i for i, v in enumerate(labels)}
     aux_edges = list(sub.edges) + [(pos[v], apex) for v in sorted(sd.C)]

@@ -24,6 +24,7 @@ from .graphs import (
     AlgorithmError,
     Graph,
     GraphError,
+    SizeCapError,
     components_info,
     graph_from_edges,
 )
@@ -37,10 +38,6 @@ _OVER_CAP = -1024
 #: DP row chunks whose candidate parts stay cached between calls; at the
 #: default entry budget one chunk takes at most 0.2 MB for any n <= 20
 _PLAN_CHUNKS = 64
-
-
-class SizeCapError(ValueError):
-    """Input exceeds the documented exact-mode size cap."""
 
 
 @dataclass(frozen=True, slots=True)

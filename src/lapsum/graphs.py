@@ -25,6 +25,10 @@ class AlgorithmError(RuntimeError):
     """A verified certificate failed its own invariants."""
 
 
+class SizeCapError(ValueError):
+    """Input exceeds the documented exact-mode size cap."""
+
+
 class Graph6Error(ValueError):
     """Malformed graph6 input; carries the byte offset of the problem.
 
@@ -262,10 +266,9 @@ def induced_subgraph(g: Graph, u: Iterable[int]) -> tuple[Graph, list[int]]:
         if not (0 <= v < g.n):
             raise GraphError(f"vertex {v} out of range for n={g.n}")
     pos = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (pos[a], pos[b]) for a, b in g.edges if a in pos and b in pos
-    ]
-    return graph_from_edges(len(verts), edges), verts
+    # a monotone relabelling keeps g.edges' lexicographic order
+    edges = tuple((pos[a], pos[b]) for a, b in g.edges if a in pos and b in pos)
+    return Graph(len(verts), edges), verts
 
 
 def conjugate_rows(degs: np.ndarray) -> np.ndarray:
@@ -289,13 +292,13 @@ def degree_rows(n: int, bits: np.ndarray) -> np.ndarray:
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
-    """Disjoint union by explicit vertex-offset composition."""
+    """Disjoint union by vertex offsets; the offset edge runs follow one another in order."""
     n = 0
     edges: list[tuple[int, int]] = []
     for g in graphs:
         edges.extend((u + n, v + n) for u, v in g.edges)
         n += g.n
-    return graph_from_edges(n, edges)
+    return Graph(n, tuple(edges))
 
 
 def is_bipartite(g: Graph) -> bool:

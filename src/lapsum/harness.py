@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import K_MAX, aux_requirements, bound_spec, rhs_table, verdict
-from .density import SizeCapError
 from .graphs import (
     FamilyId,
     Graph6Error,
     GraphSource,
+    SizeCapError,
     all_labeled_count,
     bits_graph,
     components_info,
@@ -149,10 +149,7 @@ class ScanReport:
         return sum(a.violations for a in self.aggregates.values())
 
     def to_json_dict(self) -> dict:
-        rows = [
-            self.aggregates[key].to_row(*key)
-            for key in sorted(self.aggregates, key=lambda t: (t[0], t[1]))
-        ]
+        rows = [self.aggregates[key].to_row(*key) for key in sorted(self.aggregates)]
         return {
             "schema": 1,
             "source": self.source,
@@ -179,7 +176,7 @@ class ScanReport:
 
     def to_csv(self) -> str:
         lines = ["bound,k,checked,violations,equalities,min_slack"]
-        for key in sorted(self.aggregates, key=lambda t: (t[0], t[1])):
+        for key in sorted(self.aggregates):
             r = self.aggregates[key].to_row(*key)
             slack = "" if r["min_slack"] is None else repr(r["min_slack"])
             lines.append(
@@ -377,10 +374,13 @@ def _stacks(work):
     masks, or a list of validated graph6 strings.
 
     The graphs are grouped by n, one stack per group, so one stacked eigvalsh
-    call each. ``_tasks`` alone applies the entry budget: a unit from it
-    holds at most STACK_ENTRIES entries, which also bounds each stack's other
-    arrays. Yields ``(n, bits, positions)``: the edge bit rows and, per row,
-    the graph's index in the unit.
+    call each; ``_tasks`` cutting units at each change of n instead makes
+    one-graph units of interleaved input (brouwer scans, ``--jobs 1``, best of
+    3 on a 2-CPU VM: 20,000 lines alternating n = 5 and 6 took 0.12 s grouped,
+    3.6-3.9 s cut; 40 runs of 500 graphs 0.12 s and 0.09-0.12 s). ``_tasks``
+    alone applies the entry budget: a unit from it holds at most STACK_ENTRIES
+    entries, which also bounds each stack's other arrays. Yields ``(n, bits,
+    positions)``: the edge bit rows and, per row, the graph's index in the unit.
     """
     if isinstance(work, tuple):
         n, lo, hi = work

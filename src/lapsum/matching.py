@@ -12,9 +12,10 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .density import SizeCapError
 from .flow import assign
-from .graphs import AlgorithmError, Graph, GraphError, components_info, induced_subgraph
+from .graphs import (
+    AlgorithmError, Graph, GraphError, SizeCapError, components_info, induced_subgraph,
+)
 
 VERTEX_COVER_NU_CAP = 15
 NU_ELL_VERTEX_CAP = 16
@@ -167,7 +168,7 @@ def maximum_matching(g: Graph) -> MatchingResult:
     for v in range(g.n):
         if match[v] == -1:
             _alternating_search(adj, match, v)
-    pairs = tuple(sorted((v, match[v]) for v in range(g.n) if match[v] > v))
+    pairs = tuple((v, match[v]) for v in range(g.n) if match[v] > v)
     return MatchingResult(pairs)
 
 
@@ -243,9 +244,10 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
     D = frozenset(v for even in reached for v in range(g.n) if even[v])
     A = frozenset(w for v in D for w in g.neighbors(v)) - D
     C = frozenset(range(g.n)) - D - A
-    gd, labels = induced_subgraph(g, sorted(D))
+    gd, labels = induced_subgraph(g, D)
     comps_local, _ = components_info(gd)
-    comps = tuple(sorted((frozenset(labels[i] for i in c) for c in comps_local), key=min))
+    # components come by least vertex, and labels is increasing
+    comps = tuple(frozenset(labels[i] for i in c) for c in comps_local)
     ge = GallaiEdmonds(D, A, C, comps)
     _verify_gallai_edmonds(g, ge, mm)
     return ge
@@ -256,7 +258,7 @@ def _verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds, mm: MatchingResult):
     for comp in ge.d_components:
         if len(comp) % 2 == 0:
             raise AlgorithmError(f"component {sorted(comp)} of G[D] has even order")
-        sub, _ = induced_subgraph(g, sorted(comp))
+        sub, _ = induced_subgraph(g, comp)
         target = (len(comp) - 1) // 2
         for skip in range(sub.n):
             rest, _ = induced_subgraph(sub, [u for u in range(sub.n) if u != skip])
@@ -284,7 +286,7 @@ def odd_set_cover(g: Graph) -> OddSetCover:
     """
     vertices: list[int] = []
     odd_sets: list[frozenset[int]] = []
-    active = sorted(range(g.n))
+    active = list(range(g.n))
     while True:
         sub, labels = induced_subgraph(g, active)
         if sub.m == 0:

@@ -83,6 +83,14 @@ class TestSingleGraphCommands:
         )
         doc = json.loads(out)
         assert code == 0 and doc["route"] == "2a"
+        # k > 100 takes the (k,c)-assignment route, which succeeds on the first try here
+        code, out, _ = run(
+            capsys, "pipeline", "--family", "kbip:101,151", "--k", "101",
+            "--parden-mode", "assume", "--format", "json",
+        )
+        doc = json.loads(out)
+        assert code == 0 and (doc["route"], doc["assignment"]) == ("assignment", "found")
+        assert (doc["tries"], doc["c"], doc["aux_n"], doc["aux_m"]) == (1, 44, 253, 15251)
 
     def test_file_inputs(self, tmp_path, capsys):
         p = tmp_path / "g.txt"
@@ -98,6 +106,12 @@ class TestSingleGraphCommands:
         # graph6 short form stops at n = 62; a family graph never passes through it
         code, out, _ = run(capsys, "match", "--family", "star:70", "--format", "json")
         assert code == 0 and json.loads(out)["nu"] == 1
+        # the star K_{1,69} has Laplacian spectrum 70, 1 (68 times), 0, so
+        # eps_k = 70 + (k - 1) - 69 = k up to k = 69, and eps_70 = 2|E| - |E| = 69
+        code, out, _ = run(capsys, "eps", "--family", "star:70", "--k", "all", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and list(doc) == [f"eps_{k}" for k in range(1, 71)]
+        assert list(doc.values()) == pytest.approx([min(k, 69) for k in range(1, 71)], abs=1e-9)
 
     def test_graph6_file_led_by_comment(self, tmp_path, capsys):
         p6 = tmp_path / "g.g6"
@@ -181,19 +195,25 @@ class TestExitCodes:
 
 class TestScanCommand:
     def test_scan_clean_exit_0(self, capsys):
-        code, out, _ = run(
-            capsys, "scan", "--all-labeled", "4", "--bound", "brouwer",
-            "--format", "json",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["schema"] == 1 and doc["totals"]["violations"] == 0
+        # --jobs 2 and 3 run the worker route (all-labeled:6 is 19 work units);
+        # their reports must equal the --jobs 1 report but for runtime_ms
+        docs = []
+        for jobs in ("1", "2", "3"):
+            code, out, _ = run(
+                capsys, "scan", "--all-labeled", "6", "--bound", "brouwer",
+                "--format", "json", "--jobs", jobs,
+            )
+            doc = json.loads(out)
+            assert code == 0 and doc["schema"] == 1 and doc["totals"]["violations"] == 0
+            doc.pop("runtime_ms")
+            docs.append(doc)
+        assert docs[1] == docs[0] and docs[2] == docs[0]
 
     def test_scan_bad_file_names_offset_once(self, tmp_path, capsys):
         path = tmp_path / "bad.g6"
         path.write_text("A_\nB!\n")
-        code, _, err = run(capsys, "scan", "--file", str(path), "--bound", "brouwer")
-        assert code == 2
+        code, out, err = run(capsys, "scan", "--file", str(path), "--bound", "brouwer")
+        assert (code, out) == (2, "")
         assert err == (
             f"error: {path}:2: character '!' outside graph6 range 63..126 (byte offset 1)\n"
         )

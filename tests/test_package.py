@@ -67,6 +67,7 @@ def test_result_objects_have_no_instance_dict():
 EXPORTS = {
     "graphs": [
         "AlgorithmError", "FamilyId", "Graph", "Graph6Error", "GraphError", "GraphSource",
+        "SizeCapError",
         "all_labeled_graphs", "disjoint_union", "encode_graph6",
         "gnp_graphs", "graph_from_edges", "graph_stream", "induced_subgraph",
         "make_family", "parse_edge_list", "parse_family", "parse_graph6",
@@ -74,7 +75,7 @@ EXPORTS = {
     "spectral": ["EpsProfile", "Spectrum", "eps", "eps_profile", "spectrum"],
     "density": [
         "DensityWitness", "Orientation", "OrientationInfeasible", "PartitionWitness",
-        "PeelStep", "SizeCapError", "density", "k_orientation", "partition_density",
+        "PeelStep", "density", "k_orientation", "partition_density",
         "partition_density_bracket", "peel_to_low_partition_density",
         "random_k_orientation",
     ],
