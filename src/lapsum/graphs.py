@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, compress
+from itertools import combinations, compress, permutations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -438,19 +438,61 @@ def all_labeled_count(n: int) -> int:
 
 
 def mask_bits(n: int, lo: int, hi: int) -> np.ndarray:
-    """Edge bits of the labeled graphs with edge masks lo..hi-1 on n vertices.
+    """Edge bits of the labeled graphs with edge masks lo..hi-1 on n vertices:
+    the ``mask_rows`` of that range."""
+    return mask_rows(n, np.arange(lo, hi, dtype=np.int64))
 
-    Bit i of a mask is the pair ``_pairs(n)[i]``; row r holds mask lo + r's
+
+def mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
+    """Edge bits of the labeled graphs with the int64 edge ``masks`` on n vertices.
+
+    Bit i of a mask is the pair ``_pairs(n)[i]``; row r holds ``masks[r]``'s
     bits in graph6 order, as ``graph6_bits`` returns them.
     """
     g6_pos = _lex_positions(n)
-    masks = np.arange(lo, hi, dtype=np.int64)
     bits = np.empty((len(masks), len(g6_pos)), dtype=np.uint8)
     bits[:, g6_pos] = masks[:, None] >> np.arange(len(g6_pos), dtype=np.int64) & 1
     return bits
 
 
-#: edge masks turned into bit rows per numpy block
+def labeled_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The isomorphism classes of the labeled graphs on n <= 7 vertices, by
+    orbit marking (brute-force canonical labelling; McKay and Piperno,
+    "Practical graph isomorphism, II", 2014).
+
+    The edge masks are scanned in increasing order, and each one not yet
+    marked is the least mask of a new class: all n! relabelings of its graph
+    are marked with that class at once. Returns ``(reps, class_of)``: the
+    int64 least masks of the classes in increasing order, and the int16 class
+    index of every mask 0..2^C(n,2)-1, so ``reps[class_of[mask]]`` is the
+    least mask of mask's class.
+    """
+    total = all_labeled_count(n)
+    pairs = np.array(_pairs(n), dtype=np.intp).reshape(-1, 2)
+    at = np.zeros((n, n), dtype=np.intp)
+    at[pairs[:, 0], pairs[:, 1]] = at[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
+    perms = list(permutations(range(n)))
+    perms = np.array(perms, dtype=np.intp).reshape(len(perms), n)
+    # weight[p, i]: the mask bit of pair i's image under relabeling p
+    weight = np.int64(1) << at[perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]]
+    class_of = np.full(total, -1, dtype=np.int16)
+    reps: list[int] = []
+    lo = 0
+    while lo < total:
+        unmarked = np.flatnonzero(class_of[lo : lo + _MASK_BLOCK] < 0)
+        if not unmarked.size:
+            lo += _MASK_BLOCK
+            continue
+        mask = lo + int(unmarked[0])
+        on = [i for i in range(len(pairs)) if mask >> i & 1]
+        class_of[weight[:, on].sum(axis=1)] = len(reps)
+        reps.append(mask)
+        lo = mask + 1
+    return np.array(reps, dtype=np.int64), class_of
+
+
+#: edge masks per numpy block: turned into bit rows, or searched for an
+#: unmarked mask by ``labeled_classes``
 _MASK_BLOCK = 4096
 
 

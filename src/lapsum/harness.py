@@ -12,6 +12,13 @@ one stack per n, and a probe's stack is one family graph. Only ``_tasks`` and
 becomes a "skipped" record of the bounds that need it, instead of aborting
 the run. ``spectrum_rows`` walks the same work units and stacks for the
 spectra alone.
+
+An all-labeled scan reads spectra per isomorphism class: before any worker
+starts, ``_class_spectra`` labels every edge mask with its class
+(``labeled_classes``) and computes the representatives' checked spectra, and
+each process gets that table once. A unit's rows take their class spectrum,
+and only the rows whose float the report reads (``_read_rows``) get their
+own; aux columns stay per graph.
 """
 
 from __future__ import annotations
@@ -21,11 +28,13 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import K_MAX, aux_requirements, bound_spec, rhs_table, verdict
 from .graphs import (
+    AlgorithmError,
     FamilyId,
     Graph6Error,
     GraphSource,
@@ -42,13 +51,20 @@ from .graphs import (
     graph6_strings,
     graph_bits,
     is_bipartite,
+    labeled_classes,
     make_family,
     mask_bits,
+    mask_rows,
 )
 from .spectral import STACK_ENTRIES, checked_spectra, eps_rows, stack_size
 
 #: equality examples recorded per (bound, k); totals are always exact
 EQUALITY_EXAMPLE_CAP = 10
+#: distance from a verdict edge or a reported extreme within which a class
+#: spectrum does not stand in for a graph's own, and the largest difference
+#: allowed between the two: eigvalsh's backward error is about n * eps * |L|,
+#: below 1e-13 for n <= 7
+MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -263,15 +279,22 @@ class _Table:
     skips: list
 
 
-def _table(n: int, bits: np.ndarray, bounds, ks) -> _Table:
+def _table(n: int, bits: np.ndarray, bounds, ks, class_vals=None) -> _Table:
     """Edge counts, checked spectra (rows non-increasing), eps rows, aux
     columns, per-bound skips and right-hand sides of graphs on n vertices
-    given by their edge bit rows, at the k values ``ks``."""
-    ms, vals = checked_spectra(n, bits)
-    eps = eps_rows(ms, vals)
+    given by their edge bit rows, at the k values ``ks``.
+
+    ``class_vals``, when given, holds each row's class spectrum: rows keep it
+    unless ``_read_rows`` marks them, and a marked row's own checked spectrum
+    replaces it. One that differs from its class's by more than MARGIN raises
+    ``AlgorithmError``, so a wrong class cannot pass unseen on a marked row.
+    """
+    if class_vals is None:
+        ms, vals = checked_spectra(n, bits)
+    else:
+        ms, vals = bits.sum(axis=1, dtype=np.int64), class_vals
     k_arr = np.array(ks, dtype=np.int64)
-    lhs = np.repeat(ms[:, None].astype(float), len(ks), axis=1)  # |E| for k > n
-    lhs[:, k_arr <= n] = eps[:, k_arr[k_arr <= n] - 1]
+    eps, lhs = _lhs(n, ms, vals, k_arr)
     cols, missing = _aux_columns(n, bits, aux_requirements(bounds))
     rhs = np.full((len(bounds), len(bits), len(ks)), math.nan)
     checked, skips = [], []
@@ -286,7 +309,62 @@ def _table(n: int, bits: np.ndarray, bounds, ks) -> _Table:
         if rows.any():
             np.copyto(rhs[b], rhs_table(spec, ms[:, None], k_arr, cols), where=rows[:, None])
         checked.append(int(rows.sum()))
+    if class_vals is not None:
+        read = np.flatnonzero(_read_rows(lhs, rhs, k_arr))
+        vals = vals.copy()
+        vals[read] = _own_spectra(n, bits[read], vals[read])
+        eps[read], lhs[read] = _lhs(n, ms[read], vals[read], k_arr)
     return _Table(ms, vals, eps, lhs, cols, missing, rhs, checked, skips)
+
+
+def _own_spectra(n: int, bits: np.ndarray, class_vals: np.ndarray) -> np.ndarray:
+    """The checked spectra of graphs on n vertices given by their edge bit
+    rows; one that differs from its class spectrum in ``class_vals`` by more
+    than MARGIN raises ``AlgorithmError`` naming the graph."""
+    vals = checked_spectra(n, bits)[1]
+    drift = np.abs(vals - class_vals).max(axis=1, initial=0.0)
+    over = np.flatnonzero(drift > MARGIN)
+    if over.size:
+        i = int(over[0])
+        raise AlgorithmError(
+            f"graph6 {graph6_strings(n, bits[i : i + 1])[0]}: spectrum differs from its "
+            f"isomorphism class's by {float(drift[i])} > MARGIN = {MARGIN}"
+        )
+    return vals
+
+
+def _lhs(n: int, ms: np.ndarray, vals: np.ndarray, k_arr: np.ndarray):
+    """The eps rows of spectra ``vals`` with edge counts ``ms``, and their
+    left-hand sides at the k values ``k_arr``: eps_k, or |E| for k > n."""
+    eps = eps_rows(ms, vals)
+    lhs = np.repeat(ms[:, None].astype(float), len(k_arr), axis=1)
+    lhs[:, k_arr <= n] = eps[:, k_arr[k_arr <= n] - 1]
+    return eps, lhs
+
+
+def _read_rows(lhs: np.ndarray, rhs: np.ndarray, k_arr: np.ndarray) -> np.ndarray:
+    """The rows of a stack whose float a scan report reads, from stand-in
+    left-hand sides that are within MARGIN of the rows' own: each row that is
+    a violation or an equality of some (bound, k) after a shift of its slack
+    by MARGIN either way, or lies within MARGIN of the stack's least slack
+    of some (bound, k) or of its largest eps/k^2.
+
+    The verdicts and extremes of the other rows cannot change when their own
+    floats take the stand-ins' place.
+    """
+    slack = rhs - lhs
+    read = np.zeros(len(lhs), dtype=bool)
+    for shift in (-MARGIN, MARGIN):
+        violated, equal = verdict(slack + shift)
+        read |= (violated | equal).any(axis=(0, 2))
+    if read.all():  # a theorem scan: bai's k = n check is the trace identity
+        return read
+    least = np.fmin.reduce(slack, axis=1, keepdims=True)
+    read |= (slack <= least + MARGIN).any(axis=(0, 2))
+    if k_arr.size:
+        ratio = lhs / k_arr**2
+        read |= (ratio >= ratio.max() - MARGIN).any(axis=1)
+    return read
 
 
 def _witness_record(check: dict, t: _Table, i: int) -> dict:
@@ -306,10 +384,11 @@ def _witness_record(check: dict, t: _Table, i: int) -> dict:
     return rec
 
 
-def _scan_group(unit, n, bits, positions, bounds, krange, report, kept):
+def _scan_group(unit, n, bits, positions, class_vals, bounds, krange, report, kept):
     """Evaluate the bounds on graphs with one n of work unit ``unit``, given by
-    their edge bit rows, into the partial ``report``; records go in keyed by
-    (unit index, position in the unit, bound index, k index).
+    their edge bit rows and, for a mask range, their class spectra (see
+    ``_table``), into the partial ``report``; records go in keyed by (unit
+    index, position in the unit, bound index, k index).
 
     Equality examples beyond the first EQUALITY_EXAMPLE_CAP per (n, bound, k)
     of the units a process runs are counted but not recorded; ``kept`` maps n
@@ -317,7 +396,7 @@ def _scan_group(unit, n, bits, positions, bounds, krange, report, kept):
     only for the rows of records.
     """
     ks = krange.values(n)
-    t = _table(n, bits, bounds, ks)
+    t = _table(n, bits, bounds, ks, class_vals)
     lhs, rhs = t.lhs, t.rhs
     if ks:
         ratio = (lhs / (np.array(ks, dtype=np.int64) ** 2)).max()
@@ -369,7 +448,7 @@ def _scan_group(unit, n, bits, positions, bounds, krange, report, kept):
                 report.equality_examples.append(((unit, positions[i], b, j), check))
 
 
-def _stacks(work):
+def _stacks(work, classes=None):
     """The stacks of one work unit: an (n, lo, hi) range of all-labeled edge
     masks, or a list of validated graph6 strings.
 
@@ -380,26 +459,55 @@ def _stacks(work):
     3.6-3.9 s cut; 40 runs of 500 graphs 0.12 s and 0.09-0.12 s). ``_tasks``
     alone applies the entry budget: a unit from it holds at most STACK_ENTRIES
     entries, which also bounds each stack's other arrays. Yields ``(n, bits,
-    positions)``: the edge bit rows and, per row, the graph's index in the unit.
+    positions, class_vals)``: the edge bit rows, per row the graph's index in
+    the unit, and, for a mask range given the scan's ``_ClassSpectra``, the
+    rows' class spectra (else None).
     """
     if isinstance(work, tuple):
         n, lo, hi = work
-        yield n, mask_bits(n, lo, hi), range(hi - lo)
+        class_vals = None if classes is None else classes.vals[classes.class_of[lo:hi]]
+        yield n, mask_bits(n, lo, hi), range(hi - lo), class_vals
         return
     groups: dict[int, list[int]] = {}
     for pos, g6 in enumerate(work):
         groups.setdefault(graph6_order(g6), []).append(pos)
     for n, positions in groups.items():
-        yield n, graph6_bits([work[p] for p in positions]), positions
+        yield n, graph6_bits([work[p] for p in positions]), positions, None
 
 
-def _scan_chunk(unit, work, bounds, krange, kept):
+@dataclass(frozen=True)
+class _ClassSpectra:
+    """The isomorphism class index of every edge mask on n vertices, and the
+    (C, n) checked spectra of the classes' least masks, in class order."""
+
+    class_of: np.ndarray
+    vals: np.ndarray
+
+
+def _class_spectra(n: int) -> _ClassSpectra:
+    """``labeled_classes(n)`` and its representatives' checked spectra, one
+    stacked eigvalsh call: for n <= 7 the 1,044 or fewer classes fit one
+    ``stack_size(n)``."""
+    reps, class_of = labeled_classes(n)
+    return _ClassSpectra(class_of, checked_spectra(n, mask_rows(n, reps))[1])
+
+
+class _Plan(NamedTuple):
+    """What every unit of one scan reads: the bounds, the k range, and the
+    ``_ClassSpectra`` of an all-labeled source (None for any other)."""
+
+    bounds: tuple[str, ...]
+    krange: KRange
+    classes: _ClassSpectra | None
+
+
+def _scan_chunk(unit, work, plan, kept):
     """The partial report (no source, no runtime) of work unit number ``unit``
     over its stacks, with a process's ``kept`` (see ``_scan_group``). A Graph
     is built only where a bound needs an invariant beyond the degree rows."""
-    report = ScanReport("", bounds)
-    for n, bits, positions in _stacks(work):
-        _scan_group(unit, n, bits, positions, bounds, krange, report, kept)
+    report = ScanReport("", plan.bounds)
+    for n, bits, positions, class_vals in _stacks(work, plan.classes):
+        _scan_group(unit, n, bits, positions, class_vals, plan.bounds, plan.krange, report, kept)
         report.graphs += len(bits)
     return report
 
@@ -449,19 +557,19 @@ def _graph6_tasks(g6_stream):
         yield task
 
 
-def _fold(units, bounds, krange):
+def _fold(units, plan):
     """One partial report of the (unit index, work unit) pairs ``units``, and
     the failure that ends it early: (unit index, exception), or None."""
-    report, kept = ScanReport("", bounds), {}
+    report, kept = ScanReport("", plan.bounds), {}
     for index, work in units:
         try:
-            report.add(_scan_chunk(index, work, bounds, krange, kept))
+            report.add(_scan_chunk(index, work, plan, kept))
         except Exception as exc:
             return report, (index, exc)
     return report, None
 
 
-def _worker(conn, bounds, krange):
+def _worker(conn, plan):
     """A scan worker: the ``_fold`` of the (unit index, work unit) pairs that
     arrive on ``conn`` until None, sent back in one message. After a failed
     unit, the rest of the input is read and dropped."""
@@ -469,27 +577,26 @@ def _worker(conn, bounds, krange):
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
     units = iter(conn.recv, None)
-    share = _fold(units, bounds, krange)
+    share = _fold(units, plan)
     for _ in units:
         pass
     conn.send(share)
 
 
-def _start_worker(bounds, krange):
+def _start_worker(plan):
     """A started ``_worker`` process of the default multiprocessing context,
-    and this process's end of its pipe."""
+    and this process's end of its pipe; the worker gets ``plan``, its class
+    table too, once, at its start."""
     import multiprocessing
 
     conn, child_conn = multiprocessing.Pipe()
-    proc = multiprocessing.Process(
-        target=_worker, args=(child_conn, bounds, krange), daemon=True
-    )
+    proc = multiprocessing.Process(target=_worker, args=(child_conn, plan), daemon=True)
     proc.start()
     child_conn.close()
     return proc, conn
 
 
-def _shares(tasks, bounds, krange, jobs):
+def _shares(tasks, plan, jobs):
     """Run the work units in at most ``jobs`` processes: this one and one
     worker per unit read ahead but the last, so a one-unit source starts none.
 
@@ -521,11 +628,11 @@ def _shares(tasks, bounds, krange, jobs):
 
     try:
         for _ in range(procs - 1):
-            workers.append(_start_worker(bounds, krange))
+            workers.append(_start_worker(plan))
         try:
-            own = _fold(own_units(), bounds, krange)
+            own = _fold(own_units(), plan)
         except Exception as exc:  # the source's own error, or a closed worker pipe
-            own = ScanReport("", bounds), (math.inf, exc)
+            own = ScanReport("", plan.bounds), (math.inf, exc)
         for _, conn in workers:
             conn.send(None)
         shares = []
@@ -551,7 +658,8 @@ def scan(
     jobs: int = 1,
 ) -> ScanReport:
     """Evaluate the requested bounds over every graph of the source, in at
-    most ``jobs`` processes (see ``_shares``).
+    most ``jobs`` processes (see ``_shares``). An all-labeled source's class
+    table is built here, once per call, before any worker starts.
 
     Records are sorted into source order, so the report and the failure that
     raises are those of jobs 1. Equality examples are capped per (bound, k) —
@@ -567,7 +675,9 @@ def scan(
     krange = ks or KRange("all")
     start = time.monotonic()
     report = ScanReport(src.describe(), bounds)
-    shares = _shares(_tasks(src), bounds, krange, jobs)
+    tasks = _tasks(src)
+    classes = _class_spectra(src.n) if src.kind == "all-labeled" else None
+    shares = _shares(tasks, _Plan(bounds, krange, classes), jobs)
     failures = [failure for _, failure in shares if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
@@ -591,7 +701,7 @@ def spectrum_rows(src: GraphSource):
     """
     for work in _tasks(src):
         rows = {}
-        for n, bits, positions in _stacks(work):
+        for n, bits, positions, _ in _stacks(work):
             ms, vals = checked_spectra(n, bits)
             names = graph6_strings(n, bits)
             for pos, g6, m, row in zip(positions, names, ms.tolist(), vals.tolist()):

@@ -1,14 +1,12 @@
-import itertools
 import random
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from lapsum.graphs import all_labeled_graphs, gnp_graphs, graph6_pairs, graph_from_edges
+from lapsum.graphs import all_labeled_graphs, gnp_graphs, graph_from_edges
 
 
 def small_graphs(max_n: int = 5):
@@ -37,20 +35,6 @@ def search_graphs():
     for n in (10, 20, 40):
         for seed in range(40):
             yield from gnp_graphs(n, (0.5, 1.0, 1.5, 2.5)[seed % 4] / (n - 1), 1, seed)
-
-
-def class_masks(n, bits):
-    """Per row of edge bits, the least edge mask over all relabelings of its
-    graph: equal exactly for isomorphic graphs."""
-    pairs = graph6_pairs(n).tolist()
-    at = {tuple(p): i for i, p in enumerate(pairs)}
-    weights = np.int64(1) << np.arange(len(pairs), dtype=np.int64)
-    rows = bits.astype(np.int64)
-    least = np.full(len(bits), np.iinfo(np.int64).max)
-    for perm in itertools.permutations(range(n)):
-        moved = [at[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
-        least = np.minimum(least, rows @ weights[moved])
-    return least.tolist()
 
 
 @pytest.fixture(scope="session")

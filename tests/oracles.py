@@ -143,6 +143,38 @@ def oracle_adjacency(g: Graph):
     )
 
 
+def oracle_relabeling(g: Graph, h: Graph):
+    """A vertex permutation that maps the edges of g onto those of h, as a
+    tuple p with p[v] the image of v, or None: images of equal degree are
+    tried for 0, 1, ... in turn, each dropped as soon as two assigned
+    vertices disagree on adjacency."""
+    if (g.n, g.m) != (h.n, h.m):
+        return None
+    n = g.n
+    gadj, hadj = ([[False] * n for _ in range(n)] for _ in range(2))
+    for adj, edges in ((gadj, g.edges), (hadj, h.edges)):
+        for u, v in edges:
+            adj[u][v] = adj[v][u] = True
+    gdeg, hdeg = [sum(row) for row in gadj], [sum(row) for row in hadj]
+    p: list[int] = []
+
+    def extend() -> bool:
+        v = len(p)
+        if v == n:
+            return True
+        for w in range(n):
+            if gdeg[v] == hdeg[w] and w not in p and all(
+                gadj[v][u] == hadj[w][p[u]] for u in range(v)
+            ):
+                p.append(w)
+                if extend():
+                    return True
+                p.pop()
+        return False
+
+    return tuple(p) if extend() else None
+
+
 def oracle_conjugate_degrees(g: Graph) -> list[int]:
     """Entry i-1 counts the vertices of degree >= i, for i = 1..n, with each
     degree counted off the edge list."""

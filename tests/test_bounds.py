@@ -20,6 +20,7 @@ from lapsum.graphs import (
     bits_graph,
     components_info,
     is_bipartite,
+    labeled_classes,
     make_family,
     mask_bits,
     non_isolated_count,
@@ -27,7 +28,6 @@ from lapsum.graphs import (
 from lapsum.matching import matching_number, min_vertex_cover
 from lapsum.spectral import eps_profile
 
-from conftest import class_masks
 from oracles import oracle_conjugate_degrees, oracle_eps, oracle_rhs
 
 
@@ -186,7 +186,7 @@ def labeled_upto6():
         bits = mask_bits(n, 0, all_labeled_count(n))
         graphs = [bits_graph(n, row) for row in bits]
         by_class, auxes = {}, []
-        for c, g in zip(class_masks(n, bits), graphs):
+        for c, g in zip(labeled_classes(n)[1].tolist(), graphs):
             if c not in by_class:
                 by_class[c] = full_aux(g)
             auxes.append(by_class[c])

@@ -39,11 +39,13 @@ from lapsum.graphs import (
     all_labeled_count,
     bits_graph,
     graph_from_edges,
+    labeled_classes,
     make_family,
     mask_bits,
+    mask_rows,
 )
 
-from conftest import class_masks, sampled_graphs, search_graphs
+from conftest import sampled_graphs, search_graphs
 from oracles import oracle_arboricity, oracle_is_forest, oracle_sa, oracle_two_star_split, static_sa
 
 
@@ -188,11 +190,7 @@ def _sa_from_arboricity(g):
 
 
 def _one_per_class(n):
-    bits = mask_bits(n, 0, all_labeled_count(n))
-    reps = {}
-    for c, row in zip(class_masks(n, bits), bits):
-        reps.setdefault(c, row)
-    return [bits_graph(n, row) for row in reps.values()]
+    return [bits_graph(n, row) for row in mask_rows(n, labeled_classes(n)[0])]
 
 
 def _dense_core_graphs(seed, count, cores=(5, 6)):
@@ -289,7 +287,7 @@ class TestStarArboricity:
         for n in range(2, 7):
             bits = mask_bits(n, 1, all_labeled_count(n))
             arb = {}
-            for c, row in zip(class_masks(n, bits), bits):
+            for c, row in zip(labeled_classes(n)[1][1:].tolist(), bits):
                 g = bits_graph(n, row)
                 if c not in arb:
                     arb[c] = arboricity_value(g)[0]

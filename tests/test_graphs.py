@@ -38,8 +38,10 @@ from lapsum.graphs import (
     induced_subgraph,
     is_bipartite,
     is_forest,
+    labeled_classes,
     make_family,
     mask_bits,
+    mask_rows,
     non_isolated_count,
     parse_edge_list,
     parse_family,
@@ -55,6 +57,7 @@ from oracles import (
     oracle_conjugate_degrees,
     oracle_components,
     oracle_is_forest,
+    oracle_relabeling,
 )
 
 
@@ -371,6 +374,39 @@ class TestSources:
         ]
         assert (graph6_bits(names) == bits).all()
         assert (mask_bits(n, total // 3, total // 2) == bits[total // 3 : total // 2]).all()
+        masks = np.array([total - 1, 0, total // 3, total - 1], dtype=np.int64)
+        assert (mask_rows(n, masks) == bits[masks]).all()
+
+    def test_labeled_class_counts(self):
+        # OEIS A000088: graphs on n unlabeled vertices
+        counts = [len(labeled_classes(n)[0]) for n in range(ALL_LABELED_CAP + 1)]
+        assert counts == [1, 1, 2, 4, 11, 34, 156, 1044]
+        with pytest.raises(GraphError):
+            labeled_classes(ALL_LABELED_CAP + 1)
+
+    @pytest.mark.parametrize("n", range(ALL_LABELED_CAP + 1))
+    def test_each_class_is_named_by_its_least_mask(self, n):
+        reps, class_of = labeled_classes(n)
+        assert reps.dtype == np.int64 and class_of.dtype == np.int16
+        assert len(class_of) == 2 ** (n * (n - 1) // 2)
+        assert (np.diff(reps) > 0).all() and (class_of[reps] == np.arange(len(reps))).all()
+        assert (reps[class_of] <= np.arange(len(class_of))).all()
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_each_mask_relabels_onto_its_representative(self, n):
+        # with the class counts above, the classes are the isomorphism classes
+        reps, class_of = labeled_classes(n)
+        pairs = list(combinations(range(n), 2))
+
+        def graph(mask):
+            return Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
+
+        targets = [graph(r) for r in reps.tolist()]
+        for mask, c in enumerate(class_of.tolist()):
+            g, h = graph(mask), targets[c]
+            p = oracle_relabeling(g, h)
+            assert p is not None, mask
+            assert sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges) == list(h.edges)
 
     def test_all_labeled_graph6_cap(self):
         with pytest.raises(GraphError):

@@ -7,15 +7,20 @@ import multiprocessing
 import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lapsum import bounds, decomposition, harness, matching
+import lapsum
+from lapsum import bounds, decomposition, harness, matching, spectral
 from lapsum.bounds import (
     BOUND_TAGS,
     EQUALITY_TOL,
     K_MAX,
+    THEOREM_TAGS,
     BoundSpec,
     aux_requirements,
     evaluate_bound,
@@ -23,6 +28,7 @@ from lapsum.bounds import (
 from lapsum.cli import main
 from lapsum.decomposition import STAR_ARB_EDGE_CAP, star_arboricity_exact
 from lapsum.graphs import (
+    AlgorithmError,
     Graph,
     Graph6Error,
     GraphError,
@@ -39,8 +45,10 @@ from lapsum.graphs import (
     graph_stream,
     graph_from_edges,
     is_bipartite,
+    labeled_classes,
     make_family,
     mask_bits,
+    mask_rows,
     non_isolated_count,
     parse_graph6,
 )
@@ -68,7 +76,6 @@ from lapsum.spectral import (
     stack_size,
 )
 
-from conftest import class_masks
 from oracles import oracle_conjugate_degrees, oracle_tau
 
 
@@ -273,11 +280,7 @@ def _aux_stacks():
     per isomorphism class at n = 6."""
     for n in range(6):
         yield n, mask_bits(n, 0, all_labeled_count(n))
-    bits = mask_bits(6, 0, all_labeled_count(6))
-    first = {}
-    for row, c in enumerate(class_masks(6, bits)):
-        first.setdefault(c, row)
-    yield 6, bits[sorted(first.values())]
+    yield 6, mask_rows(6, labeled_classes(6)[0])
 
 
 class TestAuxColumns:
@@ -542,12 +545,13 @@ class TestScan:
     def test_mask_range_ending_mid_stack(self):
         # masks 3..1999 on 6 vertices, off the stack_size(6) = 1820 grid of
         # _tasks and longer than its units: _stacks does not cut a unit, so
-        # this is one stack, as the same graphs given as graph6 strings are
+        # this is one stack, as the same graphs given as graph6 strings are;
+        # the masks take the class route and the strings the per-graph one
         assert stack_size(6) == 1820
-        tags, krange = tuple(BOUND_TAGS), KRange("all")
-        by_mask = harness._scan_chunk(0, (6, 3, 2000), tags, krange, {})
+        plan = harness._Plan(tuple(BOUND_TAGS), KRange("all"), harness._class_spectra(6))
+        by_mask = harness._scan_chunk(0, (6, 3, 2000), plan, {})
         g6s = list(itertools.islice(all_labeled_graph6(6), 3, 2000))
-        assert by_mask == harness._scan_chunk(0, g6s, tags, krange, {})
+        assert by_mask == harness._scan_chunk(0, g6s, plan, {})
         assert by_mask.graphs == 1997 and by_mask.equality_examples
 
     @pytest.mark.parametrize(
@@ -609,8 +613,11 @@ class TestScan:
                 assert parse_graph6(v["graph6"]) == g
                 assert (v["n"], v["m"], v["rhs"]) == (g.n, g.m, -1.0)
 
-    def test_failed_stacked_check_names_graph(self, monkeypatch):
+    def test_failed_stacked_check_names_graph(self, monkeypatch, tmp_path):
+        # a graph6 file takes the per-graph route: one stack of its 64 graphs
         graphs = list(all_labeled_graphs(4))
+        path = tmp_path / "all4.g6"
+        path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
         original = np.linalg.eigvalsh
         calls = []
 
@@ -624,7 +631,7 @@ class TestScan:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
         with pytest.raises(SpectralError, match=f"graph6 {encode_graph6(graphs[9])}: "):
-            scan(GraphSource("all-labeled", n=4), ["brouwer"], KRange("all"))
+            scan(GraphSource("graph6-file", path=str(path)), ["brouwer"], KRange("all"))
         assert calls == [(64, 4, 4)]
 
     def test_stacks_stay_within_entry_budget(self, monkeypatch, mixed_g6_file):
@@ -703,6 +710,147 @@ class TestScan:
         assert all(a.min_slack >= -1e-6 for a in rep.aggregates.values())
 
 
+def _rows_per_call(monkeypatch, name, arg) -> list:
+    """Record the rows of argument ``arg`` of each call to ``spectral.name``
+    in the scans that follow."""
+    rows, real = [], getattr(spectral, name)
+
+    def counting(*args):
+        rows.append(len(args[arg]))
+        return real(*args)
+
+    monkeypatch.setattr(spectral, name, counting)
+    return rows
+
+
+def _misclassified(monkeypatch, mask, like):
+    """Give edge mask ``mask`` the class of mask ``like`` in the class tables
+    of the scans that follow."""
+    real = harness.labeled_classes
+
+    def wrong(n):
+        reps, class_of = real(n)
+        class_of[mask] = class_of[like]
+        return reps, class_of
+
+    monkeypatch.setattr(harness, "labeled_classes", wrong)
+
+
+def _mask_graph6(n, mask):
+    pairs = list(itertools.combinations(range(n), 2))
+    return encode_graph6(Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1)))
+
+
+class TestClassSpectra:
+    """All-labeled scans: one spectrum per isomorphism class, and a graph's
+    own spectrum only where the report reads its float."""
+
+    @pytest.mark.parametrize(
+        "n, tags, kranges",
+        [
+            *((n, ["brouwer"], (KRange("all"), KRange("nminus2"), KRange("list", (1, 3, 9))))
+              for n in range(7)),
+            # a right-hand side that varies within a stack: the largest
+            # eps/k^2, 1.0000000000000009 by its graph's own float, is on a
+            # row that is no equality and no least slack
+            (6, ["half-component"], (KRange("all"),)),
+        ],
+    )
+    def test_reports_equal_the_per_graph_route(self, n, tags, kranges, tmp_path):
+        path = tmp_path / "all.g6"
+        path.write_text("".join(g6 + "\n" for g6 in all_labeled_graph6(n)))
+        for krange in kranges:
+            want = _report_text(scan(GraphSource("graph6-file", path=str(path)), tags, krange))
+            got = _report_text(scan(GraphSource("all-labeled", n=n), tags, krange))
+            assert got == want, (n, krange)
+
+    def test_read_rows_rule(self):
+        # one bound at k = 1: a row is read when a shift of its slack by
+        # MARGIN either way makes it an equality or a violation, or when it
+        # lies within MARGIN of the least slack or of the largest eps/k^2
+        m, tol, k = harness.MARGIN, EQUALITY_TOL, np.array([1])
+        slack = np.array([5.0, tol + m / 2, tol + 2 * m, -tol - 2 * m, 0.0, -tol + m / 2])
+        read = harness._read_rows(10 - slack[:, None], np.full((1, 6, 1), 10.0), k)
+        assert read.tolist() == [False, True, False, True, True, True]
+        lhs = np.array([[10.0], [8 - m / 2], [8.0], [6.0]])
+        rhs = np.array([20.0, 10.0, 10.0, 10.0])[None, :, None]  # slacks 10, 2 + m/2, 2, 4
+        assert harness._read_rows(lhs, rhs, k).tolist() == [True, True, True, False]
+
+    @pytest.mark.parametrize("tags, read", [(("brouwer",), 2889), (THEOREM_TAGS, 32768)])
+    def test_rows_given_to_eigvalsh(self, monkeypatch, tags, read):
+        # work pin: the 156 class representatives in one stack, then the
+        # rows whose float the report reads. The brouwer equalities are
+        # threshold graphs; bai's k = n check is the trace identity, an
+        # equality on every graph, so a theorem scan reads every row
+        rows = _rows_per_call(monkeypatch, "graph6_spectra", 1)
+        rep = scan(GraphSource("all-labeled", n=6), tags)
+        assert rep.graphs == 32768
+        assert rows[0] == 156 and sum(rows[1:]) == read
+
+    def test_spectrum_fault_checks_every_computed_row(self, monkeypatch):
+        computed = _rows_per_call(monkeypatch, "graph6_spectra", 1)
+        checked = _rows_per_call(monkeypatch, "spectrum_fault", 0)
+        scan(GraphSource("all-labeled", n=6), ["brouwer"])
+        assert checked == computed and computed[0] == 156 and len(computed) == 20
+
+    @pytest.mark.parametrize("mask", [1, 2])
+    def test_failed_check_names_representative_or_member(self, monkeypatch, mask):
+        # mask 1, the edge 01, is its class's least mask; mask 2, the edge
+        # 02, is in that class, and as a brouwer equality it is read
+        n = 6
+        bad = graph6_laplacians(n, mask_bits(n, mask, mask + 1))[0]
+        original = np.linalg.eigvalsh
+
+        def perturbed(a, *args, **kwargs):
+            vals = original(a, *args, **kwargs)
+            vals[(a == bad).all(axis=(1, 2)), -1] += 1.0  # the sum check fails
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        for jobs in (1, 2):
+            with pytest.raises(SpectralError, match=f"^graph6 {re.escape(_mask_graph6(n, mask))}: "):
+                scan(GraphSource("all-labeled", n=n), ["brouwer"], jobs=jobs)
+            assert multiprocessing.active_children() == []
+
+    def test_wrong_class_raises(self, monkeypatch):
+        # mask 2 (the edge 02) given the class of mask 3 (the path 1-0-2):
+        # both are brouwer equalities at k = 1, so the row is read, and its
+        # own spectrum is 1 away from the class's. Unit 0 runs in a worker
+        # at jobs 2
+        _misclassified(monkeypatch, 2, 3)
+        for jobs in (1, 2):
+            with pytest.raises(AlgorithmError, match=(
+                f"^graph6 {re.escape(_mask_graph6(6, 2))}: spectrum differs from its "
+                "isomorphism class's by 1.0"
+            )):
+                scan(GraphSource("all-labeled", n=6), ["brouwer"], jobs=jobs)
+            assert multiprocessing.active_children() == []
+
+    def test_wrong_class_raises_under_optimize(self):
+        code = (
+            "from lapsum import harness\n"
+            "from lapsum.graphs import AlgorithmError, GraphSource\n"
+            "real = harness.labeled_classes\n"
+            "def wrong(n):\n"
+            "    reps, class_of = real(n)\n"
+            "    class_of[2] = class_of[3]\n"
+            "    return reps, class_of\n"
+            "harness.labeled_classes = wrong\n"
+            "try:\n"
+            "    harness.scan(GraphSource('all-labeled', n=6), ['brouwer'])\n"
+            "except AlgorithmError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(lapsum.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.startswith(
+            f"graph6 {_mask_graph6(6, 2)}: spectrum differs from its isomorphism class's"
+        )
+
+
 def _counting_starts(monkeypatch) -> list:
     """Record each worker start of the scans that follow."""
     starts = []
@@ -744,7 +892,8 @@ class TestWorkers:
     def test_each_process_sends_one_folded_report(self):
         # all-labeled:6 is 19 units: two workers and this process, one pair each
         src = GraphSource("all-labeled", n=6)
-        shares = harness._shares(harness._tasks(src), ("brouwer",), KRange("all"), 3)
+        plan = harness._Plan(("brouwer",), KRange("all"), harness._class_spectra(6))
+        shares = harness._shares(harness._tasks(src), plan, 3)
         assert len(shares) == 3
         assert all(isinstance(report, ScanReport) and failure is None for report, failure in shares)
         assert sum(report.graphs for report, _ in shares) == 32768
@@ -752,12 +901,14 @@ class TestWorkers:
 
     @pytest.mark.parametrize(
         "masks, named",
-        [((9, 1830), 9), ((1830, 5000), 1830), ((5000,), 5000)],
+        [((9, 2016), 9), ((2016, 3683), 2016), ((3683,), 3683)],
     )
     def test_failed_unit_raises_the_jobs_1_error(self, monkeypatch, masks, named):
         # all-labeled:6 is 19 units of 1820 masks: at jobs 2 a worker runs
         # units 0, 2, 4, ... and this process 1, 3, ...; at jobs 3 this
-        # process runs units 2, 5, ...
+        # process runs units 2, 5, ... Masks 9, 2016 and 3683, in units 0, 1
+        # and 2, are no class's least mask, and the brouwer scan computes
+        # their own spectra
         n = 6
         bad = graph6_laplacians(n, np.concatenate([mask_bits(n, m, m + 1) for m in masks]))
         original = np.linalg.eigvalsh
@@ -817,6 +968,55 @@ class TestWorkers:
         with pytest.raises((RuntimeError, OSError)):
             scan(GraphSource("all-labeled", n=6), ["brouwer"], jobs=2)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_start_methods_give_the_jobs_1_report(self, method, tmp_path):
+        # a spawned or forkserver worker inherits nothing: the class table
+        # reaches it only through its start arguments
+        script = tmp_path / "start_method.py"
+        script.write_text(START_METHOD_SCRIPT)
+        src = str(Path(lapsum.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, str(script), method], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert out.stdout.splitlines() == [
+            f"{method} all-labeled 5 theorem: 0 workers, same report",
+            f"{method} all-labeled 6 brouwer: 2 workers, same report",
+        ]
+
+
+#: run as a script with a start method: ``scan`` at jobs 1 and 3 through
+#: ``cli.main``, the reports compared without ``runtime_ms``
+START_METHOD_SCRIPT = """
+import contextlib, io, json, multiprocessing, sys
+from lapsum import harness
+from lapsum.cli import main
+
+
+def report(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    doc = json.loads(buf.getvalue())
+    doc.pop("runtime_ms")
+    return code, json.dumps(doc, indent=2)
+
+
+if __name__ == "__main__":
+    method = sys.argv[1]
+    multiprocessing.set_start_method(method)
+    starts, real = [], harness._start_worker
+    harness._start_worker = lambda *args: starts.append(args) or real(*args)
+    for n, bound in (("5", "theorem"), ("6", "brouwer")):
+        argv = ["scan", "--all-labeled", n, "--bound", bound, "--format", "json"]
+        one = report([*argv, "--jobs", "1"])
+        del starts[:]
+        three = report([*argv, "--jobs", "3"])
+        assert multiprocessing.active_children() == []
+        same = "same report" if one == three else "DIFFERENT reports"
+        print(f"{method} all-labeled {n} {bound}: {len(starts)} workers, {same}")
+"""
 
 
 #: README's three tightness tables: (bound, families, k range)

@@ -43,6 +43,7 @@ CASES = [
     *((f"all-labeled:{n} all", ["--all-labeled", str(n), "--bound", "all"]) for n in range(6)),
     ("all-labeled:6 theorem", ["--all-labeled", "6", "--bound", "theorem"]),
     ("all-labeled:6 brouwer", ["--all-labeled", "6", "--bound", "brouwer"]),
+    ("all-labeled:7 brouwer", ["--all-labeled", "7", "--bound", "brouwer"]),
     ("gnp40 file brouwer", ["--file", "{g40}", "--bound", "brouwer"]),
     ("gnp40 file all", ["--file", "{g40}", "--bound", "all"]),
     ("mixed-n file all", ["--file", "{mixed}", "--bound", "all"]),
