@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import Graph
-from .spectral import EpsProfile, eps_profile
+from .spectral import eps_profile
 
 #: a "violation" requires lhs - rhs > this threshold
 VIOLATION_TOL = 1e-6
@@ -164,9 +164,8 @@ def evaluate_bound(tag: str, g: Graph, k: int, aux: dict) -> BoundResult:
 
     ``aux`` must supply every quantity the RHS needs (``nu``, ``tau``, ``sa``,
     ``n_prime``, ``conj_degrees``, ``bipartite``, ``non_isolated`` as
-    applicable); an ``eps`` EpsProfile entry is used when present, otherwise
-    the spectrum is computed here. A bound whose side condition fails reports
-    applicable=False with holds vacuously True.
+    applicable); eps_k is read from ``eps_profile(g)``. A bound whose side
+    condition fails reports applicable=False with holds vacuously True.
     """
     if not 1 <= k <= K_MAX:
         raise ValueError(f"k must be in 1..{K_MAX}, got {k}")
@@ -174,12 +173,7 @@ def evaluate_bound(tag: str, g: Graph, k: int, aux: dict) -> BoundResult:
     for key in spec.needs:
         if key not in aux:
             raise MissingAuxError(tag, key)
-    prof = aux.get("eps")
-    if prof is None:
-        prof = eps_profile(g)
-    elif not isinstance(prof, EpsProfile):
-        raise TypeError("aux['eps'] must be an EpsProfile")
-    lhs = prof.value(k)
+    lhs = eps_profile(g).value(k)
     cols = {key: np.array(aux[key], dtype=np.int64).reshape(1, -1) for key in spec.needs}
     m = np.array([[g.m]], dtype=np.int64)
     rhs = float(rhs_table(spec, m, np.array([k], dtype=np.int64), cols)[0, 0])

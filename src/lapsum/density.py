@@ -27,6 +27,7 @@ from .graphs import (
     SizeCapError,
     components_info,
     graph_from_edges,
+    per_graph,
 )
 
 PARTITION_EXACT_CAP = 20
@@ -300,6 +301,7 @@ def _edges_within_parts(g: Graph, parts) -> tuple[tuple[int, int], ...]:
     return tuple(e for e in g.edges if part_of[e[0]] == part_of[e[1]])
 
 
+@per_graph
 def partition_density(g: Graph) -> PartitionWitness:
     """Exact partition density with an optimal partition (n <= 20).
 

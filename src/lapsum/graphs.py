@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 from itertools import combinations, compress, permutations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -123,6 +123,23 @@ class Graph:
                         bipartite = False
             comps.append(frozenset(comp))
         return Search(tuple(comps), tuple(depth), bipartite)
+
+
+def per_graph(fn):
+    """Memoize the one-argument ``fn(g)`` on the ``Graph`` instance g, in its
+    ``__dict__`` as ``cached_property`` keeps ``adjacency``. Equal but distinct
+    graphs share no entry; every later call on g returns the same object, so
+    ``fn`` must be a pure function of g whose result is immutable."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def memo(g: Graph):
+        memos = g.__dict__
+        if key not in memos:
+            memos[key] = fn(g)
+        return memos[key]
+
+    return memo
 
 
 def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:

@@ -211,11 +211,11 @@ def _aux_columns(n: int, bits: np.ndarray, needs: set[str]):
 
     ``conj_degrees`` and ``non_isolated`` come from the degree rows, the rest
     from one Graph per row; ν is computed whenever ν or τ is needed, and τ
-    reuses its maximum matching. The exact τ and sa own their size caps: the
-    ``SizeCapError`` one of them raises skips that quantity alone. Returns
-    ``(cols, missing)``: int64 columns ((R, n) for ``conj_degrees``), 0 where
-    a row lacks the quantity, and per row the skip reason of each quantity it
-    lacks.
+    reads the same maximum matching, memoized on the Graph. The exact τ and
+    sa own their size caps: the ``SizeCapError`` one of them raises skips
+    that quantity alone. Returns ``(cols, missing)``: int64 columns ((R, n)
+    for ``conj_degrees``), 0 where a row lacks the quantity, and per row the
+    skip reason of each quantity it lacks.
     """
     cols, missing = {}, {}
     if "conj_degrees" in needs or "non_isolated" in needs:
@@ -228,7 +228,7 @@ def _aux_columns(n: int, bits: np.ndarray, needs: set[str]):
         needs = needs | {"nu"}
     # the matching and decomposition layers load only for a scan that needs them
     if "nu" in needs:
-        from .matching import _cover_at_nu, matching_number
+        from .matching import matching_number, min_vertex_cover
     if "sa" in needs:
         from .decomposition import star_arboricity_exact
     keys = [q for q in ("bipartite", "n_prime", "nu", "tau", "sa") if q in needs]
@@ -244,7 +244,7 @@ def _aux_columns(n: int, bits: np.ndarray, needs: set[str]):
             row["nu"] = nu = matching_number(g)
         if "tau" in needs:
             try:
-                row["tau"] = len(_cover_at_nu(g, nu))
+                row["tau"] = len(min_vertex_cover(g))
             except SizeCapError:
                 lacks["tau"] = f"nu={nu} exceeds exact-cover cap"
         if "sa" in needs:

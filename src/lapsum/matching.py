@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .flow import assign
 from .graphs import (
-    AlgorithmError, Graph, GraphError, SizeCapError, components_info, induced_subgraph,
+    AlgorithmError, Graph, GraphError, SizeCapError, components_info, induced_subgraph, per_graph,
 )
 
 VERTEX_COVER_NU_CAP = 15
@@ -162,6 +162,7 @@ def _alternating_search(adj, match: list[int], root: int) -> list[bool] | None:
     return used
 
 
+@per_graph
 def maximum_matching(g: Graph) -> MatchingResult:
     """A maximum matching; scan order is smallest-index-first for determinism."""
     adj, match = g.adjacency, [-1] * g.n
@@ -184,11 +185,7 @@ def min_vertex_cover(g: Graph) -> frozenset[int]:
 
     Requires nu(g) <= 15 (the search tree is bounded by tau <= 2 nu).
     """
-    return _cover_at_nu(g, matching_number(g))
-
-
-def _cover_at_nu(g: Graph, nu: int) -> frozenset[int]:
-    """``min_vertex_cover`` of a graph whose matching number nu is known."""
+    nu = matching_number(g)
     if nu > VERTEX_COVER_NU_CAP:
         raise SizeCapError(
             f"exact vertex cover capped at nu <= {VERTEX_COVER_NU_CAP}, got nu={nu}"

@@ -9,7 +9,9 @@ from functools import cache
 
 import numpy as np
 
-from .graphs import GRAPH6_MAX_N, Graph, degree_rows, graph6_pairs, graph6_strings, graph_bits
+from .graphs import (
+    GRAPH6_MAX_N, Graph, degree_rows, graph6_pairs, graph6_strings, graph_bits, per_graph,
+)
 
 #: absolute eigenvalue tolerance for computed spectra
 SPECTRUM_TOL = 1e-9
@@ -151,6 +153,7 @@ class EpsProfile:
         return self.eps[k - 1]
 
 
+@per_graph
 def eps_profile(g: Graph) -> EpsProfile:
     """Running-sum excess profile of the spectrum: row 0 of ``eps_rows``."""
     ms, vals = checked_spectra(g.n, graph_bits(g)[None])

@@ -39,9 +39,14 @@ def search_graphs():
 
 @pytest.fixture(scope="session")
 def exhaustive_n4():
+    """Every labeled graph on 1..4 vertices, shared by the whole session: the
+    invariants memoized on these graphs (``graphs.per_graph``) carry over from
+    one test to the next, so a fault-injection test builds its own graph."""
     return list(small_graphs(4))
 
 
 @pytest.fixture(scope="session")
 def exhaustive_n5():
+    """Every labeled graph on 1..5 vertices, shared like ``exhaustive_n4``
+    with their memos: a fault-injection test builds its own graph."""
     return list(small_graphs(5))

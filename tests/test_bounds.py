@@ -26,14 +26,12 @@ from lapsum.graphs import (
     non_isolated_count,
 )
 from lapsum.matching import matching_number, min_vertex_cover
-from lapsum.spectral import eps_profile
 
 from oracles import oracle_conjugate_degrees, oracle_eps, oracle_rhs
 
 
 def full_aux(g):
     return {
-        "eps": eps_profile(g),
         "conj_degrees": oracle_conjugate_degrees(g),
         "bipartite": is_bipartite(g),
         "n_prime": components_info(g)[1],

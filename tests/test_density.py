@@ -26,6 +26,7 @@ from lapsum.graphs import (
     AlgorithmError,
     Graph,
     GraphError,
+    all_labeled_graphs,
     disjoint_union,
     gnp_graphs,
     graph_from_edges,
@@ -428,6 +429,25 @@ class TestPeeling:
                 assert h.edges == tuple(
                     e for e in g.edges if all(e not in s.removed_edges for s in log)
                 )
+
+    def test_chain_reuses_the_memoized_witness(self, monkeypatch):
+        # criterion 7's chain on all labeled n = 5: the peel at k = 1, 2, 3,
+        # then the partition density of the peeled graph; without the memo on
+        # ``partition_density`` it takes 6,600 tables
+        density_module = importlib.import_module("lapsum.density")
+        real = density_module._partition_table
+        calls = []
+
+        def counted(e, n):
+            calls.append(n)
+            return real(e, n)
+
+        monkeypatch.setattr(density_module, "_partition_table", counted)
+        for g in all_labeled_graphs(5):
+            for k in (1, 2, 3):
+                h, _ = peel_to_low_partition_density(g, k)
+                partition_density(h)
+        assert len(calls) == 1857
 
     def test_thin_step_raises_under_optimize(self):
         # a witness whose parts hold fewer than k * n' edges: P3 as one part

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -311,6 +312,32 @@ class TestSearchReaders:
             assert is_bipartite(g) == (sides is not None), g
             assert sides in (None, depth_parity_sides(g)), g
             assert is_forest(g) == oracle_is_forest(g), g
+
+
+#: every function memoized with ``per_graph``
+MEMOIZED = (lapsum.maximum_matching, lapsum.partition_density, lapsum.eps_profile)
+
+
+class TestPerGraphMemo:
+    @pytest.mark.parametrize("fn", MEMOIZED)
+    def test_equal_graphs_share_no_entry(self, fn):
+        a, b = make_family("cycle:5"), make_family("cycle:5")
+        assert a == b and a is not b
+        first = fn(a)
+        assert fn(b) == first and fn(b) is not first
+
+    @pytest.mark.parametrize("fn", MEMOIZED)
+    def test_second_call_returns_the_same_object(self, fn):
+        g = make_family("complete-bipartite:2,3")
+        assert fn(g) is fn(g)
+
+    @pytest.mark.parametrize("fn", MEMOIZED)
+    def test_results_are_frozen(self, fn):
+        # a frozen dataclass hashes its fields, so a mutable field fails the hash
+        result = fn(make_family("split-s:5,2"))
+        assert dataclasses.is_dataclass(result)
+        assert type(result).__dataclass_params__.frozen
+        hash(result)
 
 
 class TestFamilies:
