@@ -470,9 +470,7 @@ def structure_decomposition(
         raise AlgorithmError(
             "S-saturating k-star forest exists although nu_k should be below |S|"
         )
-    if res.violator is None or res.neighborhood is None:
-        raise AlgorithmError("unsaturated Hall assignment returned no violator")
-    u = frozenset(res.violator) | frozenset(res.neighborhood)
+    u = res.violator | res.neighborhood
     c = frozenset(s_cover) - res.violator
     i = frozenset(range(g.n)) - u - c
     sd = StructureDecomposition(k, u, c, i)

@@ -6,7 +6,9 @@ deficiency certificate is the next, strictly denser witness, so the exact
 value and the largest densest subset come from at most n + 1 assignments.
 Partition density has no known polynomial algorithm; the exact mode runs
 one numpy subset DP over vertex masks, in popcount layers, for all part-size
-caps at once (3^n time, n <= 20), and checks its witness against the graph.
+caps at once (3^n time, n <= 20). Each witness checks itself against the
+graph with ``validate(g)``, which its producer calls before returning it;
+a failed check raises AlgorithmError.
 """
 
 from __future__ import annotations
@@ -46,12 +48,25 @@ class DensityWitness:
     value: Fraction
     subset: frozenset[int]
 
+    def validate(self, g: Graph):
+        """The subset attains the value: e(U)/|U| = value."""
+        size = len(self.subset)
+        if not size or Fraction(_edges_inside(g, self.subset), size) != self.value:
+            raise AlgorithmError(f"density witness does not attain {self.value}")
+
 
 @dataclass(frozen=True, slots=True)
 class PartitionWitness:
     value: Fraction
     parts: tuple[frozenset[int], ...]
     attained_part_size: int
+
+    def validate(self, g: Graph):
+        """The parts partition V; their inner edges over the largest part give the value."""
+        inside = _edges_within_parts(g, self.parts)
+        attained = max(map(len, self.parts))
+        if attained != self.attained_part_size or Fraction(len(inside), attained) != self.value:
+            raise AlgorithmError(f"partition density witness does not attain {self.value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,6 +114,13 @@ class OrientationInfeasible:
     subset: frozenset[int]
     edges_inside: int
 
+    def validate(self, g: Graph):
+        u = self.subset
+        if not u or self.edges_inside <= self.k * len(u):
+            raise AlgorithmError(f"deficient subset {sorted(u)} is not denser than {self.k}")
+        if _edges_inside(g, u) != self.edges_inside:
+            raise AlgorithmError(f"subset {sorted(u)} does not hold {self.edges_inside} edges")
+
 
 # ---------------------------------------------------------------------------
 # Density
@@ -145,9 +167,9 @@ def density(g: Graph) -> DensityWitness:
         rho, subset = Fraction(inside, len(reached)), reached
     else:
         raise AlgorithmError(f"density iteration did not settle in {n + 1} excess tests")
-    if Fraction(_edges_inside(g, subset), len(subset)) != rho:
-        raise AlgorithmError(f"density witness does not attain {rho}")
-    return DensityWitness(rho, subset)
+    witness = DensityWitness(rho, subset)
+    witness.validate(g)
+    return witness
 
 
 def _edges_inside(g: Graph, subset) -> int:
@@ -309,9 +331,8 @@ def partition_density(g: Graph) -> PartitionWitness:
     the most edges a partition with parts of size <= s keeps inside its
     parts; the answer is the best ratio best(s)/s, at the smallest s that
     attains it. The parts are rebuilt from the table, in the order of their
-    smallest vertices, and checked against the graph itself in one pass
-    over g.edges: they partition V, and the edges inside them, over the
-    largest part size, give the value.
+    smallest vertices, and checked against the graph itself
+    (``PartitionWitness.validate``).
     """
     if g.n < 1:
         raise GraphError("partition density needs at least one vertex")
@@ -332,13 +353,10 @@ def partition_density(g: Graph) -> PartitionWitness:
     for s, edges in enumerate(f[:, full].tolist(), start=2):
         if edges * best_s > best_edges * s:
             best_edges, best_s = edges, s
-    best_value = Fraction(best_edges, best_s)
     parts = _partition_parts(f, e, n, best_s)
-    inside = _edges_within_parts(g, parts)
-    attained = max(map(len, parts))
-    if Fraction(len(inside), attained) != best_value:
-        raise AlgorithmError(f"partition density witness does not attain {best_value}")
-    return PartitionWitness(best_value, tuple(parts), attained)
+    witness = PartitionWitness(Fraction(best_edges, best_s), tuple(parts), max(map(len, parts)))
+    witness.validate(g)
+    return witness
 
 
 def partition_density_bracket(g: Graph) -> tuple[Fraction, Fraction]:
@@ -386,11 +404,12 @@ def k_orientation(g: Graph, k: int) -> Orientation | OrientationInfeasible:
         if ori.max_indegree() > k:
             raise AlgorithmError(f"orientation exceeds in-degree {k}")
         return ori
+    # the edges the failed searches reach are those inside U, and the
+    # placement is short by e(U) - k|U|
     subset = res.reached_bins
-    inside = _edges_inside(g, subset)
-    if not subset or inside <= k * len(subset):
-        raise AlgorithmError(f"deficient subset {sorted(subset)} is not denser than {k}")
-    return OrientationInfeasible(k, subset, inside)
+    infeasible = OrientationInfeasible(k, subset, m - res.total + k * len(subset))
+    infeasible.validate(g)
+    return infeasible
 
 
 def random_k_orientation(g: Graph, k: int, seed: int) -> Orientation:

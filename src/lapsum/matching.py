@@ -1,9 +1,9 @@
 """Maximum matching (blossom), Gallai-Edmonds structure, vertex covers,
 centered star packings with Hall violators, and Edmonds odd set covers.
 
-All certificates are re-verified before being returned; an internal
-consistency failure raises AlgorithmError and indicates a bug, never an
-unlucky input.
+Each result type checks itself against the graph with ``validate(g)``, and
+its producer calls that before returning; a failed check raises
+AlgorithmError and indicates a bug, never an unlucky input.
 """
 
 from __future__ import annotations
@@ -29,17 +29,50 @@ class MatchingResult:
     def nu(self) -> int:
         return len(self.pairs)
 
+    def validate(self, g: Graph):
+        """nu's lower side: the pairs are disjoint edges of g."""
+        for u, v in self.pairs:
+            if not (0 <= u < g.n and v in g.adjacency[u]):
+                raise AlgorithmError(f"matched pair ({u},{v}) is not an edge")
+        if len({w for e in self.pairs for w in e}) != 2 * self.nu:
+            raise AlgorithmError("matched pairs share a vertex")
+
 
 @dataclass(frozen=True, slots=True)
 class GallaiEdmonds:
     """D: vertices missed by some maximum matching, i.e. the even vertices of
-    the failed searches from one maximum matching's exposed vertices;
-    A = N(D) \\ D; C: rest."""
+    the failed searches from ``matching``'s exposed vertices; A = N(D) \\ D;
+    C: rest."""
 
     D: frozenset[int]
     A: frozenset[int]
     C: frozenset[int]
     d_components: tuple[frozenset[int], ...]
+    matching: MatchingResult
+
+    def validate(self, g: Graph):
+        """Re-check the structure against g; ``matching`` must match G[C] perfectly."""
+        D, A, C = self.D, self.A, self.C
+        if D | A | C != frozenset(range(g.n)) or len(D) + len(A) + len(C) != g.n:
+            raise AlgorithmError("D, A and C do not partition the vertices")
+        if A != frozenset(w for v in D for w in g.neighbors(v)) - D:
+            raise AlgorithmError("A is not N(D) \\ D")
+        for comp in self.d_components:
+            if len(comp) % 2 == 0:
+                raise AlgorithmError(f"component {sorted(comp)} of G[D] has even order")
+            sub, _ = induced_subgraph(g, comp)
+            target = (len(comp) - 1) // 2
+            for skip in range(sub.n):
+                rest, _ = induced_subgraph(sub, [u for u in range(sub.n) if u != skip])
+                if matching_number(rest) != target:
+                    raise AlgorithmError(f"component {sorted(comp)} of G[D] is not factor-critical")
+        in_c = [w for e in self.matching.pairs if C.issuperset(e) for w in e]
+        if sorted(in_c) != sorted(C):
+            raise AlgorithmError("the maximum matching does not match G[C] perfectly")
+        total = len(A) + sum((len(c) - 1) // 2 for c in self.d_components) + len(C) // 2
+        if total != self.matching.nu:
+            raise AlgorithmError(f"Gallai-Edmonds count {total} != nu {self.matching.nu}")
+        self.matching.validate(g)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,6 +100,14 @@ class OddSetCover:
                 return False
             seen |= s
         return True
+
+    def validate(self, g: Graph):
+        """nu's upper side, by Edmonds: a disjoint odd set cover of weight nu."""
+        nu = matching_number(g)
+        if self.weight != nu:
+            raise AlgorithmError(f"odd set cover weight {self.weight} != nu {nu}")
+        if not self.covers(g) or not self.is_disjoint():
+            raise AlgorithmError("odd set cover fails coverage/disjointness")
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,8 +210,9 @@ def maximum_matching(g: Graph) -> MatchingResult:
     for v in range(g.n):
         if match[v] == -1:
             _alternating_search(adj, match, v)
-    pairs = tuple((v, match[v]) for v in range(g.n) if match[v] > v)
-    return MatchingResult(pairs)
+    mm = MatchingResult(tuple((v, match[v]) for v in range(g.n) if match[v] > v))
+    mm.validate(g)
+    return mm
 
 
 def matching_number(g: Graph) -> int:
@@ -245,30 +287,9 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
     comps_local, _ = components_info(gd)
     # components come by least vertex, and labels is increasing
     comps = tuple(frozenset(labels[i] for i in c) for c in comps_local)
-    ge = GallaiEdmonds(D, A, C, comps)
-    _verify_gallai_edmonds(g, ge, mm)
+    ge = GallaiEdmonds(D, A, C, comps, mm)
+    ge.validate(g)
     return ge
-
-
-def _verify_gallai_edmonds(g: Graph, ge: GallaiEdmonds, mm: MatchingResult):
-    """Re-check ``ge`` against ``mm``, which by Gallai-Edmonds matches G[C] perfectly."""
-    for comp in ge.d_components:
-        if len(comp) % 2 == 0:
-            raise AlgorithmError(f"component {sorted(comp)} of G[D] has even order")
-        sub, _ = induced_subgraph(g, comp)
-        target = (len(comp) - 1) // 2
-        for skip in range(sub.n):
-            rest, _ = induced_subgraph(sub, [u for u in range(sub.n) if u != skip])
-            if matching_number(rest) != target:
-                raise AlgorithmError(
-                    f"component {sorted(comp)} of G[D] is not factor-critical"
-                )
-    in_c = [w for e in mm.pairs if ge.C.issuperset(e) and g.has_edge(*e) for w in e]
-    if sorted(in_c) != sorted(ge.C):
-        raise AlgorithmError("the maximum matching does not match G[C] perfectly")
-    total = len(ge.A) + sum((len(c) - 1) // 2 for c in ge.d_components) + len(ge.C) // 2
-    if total != mm.nu:
-        raise AlgorithmError(f"Gallai-Edmonds count {total} != nu {mm.nu}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,28 +304,22 @@ def odd_set_cover(g: Graph) -> OddSetCover:
     """
     vertices: list[int] = []
     odd_sets: list[frozenset[int]] = []
-    active = list(range(g.n))
-    while True:
-        sub, labels = induced_subgraph(g, active)
-        if sub.m == 0:
-            break
+    # the first pass reads g itself, so validate's nu reuses its matching
+    sub, labels = g, range(g.n)
+    while sub.m:
         ge = gallai_edmonds(sub)
         if not ge.D and not ge.A:
-            v = labels[0]
-            vertices.append(v)
-            active = [u for u in active if u != v]
-            continue
-        vertices.extend(sorted(labels[a] for a in ge.A))
-        for comp in ge.d_components:
-            if len(comp) >= 3:
-                odd_sets.append(frozenset(labels[i] for i in comp))
-        active = sorted(labels[c] for c in ge.C)
+            vertices.append(labels[0])
+            active = labels[1:]
+        else:
+            vertices.extend(sorted(labels[a] for a in ge.A))
+            for comp in ge.d_components:
+                if len(comp) >= 3:
+                    odd_sets.append(frozenset(labels[i] for i in comp))
+            active = sorted(labels[c] for c in ge.C)
+        sub, labels = induced_subgraph(g, active)
     cover = OddSetCover(tuple(vertices), tuple(odd_sets))
-    nu = matching_number(g)
-    if cover.weight != nu:
-        raise AlgorithmError(f"odd set cover weight {cover.weight} != nu {nu}")
-    if not cover.covers(g) or not cover.is_disjoint():
-        raise AlgorithmError("odd set cover fails coverage/disjointness")
+    cover.validate(g)
     return cover
 
 
@@ -395,6 +410,17 @@ class HallResult:
     def saturating(self) -> bool:
         return self.violator is None
 
+    def validate(self, g: Graph):
+        self.packing.validate(g)
+        if self.violator is None and self.neighborhood is None:
+            return
+        if not self.violator:
+            raise AlgorithmError("empty Hall violator despite an unsaturated assignment")
+        if self.neighborhood != frozenset(w for a in self.violator for w in g.neighbors(a)):
+            raise AlgorithmError("Hall violator neighborhood is not N(A')")
+        if len(self.neighborhood) > self.ell * len(self.violator) - 1:
+            raise AlgorithmError("Hall violator neighborhood too large")
+
 
 def hall_violator(g: Graph, side_a, side_b, ell: int) -> HallResult:
     """Halmos-Vaughan check for an A-saturating ell-star forest.
@@ -433,13 +459,10 @@ def hall_violator(g: Graph, side_a, side_b, ell: int) -> HallResult:
             if a not in a_prime
         ),
     )
-    packing.validate(g)
     if res.total == ell * len(a_list):
-        return HallResult(ell, packing)
-
-    nbhd = frozenset(w for a in a_prime for w in g.neighbors(a))
-    if not a_prime:
-        raise AlgorithmError("empty Hall violator despite an unsaturated assignment")
-    if len(nbhd) > ell * len(a_prime) - 1:
-        raise AlgorithmError("Hall violator neighborhood too large")
-    return HallResult(ell, packing, a_prime, nbhd)
+        result = HallResult(ell, packing)
+    else:
+        # the bins the failed searches reach are N(A')
+        result = HallResult(ell, packing, a_prime, frozenset(b_list[j] for j in res.reached_bins))
+    result.validate(g)
+    return result

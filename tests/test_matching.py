@@ -3,17 +3,17 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import lapsum
-from lapsum.graphs import GraphError, graph_from_edges, make_family
+from lapsum.graphs import GraphError, gnp_graphs, graph_from_edges, make_family
 from lapsum.matching import (
     AlgorithmError,
     MatchingResult,
     SizeCapError,
-    _verify_gallai_edmonds,
     gallai_edmonds,
     greedy_cover_2approx,
     hall_violator,
@@ -129,23 +129,40 @@ class TestGallaiEdmonds:
         with pytest.raises(AlgorithmError, match="augmenting path"):
             gallai_edmonds(make_family("path:4"))
 
-    # path:4 has C = {0, 1, 2, 3}: pairs that are not edges, a pair given
-    # twice, and a matching that leaves two C vertices exposed
+    # path:4 has C = {0, 1, 2, 3}: pairs that are not edges (the matching's
+    # own check names the first), a pair given twice, and a matching that
+    # leaves two C vertices exposed
     @pytest.mark.parametrize("pairs", [((0, 2), (1, 3)), ((0, 1), (0, 1)), ((0, 1),)])
     def test_matching_not_perfect_on_c_raises(self, pairs):
         g = make_family("path:4")
         ge = gallai_edmonds(g)
         assert ge.C == frozenset(range(4))
-        with pytest.raises(AlgorithmError, match=r"does not match G\[C\] perfectly"):
-            _verify_gallai_edmonds(g, ge, MatchingResult(pairs))
+        message = r"\(0,2\) is not an edge" if pairs[0] == (0, 2) else r"does not match G\[C\]"
+        with pytest.raises(AlgorithmError, match=message):
+            replace(ge, matching=MatchingResult(pairs)).validate(g)
+
+    def test_d_a_c_not_a_partition_raises(self):
+        # star:5 has A = {0}; 0 also in C
+        g = make_family("star:5")
+        ge = gallai_edmonds(g)
+        with pytest.raises(AlgorithmError, match="do not partition"):
+            replace(ge, C=frozenset({0})).validate(g)
+
+    def test_a_not_the_neighborhood_of_d_raises(self):
+        # the centre of star:5 moved from A to C: still a partition
+        g = make_family("star:5")
+        ge = gallai_edmonds(g)
+        with pytest.raises(AlgorithmError, match=r"A is not N\(D\)"):
+            replace(ge, A=frozenset(), C=frozenset({0})).validate(g)
 
     def test_matching_not_perfect_on_c_raises_under_optimize(self):
         code = (
+            "from dataclasses import replace\n"
             "from lapsum.graphs import AlgorithmError, make_family\n"
-            "from lapsum.matching import MatchingResult, _verify_gallai_edmonds, gallai_edmonds\n"
+            "from lapsum.matching import MatchingResult, gallai_edmonds\n"
             "g = make_family('path:4')\n"
             "try:\n"
-            "    _verify_gallai_edmonds(g, gallai_edmonds(g), MatchingResult(((0, 1),)))\n"
+            "    replace(gallai_edmonds(g), matching=MatchingResult(((0, 1),))).validate(g)\n"
             "except AlgorithmError as exc:\n"
             "    print('raised:', exc)\n"
         )
@@ -185,6 +202,24 @@ class TestOddSetCover:
     def test_triangle(self):
         cov = odd_set_cover(make_family("complete:3"))
         assert cov.weight == 1 and cov.odd_sets == (frozenset({0, 1, 2}),)
+
+    def test_one_maximum_matching_of_g_per_call(self, monkeypatch):
+        # the first Gallai-Edmonds pass reads g itself, and the final nu
+        # check reuses its matching; each maximum matching starts with a
+        # search from vertex 0 while nothing is matched
+        mod = importlib.import_module("lapsum.matching")
+        search = mod._alternating_search
+        starts = []
+
+        def counted(adj, match, root):
+            if root == 0 and len(match) == 12 and max(match) == -1:
+                starts.append(root)
+            return search(adj, match, root)
+
+        monkeypatch.setattr(mod, "_alternating_search", counted)
+        (g,) = gnp_graphs(12, 0.25, 1, 3)
+        assert odd_set_cover(g).weight == oracle_nu(g)
+        assert len(starts) == 1
 
     def test_weight_equals_nu_everywhere(self, exhaustive_n5):
         for g in exhaustive_n5:

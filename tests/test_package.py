@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -61,6 +62,60 @@ def test_result_objects_have_no_instance_dict():
     ]
     with_dict = [n for n in names if "__dict__" in dir(getattr(lapsum, n))]
     assert not with_dict, with_dict
+
+
+#: the result types an exact producer returns; each producer calls
+#: ``validate(g)`` on its result before returning it
+CERTIFIED = [
+    "DensityWitness", "PartitionWitness", "OrientationInfeasible", "MatchingResult",
+    "GallaiEdmonds", "OddSetCover", "HallResult",
+]
+
+
+def test_result_types_check_themselves_against_the_graph():
+    names = CERTIFIED + [
+        "StarPacking", "ForestDecomposition", "StarForestDecomposition",
+        "StructureDecomposition", "Spectrum",
+    ]
+    params = {}
+    for name in names:
+        validate = getattr(getattr(lapsum, name), "validate", None)
+        params[name] = validate and list(inspect.signature(validate).parameters)
+    assert {name: p for name, p in params.items() if p != ["self", "g"]} == {}
+
+
+def test_each_certified_type_rejects_an_altered_field_under_optimize():
+    # each producer's result passes; the same result with one field changed
+    # by dataclasses.replace must raise AlgorithmError with asserts compiled out
+    code = (
+        "from dataclasses import replace\n"
+        "from fractions import Fraction\n"
+        "import lapsum as L\n"
+        "from lapsum.graphs import AlgorithmError, make_family\n"
+        "p4, k3, k5, s4, s5 = map(make_family, ['path:4', 'complete:3', 'complete:5',\n"
+        "                                       'star:4', 'star:5'])\n"
+        "cases = [\n"
+        "    (p4, L.density(p4), {'value': Fraction(1)}),\n"
+        "    (p4, L.partition_density(p4), {'attained_part_size': 3}),\n"
+        "    (k5, L.k_orientation(k5, 1), {'edges_inside': 11}),\n"
+        "    (p4, L.maximum_matching(p4), {'pairs': ((0, 1), (1, 2))}),\n"
+        "    (s5, L.gallai_edmonds(s5), {'A': frozenset()}),\n"
+        "    (k3, L.odd_set_cover(k3), {'odd_sets': ()}),\n"
+        "    (s4, L.hall_violator(s4, [0], [1, 2, 3], 4), {'neighborhood': frozenset({1, 2})}),\n"
+        "]\n"
+        "for g, result, change in cases:\n"
+        "    result.validate(g)\n"
+        "    try:\n"
+        "        replace(result, **change).validate(g)\n"
+        "    except AlgorithmError:\n"
+        "        print(type(result).__name__)\n"
+    )
+    src = str(Path(lapsum.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.split() == CERTIFIED
 
 
 #: the package's exports, each under the module that defines it

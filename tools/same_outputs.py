@@ -82,12 +82,13 @@ SPECTRA = [
     ("gnp 12 0.5 200 3", ["--gnp", "12", "0.5", "200", "3"]),
 ]
 #: every single-graph command, with the arguments it needs, on one graph;
-#: eps and stararbor also with their bare-number payloads
+#: eps and stararbor also with their bare-number payloads, orient at an
+#: infeasible k (1) and at a feasible one (2)
 SINGLE_GRAPH = "E?zw"
 SINGLES = [
     ["eps", "--k", "all"], ["eps", "--k", "2"], ["density"], ["parden"],
-    ["orient", "--k", "1"], ["match"], ["cover"], ["oddcover"], ["arbor"],
-    ["stararbor"], ["stararbor", "--classes"], ["structure", "--k", "2"],
+    ["orient", "--k", "1"], ["orient", "--k", "2"], ["match"], ["cover"], ["oddcover"],
+    ["arbor"], ["stararbor"], ["stararbor", "--classes"], ["structure", "--k", "2"],
     ["pipeline", "--k", "2"],
 ]
 #: eps over its whole profile and at one k, on every graph input below
