@@ -3,7 +3,9 @@ centered star packings with Hall violators, and Edmonds odd set covers.
 
 Each result type checks itself against the graph with ``validate(g)``, and
 its producer calls that before returning; a failed check raises
-AlgorithmError and indicates a bug, never an unlucky input.
+AlgorithmError and indicates a bug, never an unlucky input. No check runs a
+solver: a matching and an odd set cover of one size pin nu from both sides,
+and Gallai-Edmonds is a tight Tutte-Berge barrier plus swaps (see its class).
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .flow import assign
-from .graphs import (
-    AlgorithmError, Graph, GraphError, SizeCapError, components_info, induced_subgraph, per_graph,
-)
+from .graphs import AlgorithmError, Graph, GraphError, SizeCapError, induced_subgraph, per_graph
 
 VERTEX_COVER_NU_CAP = 15
 NU_ELL_VERTEX_CAP = 16
@@ -40,45 +40,61 @@ class MatchingResult:
 
 @dataclass(frozen=True, slots=True)
 class GallaiEdmonds:
-    """D: vertices missed by some maximum matching, i.e. the even vertices of
-    the failed searches from ``matching``'s exposed vertices; A = N(D) \\ D;
-    C: rest."""
+    """D: vertices missed by some maximum matching; A = N(D) \\ D; C: rest.
+
+    No solver checks it: the odd ``d_components``, with no edge between them,
+    and G[C], which ``matching`` matches perfectly, make up G - A, so by the
+    counts every maximum matching covers the Tutte-Berge barrier A and C. The
+    swaps, each put in place of ``matching``'s pairs at its ends, give maximum
+    matchings that leave every vertex of D exposed at least once."""
 
     D: frozenset[int]
     A: frozenset[int]
     C: frozenset[int]
     d_components: tuple[frozenset[int], ...]
     matching: MatchingResult
+    swaps: tuple[tuple[tuple[int, int], ...], ...]
 
     def validate(self, g: Graph):
-        """Re-check the structure against g; ``matching`` must match G[C] perfectly."""
-        D, A, C = self.D, self.A, self.C
+        """Re-check the structure against g with set arithmetic alone."""
+        D, A, C, mm = self.D, self.A, self.C, self.matching
         if D | A | C != frozenset(range(g.n)) or len(D) + len(A) + len(C) != g.n:
             raise AlgorithmError("D, A and C do not partition the vertices")
         if A != frozenset(w for v in D for w in g.neighbors(v)) - D:
             raise AlgorithmError("A is not N(D) \\ D")
-        for comp in self.d_components:
-            if len(comp) % 2 == 0:
-                raise AlgorithmError(f"component {sorted(comp)} of G[D] has even order")
-            sub, _ = induced_subgraph(g, comp)
-            target = (len(comp) - 1) // 2
-            for skip in range(sub.n):
-                rest, _ = induced_subgraph(sub, [u for u in range(sub.n) if u != skip])
-                if matching_number(rest) != target:
-                    raise AlgorithmError(f"component {sorted(comp)} of G[D] is not factor-critical")
-        in_c = [w for e in self.matching.pairs if C.issuperset(e) for w in e]
+        part = {v: i for i, comp in enumerate(self.d_components) for v in comp}
+        sizes = [len(comp) for comp in self.d_components]
+        if part.keys() != D or len(part) != sum(sizes) or any(s % 2 == 0 for s in sizes):
+            raise AlgorithmError("the components of G[D] are not odd parts of D")
+        if any(u in part and v in part and part[u] != part[v] for u, v in g.edges):
+            raise AlgorithmError("an edge joins two components of G[D]")
+        in_c = [w for e in mm.pairs if C.issuperset(e) for w in e]
         if sorted(in_c) != sorted(C):
             raise AlgorithmError("the maximum matching does not match G[C] perfectly")
         total = len(A) + sum((len(c) - 1) // 2 for c in self.d_components) + len(C) // 2
-        if total != self.matching.nu:
-            raise AlgorithmError(f"Gallai-Edmonds count {total} != nu {self.matching.nu}")
-        self.matching.validate(g)
+        if total != mm.nu:
+            raise AlgorithmError(f"Gallai-Edmonds count {total} != nu {mm.nu}")
+        missed: set[int] = set()
+        for swap in ((), *self.swaps):
+            ends = {w for e in swap for w in e}
+            other = MatchingResult(tuple(e for e in mm.pairs if ends.isdisjoint(e)) + tuple(swap))
+            other.validate(g)
+            if other.nu != mm.nu:
+                raise AlgorithmError(f"a swap gives a matching of size {other.nu}, not {mm.nu}")
+            missed |= frozenset(range(g.n)).difference(*other.pairs)
+        if not D <= missed:
+            raise AlgorithmError(f"no swap leaves {sorted(D - missed)} of D exposed")
 
 
 @dataclass(frozen=True, slots=True)
 class OddSetCover:
+    """Vertices and disjoint odd sets that cover every edge, and a matching of
+    g: each matched pair meets a vertex or lies in an odd set S, which holds at
+    most (|S| - 1)/2 pairs, so the weight bounds nu from above (Edmonds)."""
+
     vertices: tuple[int, ...]
     odd_sets: tuple[frozenset[int], ...]
+    matching: MatchingResult
 
     @property
     def weight(self) -> int:
@@ -102,12 +118,12 @@ class OddSetCover:
         return True
 
     def validate(self, g: Graph):
-        """nu's upper side, by Edmonds: a disjoint odd set cover of weight nu."""
-        nu = matching_number(g)
-        if self.weight != nu:
-            raise AlgorithmError(f"odd set cover weight {self.weight} != nu {nu}")
-        if not self.covers(g) or not self.is_disjoint():
-            raise AlgorithmError("odd set cover fails coverage/disjointness")
+        """nu from both sides: the matching, and the cover of equal weight."""
+        self.matching.validate(g)
+        if self.weight != self.matching.nu:
+            raise AlgorithmError(f"odd set cover weight {self.weight} != nu {self.matching.nu}")
+        if not (all(len(s) % 2 for s in self.odd_sets) and self.covers(g) and self.is_disjoint()):
+            raise AlgorithmError("odd set cover fails oddness/coverage/disjointness")
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,7 +288,7 @@ def greedy_cover_2approx(g: Graph) -> frozenset[int]:
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
     """Structure decomposition from one maximum matching M: D is the union of
     the even vertices of the failed alternating searches from the vertices M
-    exposes (Lovasz-Plummer, Matching Theory, ch. 3); re-verified."""
+    exposes (Lovasz-Plummer, Matching Theory, ch. 3), plus one search per swap."""
     mm = maximum_matching(g)
     match = [-1] * g.n
     for u, v in mm.pairs:
@@ -284,10 +300,17 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
     A = frozenset(w for v in D for w in g.neighbors(v)) - D
     C = frozenset(range(g.n)) - D - A
     gd, labels = induced_subgraph(g, D)
-    comps_local, _ = components_info(gd)
     # components come by least vertex, and labels is increasing
-    comps = tuple(frozenset(labels[i] for i in c) for c in comps_local)
-    ge = GallaiEdmonds(D, A, C, comps, mm)
+    comps = tuple(frozenset(labels[i] for i in c) for c in gd.search.components)
+    swaps = []
+    for v in sorted(v for v in D if match[v] != -1):
+        # drop v's pair, hide v, augment from w: the result misses v, not the end it reaches
+        w, other = match[v], match[:]
+        other[v] = other[w] = -1
+        adj = [tuple(x for x in nbrs if x != v) if v in nbrs else nbrs for nbrs in g.adjacency]
+        _alternating_search(adj, other, w)
+        swaps.append(tuple((u, other[u]) for u in range(g.n) if u < other[u] != match[u]))
+    ge = GallaiEdmonds(D, A, C, comps, mm, tuple(swaps))
     ge.validate(g)
     return ge
 
@@ -304,7 +327,7 @@ def odd_set_cover(g: Graph) -> OddSetCover:
     """
     vertices: list[int] = []
     odd_sets: list[frozenset[int]] = []
-    # the first pass reads g itself, so validate's nu reuses its matching
+    # the first pass reads g itself, so the cover carries its matching
     sub, labels = g, range(g.n)
     while sub.m:
         ge = gallai_edmonds(sub)
@@ -318,7 +341,7 @@ def odd_set_cover(g: Graph) -> OddSetCover:
                     odd_sets.append(frozenset(labels[i] for i in comp))
             active = sorted(labels[c] for c in ge.C)
         sub, labels = induced_subgraph(g, active)
-    cover = OddSetCover(tuple(vertices), tuple(odd_sets))
+    cover = OddSetCover(tuple(vertices), tuple(odd_sets), maximum_matching(g))
     cover.validate(g)
     return cover
 

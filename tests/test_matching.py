@@ -43,6 +43,25 @@ def petersen():
     return graph_from_edges(10, outer + spokes + inner)
 
 
+STAR5 = [(0, 1), (0, 2), (0, 3), (0, 4)]
+#: (edges on 5 vertices, d_components, message): components of G[D] that
+#: GallaiEdmonds.validate rejects; star:5 has D = {1, 2, 3, 4}, four leaves
+BAD_COMPONENTS = [
+    (STAR5, (frozenset({1}),), "are not odd parts of D"),
+    (STAR5, (), "are not odd parts of D"),
+    # three leaf components merged into one odd part: the count exceeds nu
+    (STAR5, (frozenset({1, 2, 3}), frozenset({4})), "count 2 != nu 1"),
+    # K5 split into two parts, one of them even
+    (list(make_family("complete:5").edges), (frozenset({0, 1, 2}), frozenset({3, 4})),
+     "are not odd parts of D"),
+    # D is the triangle {1, 2, 3} and the leaf 4 of A = {0}: the triangle
+    # split into {1} and {2, 3}, which takes the leaf, keeps both parts odd
+    # and the count, but the edge (1, 2) joins them
+    ([(0, 1), (0, 4), (1, 2), (1, 3), (2, 3)], (frozenset({1}), frozenset({2, 3, 4})),
+     "an edge joins two components"),
+]
+
+
 class TestMatching:
     def test_petersen_has_perfect_matching(self):
         assert matching_number(petersen()) == 5
@@ -154,6 +173,51 @@ class TestGallaiEdmonds:
         ge = gallai_edmonds(g)
         with pytest.raises(AlgorithmError, match=r"A is not N\(D\)"):
             replace(ge, A=frozenset(), C=frozenset({0})).validate(g)
+
+    @pytest.mark.parametrize("edges, comps, message", BAD_COMPONENTS)
+    def test_wrong_components_raise(self, edges, comps, message):
+        g = graph_from_edges(5, edges)
+        with pytest.raises(AlgorithmError, match=message):
+            replace(gallai_edmonds(g), d_components=comps).validate(g)
+
+    def test_wrong_components_raise_under_optimize(self):
+        code = (
+            "from dataclasses import replace\n"
+            "from lapsum.graphs import AlgorithmError, graph_from_edges\n"
+            "from lapsum.matching import gallai_edmonds\n"
+            f"for edges, comps, _ in {BAD_COMPONENTS!r}:\n"
+            "    g = graph_from_edges(5, edges)\n"
+            "    try:\n"
+            "        replace(gallai_edmonds(g), d_components=comps).validate(g)\n"
+            "    except AlgorithmError as exc:\n"
+            "        print('raised:', exc)\n"
+        )
+        src = str(Path(lapsum.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        lines = out.stdout.splitlines()
+        assert len(lines) == len(BAD_COMPONENTS)
+        for line, (_, _, message) in zip(lines, BAD_COMPONENTS):
+            assert line.startswith("raised:") and message in line
+
+    @pytest.mark.parametrize("fn", [gallai_edmonds, odd_set_cover])
+    def test_searches_on_k31(self, monkeypatch, fn):
+        # work pin: the maximum matching takes 16 searches, D one failed search
+        # from the exposed vertex, and each other vertex one swap (30); the
+        # odd set cover stops after that pass, since D is every vertex
+        mod = importlib.import_module("lapsum.matching")
+        search = mod._alternating_search
+        calls = []
+
+        def counted(adj, match, root):
+            calls.append(root)
+            return search(adj, match, root)
+
+        monkeypatch.setattr(mod, "_alternating_search", counted)
+        fn(make_family("complete:31"))
+        assert len(calls) == 47
 
     def test_matching_not_perfect_on_c_raises_under_optimize(self):
         code = (

@@ -94,6 +94,7 @@ def test_each_certified_type_rejects_an_altered_field_under_optimize():
         "from lapsum.graphs import AlgorithmError, make_family\n"
         "p4, k3, k5, s4, s5 = map(make_family, ['path:4', 'complete:3', 'complete:5',\n"
         "                                       'star:4', 'star:5'])\n"
+        "ge5 = L.gallai_edmonds(k5)\n"
         "cases = [\n"
         "    (p4, L.density(p4), {'value': Fraction(1)}),\n"
         "    (p4, L.partition_density(p4), {'attained_part_size': 3}),\n"
@@ -102,6 +103,14 @@ def test_each_certified_type_rejects_an_altered_field_under_optimize():
         "    (s5, L.gallai_edmonds(s5), {'A': frozenset()}),\n"
         "    (k3, L.odd_set_cover(k3), {'odd_sets': ()}),\n"
         "    (s4, L.hall_violator(s4, [0], [1, 2, 3], 4), {'neighborhood': frozenset({1, 2})}),\n"
+        # K5's swaps each expose one more vertex: the second in place of the
+        # first leaves vertex 0 covered; (1, 2) is no edge of star:5; in place
+        # of K5's pairs (0, 1) and (2, 3), (1, 2) alone shrinks the matching
+        "    (k5, ge5, {'swaps': ge5.swaps[1:2] + ge5.swaps[1:]}),\n"
+        "    (s5, L.gallai_edmonds(s5), {'swaps': (((1, 2),),)}),\n"
+        "    (k5, ge5, {'swaps': (((1, 2),),)}),\n"
+        "    (k3, L.odd_set_cover(k3), {'matching': L.MatchingResult(())}),\n"
+        "    (s5, L.odd_set_cover(s5), {'matching': L.MatchingResult(((1, 2),))}),\n"
         "]\n"
         "for g, result, change in cases:\n"
         "    result.validate(g)\n"
@@ -115,7 +124,52 @@ def test_each_certified_type_rejects_an_altered_field_under_optimize():
         [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert out.stdout.split() == CERTIFIED
+    assert out.stdout.split() == CERTIFIED + ["GallaiEdmonds"] * 3 + ["OddSetCover"] * 2
+
+
+class SolverCalled(Exception):
+    pass
+
+
+def test_validate_runs_no_solver(monkeypatch):
+    # each result re-checks itself on an equal but fresh Graph, whose
+    # per_graph memo is empty, while every matching search and max-flow
+    # assignment raises wherever the layers bind it
+    from lapsum import decomposition, density, matching
+    from lapsum.graphs import Graph, disjoint_union, make_family
+
+    k5, s4 = make_family("complete:5"), make_family("star:4")
+    # D = K5 and the three leaves, A = the centre, C = the path
+    g = disjoint_union(k5, s4, make_family("path:4"))
+    k = int(lapsum.partition_density(g).value) + 1
+    results = [
+        (g, lapsum.density(g)), (g, lapsum.partition_density(g)),
+        (k5, lapsum.k_orientation(k5, 1)), (g, lapsum.maximum_matching(g)),
+        (g, lapsum.gallai_edmonds(g)), (g, lapsum.odd_set_cover(g)),
+        (s4, lapsum.hall_violator(s4, [0], [1, 2, 3], 4)), (g, lapsum.nu_ell(g, 2)),
+        (g, lapsum.forest_decomposition(g)), (g, lapsum.star_arboricity_exact(g)[1]),
+        (g, lapsum.structure_decomposition(g, k)),
+    ]
+    names = [type(result).__name__ for _, result in results]
+    assert sorted(names) == sorted(CERTIFIED + [
+        "StarPacking", "ForestDecomposition", "StarForestDecomposition",
+        "StructureDecomposition",
+    ])
+
+    def solver(*args):
+        raise SolverCalled
+
+    for module in (matching, density, decomposition):
+        for name in ("_alternating_search", "maximum_matching", "assign"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, solver)
+    called = []
+    for h, result in results:
+        try:
+            result.validate(Graph(h.n, h.edges))
+        except SolverCalled:
+            called.append(type(result).__name__)
+    assert called == []
 
 
 #: the package's exports, each under the module that defines it

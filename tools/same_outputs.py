@@ -11,8 +11,9 @@ once as text and once as JSON, and so does each of the commands that read
 components, bipartiteness or forest depths on two disconnected graphs, each
 of the commands run on an edge-list file, and ``eps`` (``--k all`` and
 ``--k 3``) on those inputs and on ``star:70`` and ``kbip:30,40``, past
-graph6's n <= 62; each probe case runs once, in the format it names, and
-each spectrum case once.
+graph6's n <= 62, and so does ``oddcover`` on ``complete:7`` and ``path:6``;
+each probe case runs once, in the format it names, and each spectrum case
+once.
 The compared text is the exit code plus the output: scan JSON without
 ``runtime_ms`` (the one field that is not deterministic), everything else as
 written, so a capped probe, which writes nothing, compares by its exit code.
@@ -101,9 +102,12 @@ DISCONNECTED_SINGLES = [
     ["structure", "--k", "3"], *EPS,
 ]
 #: single-graph commands on their own graph: k > 100 takes the
-#: (k,c)-assignment route of the pipeline; eps on graphs past graph6's n <= 62
+#: (k,c)-assignment route of the pipeline; eps on graphs past graph6's n <= 62;
+#: oddcover with one odd set that holds all of D (K7), and with C all six
+#: vertices (P6), so that the cover peels C one vertex at a time
 OWN_GRAPH = [
     ["pipeline", "--family", "kbip:101,151", "--k", "101", "--parden-mode", "assume"],
+    ["oddcover", "--family", "complete:7"], ["oddcover", "--family", "path:6"],
     *([*args, "--family", fam] for fam in ("star:70", "kbip:30,40") for args in EPS),
 ]
 #: single-graph commands on the edge-list file: parse_edge_list and
