@@ -13,12 +13,14 @@ becomes a "skipped" record of the bounds that need it, instead of aborting
 the run. ``spectrum_rows`` walks the same work units and stacks for the
 spectra alone.
 
-An all-labeled scan reads spectra per isomorphism class: before any worker
-starts, ``_class_spectra`` labels every edge mask with its class
-(``labeled_classes``) and computes the representatives' checked spectra, and
-each process gets that table once. A unit's rows take their class spectrum,
-and only the rows whose float the report reads (``_read_rows``) get their
-own; aux columns stay per graph.
+An all-labeled scan decides per isomorphism class which graphs its report
+reads. Before any worker starts, ``_class_pass`` labels every edge mask with
+its class (``labeled_classes``), builds one table of the class
+representatives, and marks with ``_read_rows`` the classes whose members'
+floats can reach the report, and every class with a skip. The units hold
+only the members of those classes, each evaluated as a graph of its own;
+each process gets the class spectra once, to check its graphs' own spectra
+against. The other graphs are only counted.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .graphs import (
     is_bipartite,
     labeled_classes,
     make_family,
-    mask_bits,
     mask_rows,
 )
 from .spectral import STACK_ENTRIES, checked_spectra, eps_rows, stack_size
@@ -284,17 +285,24 @@ def _table(n: int, bits: np.ndarray, bounds, ks, class_vals=None) -> _Table:
     columns, per-bound skips and right-hand sides of graphs on n vertices
     given by their edge bit rows, at the k values ``ks``.
 
-    ``class_vals``, when given, holds each row's class spectrum: rows keep it
-    unless ``_read_rows`` marks them, and a marked row's own checked spectrum
-    replaces it. One that differs from its class's by more than MARGIN raises
-    ``AlgorithmError``, so a wrong class cannot pass unseen on a marked row.
+    ``class_vals``, when given, holds each row's class spectrum: a row's own
+    spectrum that differs from it by more than MARGIN raises
+    ``AlgorithmError``, so a wrong class cannot pass unseen on a read graph.
     """
-    if class_vals is None:
-        ms, vals = checked_spectra(n, bits)
-    else:
-        ms, vals = bits.sum(axis=1, dtype=np.int64), class_vals
+    ms, vals = checked_spectra(n, bits)
+    if class_vals is not None:
+        drift = np.abs(vals - class_vals).max(axis=1, initial=0.0)
+        over = np.flatnonzero(drift > MARGIN)
+        if over.size:
+            i = int(over[0])
+            raise AlgorithmError(
+                f"graph6 {graph6_strings(n, bits[i : i + 1])[0]}: spectrum differs from its "
+                f"isomorphism class's by {float(drift[i])} > MARGIN = {MARGIN}"
+            )
     k_arr = np.array(ks, dtype=np.int64)
-    eps, lhs = _lhs(n, ms, vals, k_arr)
+    eps = eps_rows(ms, vals)
+    lhs = np.repeat(ms[:, None].astype(float), len(k_arr), axis=1)
+    lhs[:, k_arr <= n] = eps[:, k_arr[k_arr <= n] - 1]
     cols, missing = _aux_columns(n, bits, aux_requirements(bounds))
     rhs = np.full((len(bounds), len(bits), len(ks)), math.nan)
     checked, skips = [], []
@@ -309,48 +317,18 @@ def _table(n: int, bits: np.ndarray, bounds, ks, class_vals=None) -> _Table:
         if rows.any():
             np.copyto(rhs[b], rhs_table(spec, ms[:, None], k_arr, cols), where=rows[:, None])
         checked.append(int(rows.sum()))
-    if class_vals is not None:
-        read = np.flatnonzero(_read_rows(lhs, rhs, k_arr))
-        vals = vals.copy()
-        vals[read] = _own_spectra(n, bits[read], vals[read])
-        eps[read], lhs[read] = _lhs(n, ms[read], vals[read], k_arr)
     return _Table(ms, vals, eps, lhs, cols, missing, rhs, checked, skips)
 
 
-def _own_spectra(n: int, bits: np.ndarray, class_vals: np.ndarray) -> np.ndarray:
-    """The checked spectra of graphs on n vertices given by their edge bit
-    rows; one that differs from its class spectrum in ``class_vals`` by more
-    than MARGIN raises ``AlgorithmError`` naming the graph."""
-    vals = checked_spectra(n, bits)[1]
-    drift = np.abs(vals - class_vals).max(axis=1, initial=0.0)
-    over = np.flatnonzero(drift > MARGIN)
-    if over.size:
-        i = int(over[0])
-        raise AlgorithmError(
-            f"graph6 {graph6_strings(n, bits[i : i + 1])[0]}: spectrum differs from its "
-            f"isomorphism class's by {float(drift[i])} > MARGIN = {MARGIN}"
-        )
-    return vals
-
-
-def _lhs(n: int, ms: np.ndarray, vals: np.ndarray, k_arr: np.ndarray):
-    """The eps rows of spectra ``vals`` with edge counts ``ms``, and their
-    left-hand sides at the k values ``k_arr``: eps_k, or |E| for k > n."""
-    eps = eps_rows(ms, vals)
-    lhs = np.repeat(ms[:, None].astype(float), len(k_arr), axis=1)
-    lhs[:, k_arr <= n] = eps[:, k_arr[k_arr <= n] - 1]
-    return eps, lhs
-
-
 def _read_rows(lhs: np.ndarray, rhs: np.ndarray, k_arr: np.ndarray) -> np.ndarray:
-    """The rows of a stack whose float a scan report reads, from stand-in
-    left-hand sides that are within MARGIN of the rows' own: each row that is
-    a violation or an equality of some (bound, k) after a shift of its slack
-    by MARGIN either way, or lies within MARGIN of the stack's least slack
-    of some (bound, k) or of its largest eps/k^2.
+    """The rows of a table whose float a scan report reads, where each row
+    stands in for graphs whose own left-hand sides are within MARGIN of its
+    own: each row that is a violation or an equality of some (bound, k) after
+    a shift of its slack by MARGIN either way, or lies within MARGIN of the
+    table's least slack of some (bound, k) or of its largest eps/k^2.
 
-    The verdicts and extremes of the other rows cannot change when their own
-    floats take the stand-ins' place.
+    The verdicts and extremes of the graphs of the other rows cannot change
+    when their own floats take the rows' place.
     """
     slack = rhs - lhs
     read = np.zeros(len(lhs), dtype=bool)
@@ -386,7 +364,7 @@ def _witness_record(check: dict, t: _Table, i: int) -> dict:
 
 def _scan_group(unit, n, bits, positions, class_vals, bounds, krange, report, kept):
     """Evaluate the bounds on graphs with one n of work unit ``unit``, given by
-    their edge bit rows and, for a mask range, their class spectra (see
+    their edge bit rows and, for edge masks, their class spectra (see
     ``_table``), into the partial ``report``; records go in keyed by (unit
     index, position in the unit, bound index, k index).
 
@@ -449,8 +427,8 @@ def _scan_group(unit, n, bits, positions, class_vals, bounds, krange, report, ke
 
 
 def _stacks(work, classes=None):
-    """The stacks of one work unit: an (n, lo, hi) range of all-labeled edge
-    masks, or a list of validated graph6 strings.
+    """The stacks of one work unit: an (n, masks) array of increasing
+    all-labeled edge masks, or a list of validated graph6 strings.
 
     The graphs are grouped by n, one stack per group, so one stacked eigvalsh
     call each; ``_tasks`` cutting units at each change of n instead makes
@@ -460,13 +438,13 @@ def _stacks(work, classes=None):
     alone applies the entry budget: a unit from it holds at most STACK_ENTRIES
     entries, which also bounds each stack's other arrays. Yields ``(n, bits,
     positions, class_vals)``: the edge bit rows, per row the graph's index in
-    the unit, and, for a mask range given the scan's ``_ClassSpectra``, the
+    the unit, and, for edge masks given the scan's ``_ClassSpectra``, the
     rows' class spectra (else None).
     """
     if isinstance(work, tuple):
-        n, lo, hi = work
-        class_vals = None if classes is None else classes.vals[classes.class_of[lo:hi]]
-        yield n, mask_bits(n, lo, hi), range(hi - lo), class_vals
+        n, masks = work
+        class_vals = None if classes is None else classes.vals[classes.class_of[masks]]
+        yield n, mask_rows(n, masks), range(len(masks)), class_vals
         return
     groups: dict[int, list[int]] = {}
     for pos, g6 in enumerate(work):
@@ -484,12 +462,34 @@ class _ClassSpectra:
     vals: np.ndarray
 
 
-def _class_spectra(n: int) -> _ClassSpectra:
-    """``labeled_classes(n)`` and its representatives' checked spectra, one
-    stacked eigvalsh call: for n <= 7 the 1,044 or fewer classes fit one
-    ``stack_size(n)``."""
+def _class_pass(n: int, bounds, ks) -> tuple[_ClassSpectra, np.ndarray]:
+    """The class table of an all-labeled scan of the bounds on n vertices at
+    the k values ``ks``, and the edge masks, increasing, of the graphs whose
+    floats or records its report reads.
+
+    ``labeled_classes(n)`` gives the classes; one ``_table`` of their least
+    masks (one stacked eigvalsh call: for n <= 7 the 1,044 or fewer classes
+    fit one ``stack_size(n)``) gives their aux columns and right-hand sides,
+    which every member shares, and checked spectra, within MARGIN of every
+    member's. A class is read when
+    ``_read_rows`` marks it, by the scan's least slack per (bound, k) and its
+    largest eps/k^2, or when it has a skip, whose records name every member.
+    """
     reps, class_of = labeled_classes(n)
-    return _ClassSpectra(class_of, checked_spectra(n, mask_rows(n, reps))[1])
+    t = _table(n, mask_rows(n, reps), bounds, ks)
+    read = _read_rows(t.lhs, t.rhs, np.array(ks, dtype=np.int64))
+    read[[i for i, _, _ in t.skips]] = True
+    return _ClassSpectra(class_of, t.vals), np.flatnonzero(read[class_of])
+
+
+def _unread_counts(count: int, bounds, ks) -> ScanReport:
+    """The partial report of ``count`` graphs that no unit evaluates: each
+    one is checked by every bound at every k, with no record and no float
+    the report reads."""
+    report = ScanReport("", bounds, graphs=count, checks=count * len(bounds) * len(ks))
+    if count:
+        report.aggregates = {(tag, k): BoundKAggregate(count) for tag in bounds for k in ks}
+    return report
 
 
 class _Plan(NamedTuple):
@@ -523,16 +523,19 @@ def _first_examples(equalities) -> list[dict]:
     return kept
 
 
-def _tasks(src: GraphSource):
-    """The work units of a scan in source order: (n, lo, hi) edge-mask ranges
-    for an all-labeled source, lists of graph6 strings for any other. This is
-    the one place the entry budget is applied: a unit holds at most
+def _tasks(src: GraphSource, masks: np.ndarray | None = None):
+    """The work units of a scan in source order: (n, masks) arrays of
+    increasing edge masks for an all-labeled source, ``masks`` (all of them
+    when None) cut in order, and lists of graph6 strings for any other. This
+    is the one place the entry budget is applied: a unit holds at most
     STACK_ENTRIES matrix entries, unless it is a single graph, so it is one
     stacked eigvalsh call per n."""
     if src.kind == "all-labeled":
-        total = all_labeled_count(src.n)
         step = stack_size(src.n)
-        return [(src.n, lo, min(lo + step, total)) for lo in range(0, total, step)]
+        if masks is None:  # made one unit at a time, not held at once
+            total = all_labeled_count(src.n)
+            return ((src.n, np.arange(lo, min(lo + step, total))) for lo in range(0, total, step))
+        return [(src.n, masks[lo : lo + step]) for lo in range(0, len(masks), step)]
     return _graph6_tasks(graph6_stream(src))
 
 
@@ -659,7 +662,9 @@ def scan(
 ) -> ScanReport:
     """Evaluate the requested bounds over every graph of the source, in at
     most ``jobs`` processes (see ``_shares``). An all-labeled source's class
-    table is built here, once per call, before any worker starts.
+    pass (``_class_pass``) runs here, once per call, before any worker
+    starts: the units hold only the graphs whose floats or records the
+    report reads, and the others are only counted.
 
     Records are sorted into source order, so the report and the failure that
     raises are those of jobs 1. Equality examples are capped per (bound, k) —
@@ -675,9 +680,12 @@ def scan(
     krange = ks or KRange("all")
     start = time.monotonic()
     report = ScanReport(src.describe(), bounds)
-    tasks = _tasks(src)
-    classes = _class_spectra(src.n) if src.kind == "all-labeled" else None
-    shares = _shares(tasks, _Plan(bounds, krange, classes), jobs)
+    classes = masks = None
+    if src.kind == "all-labeled":
+        kvals = krange.values(src.n)
+        classes, masks = _class_pass(src.n, bounds, kvals)
+        report.add(_unread_counts(len(classes.class_of) - len(masks), bounds, kvals))
+    shares = _shares(_tasks(src, masks), _Plan(bounds, krange, classes), jobs)
     failures = [failure for _, failure in shares if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

@@ -271,9 +271,12 @@ class TestStackAux:
             cols, _ = harness._aux_columns(g.n, graph_bits(g)[None], {"nu", "tau"})
             assert one and len(searches) == one
             assert cols["nu"][0, 0] == matching_number(g)
+        # one matching per graph a scan evaluates: the 11 class
+        # representatives of all-labeled:4 and the 28 members of read classes
         searches.clear()
         rep = scan(GraphSource("all-labeled", n=4), ["matching-thm", "cover"], KRange("all"))
-        assert len({id(match) for match in searches}) == rep.graphs == 64
+        assert len({id(match) for match in searches}) == 11 + 28
+        assert rep.graphs == 64
 
     def test_tau_matches_oracle(self, exhaustive_n5):
         for g in exhaustive_n5:
@@ -469,7 +472,7 @@ class TestScan:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_tiny_all_labeled_match_graph6_file(self, n, tmp_path):
-        # the single graph ? (n = 0) or @ (n = 1) as a mask range and as a line
+        # the single graph ? (n = 0) or @ (n = 1) as an edge mask and as a line
         path = tmp_path / "one.g6"
         path.write_text("?@"[n] + "\n")
         for krange in (KRange("all"), KRange("list", (1, 3, 9))):
@@ -491,17 +494,24 @@ class TestScan:
         sources.append(GraphSource("graph6-file", path=mixed_g6_file))
         sources.append(GraphSource("gnp", n=40, p=0.3, count=100, seed=2))
         sources.append(GraphSource("single", graph=make_family("complete:62")))
+        cases = []
         for src in sources:
-            tasks = list(harness._tasks(src))
+            if src.kind == "all-labeled":
+                # every mask, as spectrum_rows cuts them, and every third one
+                total = 2 ** (src.n * (src.n - 1) // 2)
+                cases += [(src, None, range(total)), (src, np.arange(0, total, 3), range(0, total, 3))]
+            else:
+                cases.append((src, None, list(graph6_stream(src))))
+        for src, masks, want in cases:
+            tasks = list(harness._tasks(src, masks))
             if src.kind == "all-labeled":
                 n = src.n
-                assert [lo for _, lo, _ in tasks] == [0] + [hi for _, _, hi in tasks[:-1]]
-                assert tasks[-1][2] == 2 ** (n * (n - 1) // 2)
-                assert all(n2 == n for n2, _, _ in tasks)
-                entries = [(hi - lo) * n * n for _, lo, hi in tasks]
-                sizes = [hi - lo for _, lo, hi in tasks]
+                assert all(n2 == n for n2, _ in tasks)
+                assert [int(mask) for _, unit in tasks for mask in unit] == list(want)
+                entries = [len(unit) * n * n for _, unit in tasks]
+                sizes = [len(unit) for _, unit in tasks]
             else:
-                assert [g6 for task in tasks for g6 in task] == list(graph6_stream(src))
+                assert [g6 for task in tasks for g6 in task] == want
                 entries = [sum((ord(g6[0]) - 63) ** 2 for g6 in task) for task in tasks]
                 sizes = [len(task) for task in tasks]
             for size, used in zip(sizes, entries):
@@ -547,18 +557,31 @@ class TestScan:
         )
         assert rep.equality_examples and rep.equality_examples == by_file.equality_examples
         assert _report_text(rep) == _report_text(by_file)
+        # star-arb alone at k = 1 reads few classes, and every class with a
+        # skip: each capped graph is named, and only the others are checked
+        k1 = KRange("list", (1,))
+        rep = scan(GraphSource("all-labeled", n=n), ["star-arb"], k1)
+        assert [s["graph6"] for s in rep.skipped] == capped_m
+        assert rep.aggregates[("star-arb", 1)].checked == len(names) - len(capped_m)
+        assert _report_text(rep) == _report_text(
+            scan(GraphSource("graph6-file", path=str(path)), ["star-arb"], k1)
+        )
 
     def test_mask_range_ending_mid_stack(self):
-        # masks 3..1999 on 6 vertices, off the stack_size(6) = 1820 grid of
-        # _tasks and longer than its units: _stacks does not cut a unit, so
-        # this is one stack, as the same graphs given as graph6 strings are;
-        # the masks take the class route and the strings the per-graph one
+        # masks 3..1999 on 6 vertices, and every other mask of 3..3995, off
+        # the stack_size(6) = 1820 grid of _tasks and longer than its units:
+        # _stacks does not cut a unit, so this is one stack, as the same
+        # graphs given as graph6 strings are; the masks' own spectra are also
+        # checked against their classes'
         assert stack_size(6) == 1820
-        plan = harness._Plan(tuple(BOUND_TAGS), KRange("all"), harness._class_spectra(6))
-        by_mask = harness._scan_chunk(0, (6, 3, 2000), plan, {})
-        g6s = list(itertools.islice(all_labeled_graph6(6), 3, 2000))
-        assert by_mask == harness._scan_chunk(0, g6s, plan, {})
-        assert by_mask.graphs == 1997 and by_mask.equality_examples
+        tags = tuple(BOUND_TAGS)
+        classes, _ = harness._class_pass(6, tags, KRange("all").values(6))
+        plan = harness._Plan(tags, KRange("all"), classes)
+        for lo, hi, step in ((3, 2000, 1), (3, 3996, 2)):
+            by_mask = harness._scan_chunk(0, (6, np.arange(lo, hi, step)), plan, {})
+            g6s = list(itertools.islice(all_labeled_graph6(6), lo, hi, step))
+            assert by_mask == harness._scan_chunk(0, g6s, plan, {})
+            assert by_mask.graphs == 1997 == len(g6s) and by_mask.equality_examples
 
     @pytest.mark.parametrize(
         "krange", [KRange("all"), KRange("nminus2"), KRange("list", (1, 3, 9, 41))]
@@ -748,8 +771,8 @@ def _mask_graph6(n, mask):
 
 
 class TestClassSpectra:
-    """All-labeled scans: one spectrum per isomorphism class, and a graph's
-    own spectrum only where the report reads its float."""
+    """All-labeled scans: one table of the isomorphism classes decides which
+    graphs the report reads, and only those are evaluated."""
 
     @pytest.mark.parametrize(
         "n, tags, kranges",
@@ -782,22 +805,36 @@ class TestClassSpectra:
         rhs = np.array([20.0, 10.0, 10.0, 10.0])[None, :, None]  # slacks 10, 2 + m/2, 2, 4
         assert harness._read_rows(lhs, rhs, k).tolist() == [True, True, True, False]
 
-    @pytest.mark.parametrize("tags, read", [(("brouwer",), 2889), (THEOREM_TAGS, 32768)])
+    @pytest.mark.parametrize("tags, read", [(("brouwer",), 2873), (THEOREM_TAGS, 32768)])
     def test_rows_given_to_eigvalsh(self, monkeypatch, tags, read):
         # work pin: the 156 class representatives in one stack, then the
-        # rows whose float the report reads. The brouwer equalities are
-        # threshold graphs; bai's k = n check is the trace identity, an
-        # equality on every graph, so a theorem scan reads every row
+        # members of the classes whose floats the report reads, in units of
+        # stack_size(6) = 1820. The brouwer equalities are the threshold
+        # graphs; bai's k = n check is the trace identity, an equality on
+        # every graph, so a theorem scan reads every row
         rows = _rows_per_call(monkeypatch, "graph6_spectra", 1)
         rep = scan(GraphSource("all-labeled", n=6), tags)
         assert rep.graphs == 32768
         assert rows[0] == 156 and sum(rows[1:]) == read
+        assert len(rows) == 1 + -(-read // 1820)
+
+    @pytest.mark.parametrize(
+        "n, tags, classes, read, calls",
+        [(7, ("brouwer",), 1044, 29023, 23), (6, ("half-component",), 156, 404, 2)],
+    )
+    def test_rows_read_by_class(self, monkeypatch, n, tags, classes, read, calls):
+        # work pin: the least slack and the largest eps/k^2 are taken over
+        # the whole scan, once per class, so no unit reads rows of its own
+        rows = _rows_per_call(monkeypatch, "graph6_spectra", 1)
+        rep = scan(GraphSource("all-labeled", n=n), tags)
+        assert rep.graphs == 2 ** (n * (n - 1) // 2)
+        assert rows[0] == classes and sum(rows[1:]) == read and len(rows) == calls
 
     def test_spectrum_fault_checks_every_computed_row(self, monkeypatch):
         computed = _rows_per_call(monkeypatch, "graph6_spectra", 1)
         checked = _rows_per_call(monkeypatch, "spectrum_fault", 0)
         scan(GraphSource("all-labeled", n=6), ["brouwer"])
-        assert checked == computed and computed[0] == 156 and len(computed) == 20
+        assert checked == computed and computed[0] == 156 and len(computed) == 3
 
     @pytest.mark.parametrize("mask", [1, 2])
     def test_failed_check_names_representative_or_member(self, monkeypatch, mask):
@@ -896,10 +933,14 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
 
     def test_each_process_sends_one_folded_report(self):
+        # a bai scan reads every graph (k = n is the trace identity), so
         # all-labeled:6 is 19 units: two workers and this process, one pair each
         src = GraphSource("all-labeled", n=6)
-        plan = harness._Plan(("brouwer",), KRange("all"), harness._class_spectra(6))
-        shares = harness._shares(harness._tasks(src), plan, 3)
+        classes, masks = harness._class_pass(6, ("bai",), KRange("all").values(6))
+        plan = harness._Plan(("bai",), KRange("all"), classes)
+        tasks = harness._tasks(src, masks)
+        assert len(tasks) == 19
+        shares = harness._shares(tasks, plan, 3)
         assert len(shares) == 3
         assert all(isinstance(report, ScanReport) and failure is None for report, failure in shares)
         assert sum(report.graphs for report, _ in shares) == 32768
@@ -910,11 +951,10 @@ class TestWorkers:
         [((9, 2016), 9), ((2016, 3683), 2016), ((3683,), 3683)],
     )
     def test_failed_unit_raises_the_jobs_1_error(self, monkeypatch, masks, named):
-        # all-labeled:6 is 19 units of 1820 masks: at jobs 2 a worker runs
-        # units 0, 2, 4, ... and this process 1, 3, ...; at jobs 3 this
-        # process runs units 2, 5, ... Masks 9, 2016 and 3683, in units 0, 1
-        # and 2, are no class's least mask, and the brouwer scan computes
-        # their own spectra
+        # a bai scan reads every graph, so all-labeled:6 is 19 units of 1820
+        # masks: at jobs 2 a worker runs units 0, 2, 4, ... and this process
+        # 1, 3, ...; at jobs 3 this process runs units 2, 5, ... Masks 9, 2016
+        # and 3683, in units 0, 1 and 2, are no class's least mask
         n = 6
         bad = graph6_laplacians(n, np.concatenate([mask_bits(n, m, m + 1) for m in masks]))
         original = np.linalg.eigvalsh
@@ -930,7 +970,7 @@ class TestWorkers:
         g6 = encode_graph6(bits_graph(n, mask_bits(n, named, named + 1)[0]))
         for jobs in (1, 2, 3):
             with pytest.raises(SpectralError, match=f"^graph6 {re.escape(g6)}: "):
-                scan(GraphSource("all-labeled", n=n), ["brouwer"], jobs=jobs)
+                scan(GraphSource("all-labeled", n=n), ["bai"], jobs=jobs)
             assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("line", [2, 101])
@@ -947,6 +987,7 @@ class TestWorkers:
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
     def test_parent_error_stops_the_workers(self, monkeypatch, error):
+        # all-labeled:7 brouwer is 22 units: one worker at jobs 2, two at jobs 3
         starts = _counting_starts(monkeypatch)
         parent, real = os.getpid(), harness._scan_chunk
 
@@ -958,7 +999,7 @@ class TestWorkers:
         monkeypatch.setattr(harness, "_scan_chunk", failing)
         for jobs in (2, 3):
             with pytest.raises(error, match="stop"):
-                scan(GraphSource("all-labeled", n=6), ["brouwer"], jobs=jobs)
+                scan(GraphSource("all-labeled", n=7), ["brouwer"], jobs=jobs)
             assert multiprocessing.active_children() == []
         assert len(starts) == 3
 
@@ -988,7 +1029,7 @@ class TestWorkers:
         )
         assert out.stdout.splitlines() == [
             f"{method} all-labeled 5 theorem: 0 workers, same report",
-            f"{method} all-labeled 6 brouwer: 2 workers, same report",
+            f"{method} all-labeled 7 brouwer: 2 workers, same report",
         ]
 
 
@@ -1014,7 +1055,7 @@ if __name__ == "__main__":
     multiprocessing.set_start_method(method)
     starts, real = [], harness._start_worker
     harness._start_worker = lambda *args: starts.append(args) or real(*args)
-    for n, bound in (("5", "theorem"), ("6", "brouwer")):
+    for n, bound in (("5", "theorem"), ("7", "brouwer")):
         argv = ["scan", "--all-labeled", n, "--bound", bound, "--format", "json"]
         one = report([*argv, "--jobs", "1"])
         del starts[:]

@@ -45,6 +45,13 @@ CASES = [
     ("all-labeled:6 theorem", ["--all-labeled", "6", "--bound", "theorem"]),
     ("all-labeled:6 brouwer", ["--all-labeled", "6", "--bound", "brouwer"]),
     ("all-labeled:7 brouwer", ["--all-labeled", "7", "--bound", "brouwer"]),
+    # all-labeled scans that read fewer graphs by the scan's own least slack
+    # and largest eps/k^2 than by each work unit's
+    ("all-labeled:7 brouwer k=1,3,9", ["--all-labeled", "7", "--bound", "brouwer",
+                                       "--k", "1,3,9"]),
+    ("all-labeled:6 half-component", ["--all-labeled", "6", "--bound", "half-component"]),
+    ("all-labeled:6 theorem nminus2", ["--all-labeled", "6", "--bound", "theorem",
+                                       "--k", "nminus2"]),
     ("gnp40 file brouwer", ["--file", "{g40}", "--bound", "brouwer"]),
     ("gnp40 file all", ["--file", "{g40}", "--bound", "all"]),
     ("mixed-n file all", ["--file", "{mixed}", "--bound", "all"]),
